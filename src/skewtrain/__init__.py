@@ -1,10 +1,11 @@
 """Training and diagnosing small classifiers under long-tailed imbalance.
 
 The package is layered bottom-up: a tape-based reverse-mode autodiff
-engine (autodiff), MLP and projector models (models), dataset curation
-and sampling (data), supervised and self-supervised losses (losses),
-SGD/SAM optimizers with EMA (optim), evaluation and collapse
-diagnostics (diagnostics), and the experiment harness plus CLI
+engine (autodiff), MLP layer stacks for the classifier and the
+projector (models), dataset curation and sampling (data), supervised
+and self-supervised loss terms (losses), SGD/SAM optimizers with EMA
+(optim), evaluation and collapse diagnostics (diagnostics), and the
+experiment harness, which owns the training objective, plus CLI
 (harness, cli).
 """
 
@@ -63,23 +64,15 @@ from .losses import (
     ReweightSpec,
     SmoothingSpec,
     VicRegSpec,
-    focal_loss,
     joint_loss,
-    reweighted_ce,
     smoothed_targets,
-    soft_cross_entropy,
     vicreg_loss,
 )
 from .models import (
-    ForwardOutput,
     MLPParams,
-    ProjectorParams,
     load_checkpoint,
-    mlp_forward,
     mlp_init,
     mlp_predict,
-    projector_forward,
-    projector_init,
     save_checkpoint,
 )
 from .optim import (

@@ -120,9 +120,6 @@ class Var:
     def relu(self):
         return op_apply("relu", [self])
 
-    def log(self):
-        return op_apply("log", [self])
-
     def exp(self):
         return op_apply("exp", [self])
 
@@ -245,15 +242,6 @@ def _bw_relu(g, out, ins, attrs):
     return (g * (ins[0] > 0.0),)
 
 
-def _fw_log(ins, attrs):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(ins[0])
-
-
-def _bw_log(g, out, ins, attrs):
-    return (g / ins[0],)
-
-
 def _fw_exp(ins, attrs):
     with np.errstate(over="ignore"):
         return np.exp(ins[0])
@@ -276,19 +264,6 @@ def _bw_powc(g, out, ins, attrs):
         return (g * p * np.power(ins[0], p - 1.0),)
 
 
-def _fw_softmax_rows(ins, attrs):
-    x = ins[0]
-    _require(x.ndim == 2, f"softmax_rows needs rank 2, got {x.shape}")
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _bw_softmax_rows(g, out, ins, attrs):
-    dot = (g * out).sum(axis=1, keepdims=True)
-    return (out * (g - dot),)
-
-
 def _fw_log_softmax_rows(ins, attrs):
     x = ins[0]
     _require(x.ndim == 2, f"log_softmax_rows needs rank 2, got {x.shape}")
@@ -298,15 +273,6 @@ def _fw_log_softmax_rows(ins, attrs):
 
 def _bw_log_softmax_rows(g, out, ins, attrs):
     return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
-
-
-def _fw_reduce_mean(ins, attrs):
-    return np.asarray(ins[0].mean())
-
-
-def _bw_reduce_mean(g, out, ins, attrs):
-    x = ins[0]
-    return (np.full_like(x, float(g) / x.size),)
 
 
 def _fw_reduce_sum(ins, attrs):
@@ -372,20 +338,6 @@ def _bw_concat_rows(g, out, ins, attrs):
     return tuple(grads)
 
 
-def _fw_slice_rows(ins, attrs):
-    x = ins[0]
-    start, stop = attrs["start"], attrs["stop"]
-    _require(x.ndim == 2, f"slice_rows needs rank 2, got {x.shape}")
-    _require(0 <= start < stop <= x.shape[0], f"slice_rows range [{start}, {stop}) out of bounds for {x.shape}")
-    return x[start:stop].copy()
-
-
-def _bw_slice_rows(g, out, ins, attrs):
-    full = np.zeros_like(ins[0])
-    full[attrs["start"]:attrs["stop"]] = g
-    return (full,)
-
-
 def _fw_frobenius_sq(ins, attrs):
     return np.asarray(np.square(ins[0]).sum())
 
@@ -430,19 +382,15 @@ PRIMITIVES: dict[str, _Primitive] = {
     "addc": _Primitive(_fw_addc, _bw_addc, 1),
     "mul": _Primitive(_fw_mul, _bw_mul, 2),
     "relu": _Primitive(_fw_relu, _bw_relu, 1),
-    "log": _Primitive(_fw_log, _bw_log, 1),
     "exp": _Primitive(_fw_exp, _bw_exp, 1),
     "powc": _Primitive(_fw_powc, _bw_powc, 1),
-    "softmax_rows": _Primitive(_fw_softmax_rows, _bw_softmax_rows, 1),
     "log_softmax_rows": _Primitive(_fw_log_softmax_rows, _bw_log_softmax_rows, 1),
-    "reduce_mean": _Primitive(_fw_reduce_mean, _bw_reduce_mean, 1),
     "reduce_sum": _Primitive(_fw_reduce_sum, _bw_reduce_sum, 1),
     "row_sums": _Primitive(_fw_row_sums, _bw_row_sums, 1),
     "col_means": _Primitive(_fw_col_means, _bw_col_means, 1),
     "square": _Primitive(_fw_square, _bw_square, 1),
     "sqrt": _Primitive(_fw_sqrt, _bw_sqrt, 1),
     "concat_rows": _Primitive(_fw_concat_rows, _bw_concat_rows, None),
-    "slice_rows": _Primitive(_fw_slice_rows, _bw_slice_rows, 1),
     "frobenius_sq": _Primitive(_fw_frobenius_sq, _bw_frobenius_sq, 1),
     "transpose": _Primitive(_fw_transpose, _bw_transpose, 1),
     "diag_part": _Primitive(_fw_diag_part, _bw_diag_part, 1),
@@ -481,16 +429,8 @@ def op_apply(primitive: str, inputs: Sequence[Var], **attrs) -> Var:
 
 # Module-level builders for primitives without operator sugar.
 
-def softmax_rows(x: Var) -> Var:
-    return op_apply("softmax_rows", [x])
-
-
 def log_softmax_rows(x: Var) -> Var:
     return op_apply("log_softmax_rows", [x])
-
-
-def reduce_mean(x: Var) -> Var:
-    return op_apply("reduce_mean", [x])
 
 
 def reduce_sum(x: Var) -> Var:
@@ -511,10 +451,6 @@ def add_row_bias(x: Var, b: Var) -> Var:
 
 def concat_rows(parts: Sequence[Var]) -> Var:
     return op_apply("concat_rows", list(parts))
-
-
-def slice_rows(x: Var, start: int, stop: int) -> Var:
-    return op_apply("slice_rows", [x], start=int(start), stop=int(stop))
 
 
 def frobenius_sq(x: Var) -> Var:

@@ -14,6 +14,7 @@ single seed yields stderr 0 flagged as single_trial.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -45,21 +46,22 @@ from .losses import (
     VicRegSpec,
     cross_entropy_vec,
     focal_vec,
+    joint_loss,
     one_hot,
     reweight_class_weights,
     smoothed_targets,
     vicreg_loss,
 )
 from .models import (
+    atomic_write,
     forward_stack,
+    mlp_init,
     mlp_predict,
     named_to_mlp,
     params_to_named,
-    projector_init,
-    mlp_init,
 )
 from .optim import OptimState, SamSpec, TrainConfig, cosine_lr, ema_update, init_state, sam_step, sgd_update
-from .autodiff import NumericalError, Tape, backward, reduce_sum
+from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
 
 logger = logging.getLogger(__name__)
 
@@ -412,6 +414,59 @@ def _projector_sizes(config: ExperimentConfig) -> list[int] | None:
     return sizes
 
 
+def supervised_loss(
+    tape: Tape, logits: Var, labels: np.ndarray, method: MethodSpec, profile: ClassProfile,
+    class_w: np.ndarray, epoch: int, example_weights: np.ndarray | None = None,
+) -> Var:
+    """The supervised term that training minimizes, as a tape scalar.
+
+    Per-example losses l_i (cross-entropy against one-hot or smoothed
+    targets, or focal) get weights w_i = class_w[y_i] once a reweighted
+    loss reaches its defer_epoch, else 1, and reduce to
+    sum_i w_i s_i l_i / sum_i s_i, where s_i are the SAM ascent
+    weights, or 1 when example_weights is None.
+    """
+    if method.loss == "smoothed":
+        vec = cross_entropy_vec(tape, logits, smoothed_targets(labels, profile, method.smoothing))
+    elif method.loss == "focal":
+        vec = focal_vec(tape, logits, labels, method.focal)
+    else:
+        vec = cross_entropy_vec(tape, logits, one_hot(labels, logits.shape[1]))
+    reweight = method.loss == "reweighted" and epoch >= method.reweight.defer_epoch
+    w = class_w[labels] if reweight else np.ones(labels.size)
+    if example_weights is None:
+        return reduce_sum(vec * tape.constant(w)) * (1.0 / labels.size)
+    return reduce_sum(vec * tape.constant(w * example_weights)) * (1.0 / float(example_weights.sum()))
+
+
+def batch_loss_and_grads(
+    params_named, example_weights, *, xb, yb, views, epoch, method, profile, class_w,
+    mlp_sizes, proj_sizes,
+):
+    """(loss, gradient per parameter name) of the training objective on one batch.
+
+    sam_step calls it as f(params, example_weights); train_model binds
+    the rest with functools.partial.
+    """
+    tape = Tape()
+    leaves = {name: tape.leaf(arr, name=name) for name, arr in params_named.items()}
+    mlp_leaves = {n: v for n, v in leaves.items() if n.startswith("mlp.")}
+    n_mlp_layers = len(mlp_sizes) - 1
+    logits, _ = forward_stack(tape.constant(xb), mlp_leaves, n_mlp_layers, "mlp")
+    total = supervised_loss(tape, logits, yb, method, profile, class_w, epoch, example_weights)
+    if method.joint_ssl:
+        proj_leaves = {n: v for n, v in leaves.items() if n.startswith("proj.")}
+        embeddings = []
+        for view in views:
+            _, penult = forward_stack(tape.constant(view), mlp_leaves, n_mlp_layers, "mlp")
+            emb, _ = forward_stack(penult, proj_leaves, len(proj_sizes) - 1, "proj")
+            embeddings.append(emb)
+        ssl = vicreg_loss(tape, embeddings[0], embeddings[1], method.vicreg)
+        total = joint_loss(tape, total, ssl, method.joint)
+    grads = backward(tape, total)
+    return float(total.value), {name: grads[leaves[name].idx] for name in leaves}
+
+
 def train_model(config: ExperimentConfig, seed: int) -> TrainedModel:
     """Run one training trial; see run_training for the full report."""
     ss = _seed_children(seed)
@@ -421,12 +476,10 @@ def train_model(config: ExperimentConfig, seed: int) -> TrainedModel:
     k = train_split.num_classes
     mlp_sizes = [train_split.d] + list(config.hidden) + [k]
     init_rng = np.random.default_rng(ss["init"])
-    mlp = mlp_init(mlp_sizes, seed=init_rng.integers(2**32))
-    named = params_to_named(mlp, "mlp")
+    named = params_to_named(mlp_init(mlp_sizes, seed=init_rng.integers(2**32)), "mlp")
     proj_sizes = _projector_sizes(config)
     if proj_sizes is not None:
-        proj = projector_init(proj_sizes, seed=init_rng.integers(2**32))
-        named.update(params_to_named(proj, "proj"))
+        named.update(params_to_named(mlp_init(proj_sizes, seed=init_rng.integers(2**32)), "proj"))
     state = init_state(named, config.ema_decay)
 
     method = config.method
@@ -441,47 +494,6 @@ def train_model(config: ExperimentConfig, seed: int) -> TrainedModel:
         else None
     )
     min_batch = 2 if method.joint_ssl else 1
-    n_mlp_layers = len(mlp_sizes) - 1
-
-    def make_loss_and_grads(xb, yb, views, epoch):
-        """Bind one batch; the result maps params (+ ascent weights) to loss and grads."""
-
-        def loss_and_grads(params_named, example_weights):
-            tape = Tape()
-            leaves = {name: tape.leaf(arr, name=name) for name, arr in params_named.items()}
-            mlp_leaves = {n: v for n, v in leaves.items() if n.startswith("mlp.")}
-            logits, _ = forward_stack(tape.constant(xb), mlp_leaves, n_mlp_layers, "mlp")
-            if method.loss == "smoothed":
-                vec = cross_entropy_vec(tape, logits, smoothed_targets(yb, profile, method.smoothing))
-            elif method.loss == "focal":
-                vec = focal_vec(tape, logits, yb, method.focal)
-            else:
-                vec = cross_entropy_vec(tape, logits, one_hot(yb, k))
-            if method.loss == "reweighted" and epoch >= method.reweight.defer_epoch:
-                base_w = class_w[yb]
-            else:
-                base_w = np.ones(yb.size)
-            if example_weights is None:
-                supervised = reduce_sum(vec * tape.constant(base_w)) * (1.0 / yb.size)
-            else:
-                supervised = reduce_sum(vec * tape.constant(base_w * example_weights)) * (
-                    1.0 / float(example_weights.sum())
-                )
-            if method.joint_ssl:
-                proj_leaves = {n: v for n, v in leaves.items() if n.startswith("proj.")}
-                embeddings = []
-                for view in views:
-                    _, penult = forward_stack(tape.constant(view), mlp_leaves, n_mlp_layers, "mlp")
-                    emb, _ = forward_stack(penult, proj_leaves, len(proj_sizes) - 1, "proj")
-                    embeddings.append(emb)
-                ssl = vicreg_loss(tape, embeddings[0], embeddings[1], method.vicreg)
-                total = ssl + supervised * method.joint.lam
-            else:
-                total = supervised
-            grads = backward(tape, total)
-            return float(total.value), {name: grads[leaves[name].idx] for name in leaves}
-
-        return loss_and_grads
 
     trajectory: list[float] = []
     epochs_to_full_fit = None
@@ -497,7 +509,10 @@ def train_model(config: ExperimentConfig, seed: int) -> TrainedModel:
             views = None
             if method.joint_ssl:
                 views = augment_two_views(xb, method.augment, augment_rng)
-            loss_and_grads = make_loss_and_grads(xb, yb, views, epoch)
+            loss_and_grads = functools.partial(
+                batch_loss_and_grads, xb=xb, yb=yb, views=views, epoch=epoch, method=method,
+                profile=profile, class_w=class_w, mlp_sizes=mlp_sizes, proj_sizes=proj_sizes,
+            )
             try:
                 if method.sam.mode != "off":
                     named, state, _ = sam_step(
@@ -651,7 +666,7 @@ def _jsonify(obj):
 
 
 def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(_jsonify(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -856,24 +871,26 @@ def run_sweep(
     return result
 
 
+def _best_train_ratio(grid: dict[tuple[float, float], float], rt: float) -> float:
+    """The training ratio with the best accuracy at test ratio rt.
+
+    Exact ties go to the candidate closest to rt, then to the smaller ratio.
+    """
+    candidates = [(rtr, acc) for (rtr, t), acc in grid.items() if t == rt]
+    return min(candidates, key=lambda p: (-p[1], abs(p[0] - rt), p[0]))[0]
+
+
 def misalignment(grid: dict[tuple[float, float], float]) -> float:
     """Mean |best training ratio - test ratio| over the test ratios.
 
     grid maps (r_train, r_test) to accuracy. For each test ratio the
-    best training ratio maximizes accuracy; exact ties go to the
-    candidate closest to the test ratio (then to the smaller ratio).
+    best training ratio maximizes accuracy (see _best_train_ratio for
+    the tie-break).
     """
     if not grid:
         raise ValueError("empty accuracy grid")
     test_ratios = sorted({rt for (_, rt) in grid})
-    gaps = []
-    for rt in test_ratios:
-        candidates = [(rtr, acc) for (rtr, t), acc in grid.items() if t == rt]
-        if not candidates:
-            raise ValueError(f"no entries for test ratio {rt}")
-        best = sorted(candidates, key=lambda p: (-p[1], abs(p[0] - rt), p[0]))[0][0]
-        gaps.append(abs(best - rt))
-    return float(np.mean(gaps))
+    return float(np.mean([abs(_best_train_ratio(grid, rt) - rt) for rt in test_ratios]))
 
 
 def misalignment_steps(grid: dict[tuple[float, float], float]) -> float:
@@ -890,12 +907,7 @@ def misalignment_steps(grid: dict[tuple[float, float], float]) -> float:
     missing = [rt for rt in test_ratios if rt not in pos]
     if missing:
         raise ValueError(f"test ratios {missing} not on the training-ratio ladder")
-    gaps = []
-    for rt in test_ratios:
-        candidates = [(rtr, acc) for (rtr, t), acc in grid.items() if t == rt]
-        best = sorted(candidates, key=lambda p: (-p[1], abs(p[0] - rt), p[0]))[0][0]
-        gaps.append(abs(pos[best] - pos[rt]))
-    return float(np.mean(gaps))
+    return float(np.mean([abs(pos[_best_train_ratio(grid, rt)] - pos[rt]) for rt in test_ratios]))
 
 
 @dataclass

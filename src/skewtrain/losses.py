@@ -1,9 +1,12 @@
-"""Supervised and self-supervised losses built from tape primitives.
+"""Supervised and self-supervised loss terms built from tape primitives.
 
-Supervised losses share one skeleton: a per-example loss vector over
-the batch, then a reduction. The per-example builders are exposed so
-optimizers can reweight examples (class-conditional ascent steps) and
-so the reweighted loss can defer its weights by epoch.
+Supervised losses are per-example vectors over the batch: cross-entropy
+against one-hot or smoothed targets (cross_entropy_vec) and focal loss
+(focal_vec). This module does not reduce them. The one reduction that
+training uses, with class weights for the reweighted loss, its deferral
+epoch and the SAM ascent weights, is harness.supervised_loss.
+vicreg_loss and joint_loss are the self-supervised term and the joint
+objective ssl + lam * supervised.
 
 Class-conditional label smoothing has two modes because the source
 material is ambiguous about direction: `paper_formula` uses
@@ -28,7 +31,6 @@ from .autodiff import (
     frobenius_sq,
     log_softmax_rows,
     powc,
-    reduce_mean,
     reduce_sum,
     row_sums,
 )
@@ -126,11 +128,6 @@ def cross_entropy_vec(tape: Tape, logits: Var, targets: np.ndarray) -> Var:
     return row_sums(lsm * tape.constant(targets)) * -1.0
 
 
-def soft_cross_entropy(tape: Tape, logits: Var, targets: np.ndarray) -> Var:
-    """Mean over the batch of cross-entropy against soft targets."""
-    return reduce_mean(cross_entropy_vec(tape, logits, targets))
-
-
 def class_epsilons(profile: ClassProfile, spec: SmoothingSpec) -> np.ndarray:
     """Per-class smoothing strengths, clamped to [0, epsilon_max]."""
     p = profile.proportions
@@ -162,37 +159,9 @@ def focal_vec(tape: Tape, logits: Var, labels: np.ndarray, spec: FocalSpec) -> V
     return powc(1.0 - pt, spec.gamma) * (-log_pt)
 
 
-def focal_loss(tape: Tape, logits: Var, labels: np.ndarray, spec: FocalSpec) -> Var:
-    """Mean focal loss; gamma = 0 recovers plain cross-entropy."""
-    return reduce_mean(focal_vec(tape, logits, labels, spec))
-
-
 def reweight_class_weights(profile: ClassProfile) -> np.ndarray:
     """w_c = n / (K * n_c); the class-frequency-weighted mean of w is 1."""
     return profile.n / (profile.num_classes * profile.counts.astype(np.float64))
-
-
-def reweighted_ce(
-    tape: Tape,
-    logits: Var,
-    labels: np.ndarray,
-    profile: ClassProfile,
-    spec: ReweightSpec,
-    current_epoch: int,
-) -> Var:
-    """Inverse-frequency weighted cross-entropy with optional deferral.
-
-    Weights stay at 1 until current_epoch >= defer_epoch; the reduction
-    is (1/B) * sum_i w_{y_i} * ce_i, so a balanced profile reproduces
-    plain cross-entropy exactly.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    vec = cross_entropy_vec(tape, logits, one_hot(labels, logits.shape[1]))
-    if current_epoch < spec.defer_epoch:
-        w = np.ones(labels.size)
-    else:
-        w = reweight_class_weights(profile)[labels]
-    return reduce_sum(vec * tape.constant(w)) * (1.0 / labels.size)
 
 
 def vicreg_loss(tape: Tape, z: Var, z_prime: Var, spec: VicRegSpec) -> Var:

@@ -3,53 +3,47 @@
 The classifier is a plain MLP: affine layers with ReLU between them,
 logits from the last affine layer, and the post-activation output of
 the layer before it ("penultimate features") exposed for collapse
-diagnostics. A projector head of the same construction maps those
-features to an embedding space for self-supervised objectives.
+diagnostics. The projector head that maps those features to an
+embedding space for self-supervised objectives is a stack of the same
+construction, so one type (MLPParams) and one initializer (mlp_init)
+serve both.
 
-Parameters live as named float64 arrays; forward passes register them
-as leaves on a caller-supplied tape so gradients come back per name.
+Parameters live as named float64 arrays ({prefix.w0, prefix.b0, ...}).
+There is one tape forward, forward_stack, which runs a stack on leaves
+the caller registered, so gradients come back per name; mlp_predict is
+its plain numpy mirror for evaluation. Checkpoints are JSON documents
+written atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Var, add_row_bias, op_apply
+from .autodiff import Var, add_row_bias, op_apply
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 
 @dataclass
 class MLPParams:
-    """Weights and biases for an MLP given as [d_in, h1, ..., K]."""
+    """Weights and biases for a layer stack given as [d_in, h1, ..., d_out].
+
+    The classifier ([d, hidden..., K]) and the projector head
+    ([hidden[-1], ...]) are both stacks of this kind.
+    """
 
     layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
 
-@dataclass
-class ProjectorParams:
-    """Weights and biases for the projector head, e.g. [64, 32, 32]."""
-
-    layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
-@dataclass
-class ForwardOutput:
-    """Logits plus penultimate features, and the parameter leaves used."""
-
-    logits: Var
-    penultimate: Var
-    leaves: dict[str, Var]
-
-
-def _init_stack(layer_sizes, seed, init):
+def mlp_init(layer_sizes: list[int], seed: int, init: str = "he_normal") -> MLPParams:
+    """Seeded init; he_normal draws N(0, 2/fan_in), biases start at zero."""
     if len(layer_sizes) < 2:
         raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
     if any(s < 1 for s in layer_sizes):
@@ -65,18 +59,7 @@ def _init_stack(layer_sizes, seed, init):
             raise ValueError(f"unknown init {init!r}")
         weights.append(np.ascontiguousarray(w))
         biases.append(np.zeros(fan_out))
-    return list(layer_sizes), weights, biases
-
-
-def mlp_init(layer_sizes: list[int], seed: int, init: str = "he_normal") -> MLPParams:
-    """Seeded init; he_normal draws N(0, 2/fan_in), biases start at zero."""
-    sizes, w, b = _init_stack(layer_sizes, seed, init)
-    return MLPParams(sizes, w, b)
-
-
-def projector_init(layer_sizes: list[int], seed: int, init: str = "he_normal") -> ProjectorParams:
-    sizes, w, b = _init_stack(layer_sizes, seed, init)
-    return ProjectorParams(sizes, w, b)
+    return MLPParams(list(layer_sizes), weights, biases)
 
 
 def params_to_named(params, prefix: str) -> dict[str, np.ndarray]:
@@ -89,17 +72,26 @@ def params_to_named(params, prefix: str) -> dict[str, np.ndarray]:
 
 
 def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: str = "mlp") -> MLPParams:
-    n = len(layer_sizes) - 1
-    weights = [np.asarray(named[f"{prefix}.w{i}"], dtype=np.float64) for i in range(n)]
-    biases = [np.asarray(named[f"{prefix}.b{i}"], dtype=np.float64) for i in range(n)]
+    """Rebuild a stack from {prefix.w0, prefix.b0, ...}; other keys are ignored.
+
+    A missing tensor, or one whose shape disagrees with layer_sizes,
+    raises ValueError naming it.
+    """
+    if len(layer_sizes) < 2:
+        raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
+
+    def tensor(name, shape):
+        if name not in named:
+            raise ValueError(f"missing tensor {name} for layer sizes {list(layer_sizes)}")
+        arr = np.asarray(named[name], dtype=np.float64)
+        if arr.shape != shape:
+            raise ValueError(f"tensor {name} has shape {arr.shape}, layer sizes need {shape}")
+        return arr
+
+    pairs = list(enumerate(zip(layer_sizes[:-1], layer_sizes[1:])))
+    weights = [tensor(f"{prefix}.w{i}", (fan_in, fan_out)) for i, (fan_in, fan_out) in pairs]
+    biases = [tensor(f"{prefix}.b{i}", (fan_out,)) for i, (_, fan_out) in pairs]
     return MLPParams(list(layer_sizes), weights, biases)
-
-
-def named_to_projector(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: str = "proj") -> ProjectorParams:
-    n = len(layer_sizes) - 1
-    weights = [np.asarray(named[f"{prefix}.w{i}"], dtype=np.float64) for i in range(n)]
-    biases = [np.asarray(named[f"{prefix}.b{i}"], dtype=np.float64) for i in range(n)]
-    return ProjectorParams(list(layer_sizes), weights, biases)
 
 
 def forward_stack(x: Var, leaves: dict[str, Var], n_layers: int, prefix: str):
@@ -116,45 +108,10 @@ def forward_stack(x: Var, leaves: dict[str, Var], n_layers: int, prefix: str):
     return h, penultimate
 
 
-def mlp_forward(params: MLPParams, x, tape: Tape) -> ForwardOutput:
-    """Run the MLP on a (B, d_in) batch, recording onto the given tape.
-
-    The penultimate Var is the post-ReLU output of the last hidden
-    layer. With no hidden layers it is the input batch itself.
-    """
-    x_arr = np.asarray(x, dtype=np.float64)
-    if x_arr.ndim != 2 or x_arr.shape[1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"input shape {x_arr.shape} does not match d_in={params.layer_sizes[0]}"
-        )
-    leaves = {}
-    for name, arr in params_to_named(params, "mlp").items():
-        leaves[name] = tape.leaf(arr, name=name)
-    x_var = tape.constant(x_arr)
-    n = len(params.layer_sizes) - 1
-    logits, penultimate = forward_stack(x_var, leaves, n, "mlp")
-    if penultimate is None:
-        penultimate = x_var
-    return ForwardOutput(logits=logits, penultimate=penultimate, leaves=leaves)
-
-
-def projector_forward(params: ProjectorParams, features: Var, tape: Tape) -> tuple[Var, dict[str, Var]]:
-    """Map penultimate features (already on the tape) to embeddings."""
-    if features.shape[1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"feature width {features.shape[1]} does not match projector input {params.layer_sizes[0]}"
-        )
-    leaves = {}
-    for name, arr in params_to_named(params, "proj").items():
-        leaves[name] = tape.leaf(arr, name=name)
-    out, _ = forward_stack(features, leaves, len(params.layer_sizes) - 1, "proj")
-    return out, leaves
-
-
 def mlp_predict(params: MLPParams, x: np.ndarray):
     """Tape-free inference: (labels, softmax probabilities, penultimate).
 
-    Plain numpy mirror of mlp_forward for evaluation loops and grids.
+    Plain numpy mirror of forward_stack for evaluation loops and grids.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.layer_sizes[0]:
@@ -172,6 +129,24 @@ def mlp_predict(params: MLPParams, x: np.ndarray):
     return probs.argmax(axis=1), probs, penultimate
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a text file that replaces path only once the block finishes.
+
+    Writes go to a temporary file beside path, which os.replace moves
+    into place; if the block raises, path keeps its old contents and
+    the temporary file is removed.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(path, named: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named tensors as JSON: format_version, meta, name/shape/values."""
     tensors = []
@@ -187,19 +162,29 @@ def save_checkpoint(path, named: dict[str, np.ndarray], meta: dict | None = None
         "meta": meta or {},
         "tensors": tensors,
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint back; rejects unknown format versions."""
+    """Read a checkpoint back.
+
+    Unknown format versions and malformed documents raise ValueError.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(doc.get("tensors"), list) or not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint needs a tensors list and a meta object")
     named = {}
-    for entry in doc["tensors"]:
-        arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        named[entry["name"]] = arr
-    return named, doc.get("meta", {})
+    for i, entry in enumerate(doc["tensors"]):
+        try:
+            named[entry["name"]] = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed tensor entry {i}: {exc!r}") from None
+    return named, meta

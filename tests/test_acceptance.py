@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from skewtrain.autodiff import Tape, backward, check_gradients
+from skewtrain.autodiff import Tape, backward, check_gradients, reduce_sum
 from skewtrain.data import (
     class_profile,
     curate_exponential,
@@ -33,6 +33,7 @@ from skewtrain.diagnostics import (
 from skewtrain.harness import (
     DataSpec,
     ExperimentConfig,
+    MethodSpec,
     TrainConfig,
     aggregate,
     apply_method,
@@ -42,6 +43,7 @@ from skewtrain.harness import (
     run_ratio_grid,
     run_sweep,
     run_training,
+    supervised_loss,
     train_model,
 )
 from skewtrain.losses import (
@@ -50,19 +52,16 @@ from skewtrain.losses import (
     ReweightSpec,
     SmoothingSpec,
     VicRegSpec,
-    focal_loss,
+    cross_entropy_vec,
     joint_loss,
     one_hot,
-    reweighted_ce,
-    smoothed_targets,
-    soft_cross_entropy,
+    reweight_class_weights,
     vicreg_loss,
 )
 from skewtrain.models import (
     forward_stack,
     mlp_init,
     params_to_named,
-    projector_init,
 )
 from skewtrain.optim import (
     SamSpec,
@@ -132,6 +131,13 @@ def _minority_train_points(model) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _mean_ce(tape, logits, targets):
+    """Batch-mean cross-entropy against soft targets, reduced as training reduces."""
+    vec = cross_entropy_vec(tape, logits, targets)
+    b = vec.shape[0]
+    return reduce_sum(vec * tape.constant(np.ones(b))) * (1.0 / b)
+
+
 def test_every_loss_matches_finite_differences(verdict):
     rng = np.random.default_rng(20260822)
     t0 = time.perf_counter()
@@ -156,32 +162,25 @@ def test_every_loss_matches_finite_differences(verdict):
         profile = ClassProfile(counts)
         soft_targets = rng.dirichlet(np.ones(k), size=b)
 
+        def trained(method, y=labels, p=profile):
+            """Build the supervised objective that training minimizes for method."""
+            return lambda tape, leaves: supervised_loss(
+                tape, leaves[0], y, method, p, reweight_class_weights(p), 0
+            )
+
         run(
             "soft_ce",
-            lambda tape, leaves, t=soft_targets: soft_cross_entropy(tape, leaves[0], t),
+            lambda tape, leaves, t=soft_targets: _mean_ce(tape, leaves[0], t),
             [logits],
         )
         for mode in ("paper_formula", "inverse_proportion"):
             spec = SmoothingSpec(epsilon=0.2, mode=mode)
-            targets = smoothed_targets(labels, profile, spec)
-            run(
-                f"smoothed_{mode}",
-                lambda tape, leaves, t=targets: soft_cross_entropy(tape, leaves[0], t),
-                [logits],
-            )
+            run(f"smoothed_{mode}", trained(MethodSpec(loss="smoothed", smoothing=spec)), [logits])
         gamma = float(rng.uniform(0.5, 3.0))
-        run(
-            "focal",
-            lambda tape, leaves, y=labels, g=gamma: focal_loss(
-                tape, leaves[0], y, FocalSpec(gamma=g)
-            ),
-            [logits],
-        )
+        run("focal", trained(MethodSpec(loss="focal", focal=FocalSpec(gamma=gamma))), [logits])
         run(
             "reweighted",
-            lambda tape, leaves, y=labels, p=profile: reweighted_ce(
-                tape, leaves[0], y, p, ReweightSpec(defer_epoch=0), current_epoch=0
-            ),
+            trained(MethodSpec(loss="reweighted", reweight=ReweightSpec(defer_epoch=0))),
             [logits],
         )
 
@@ -201,7 +200,7 @@ def test_every_loss_matches_finite_differences(verdict):
             "joint",
             lambda tape, leaves, t=soft_targets, s=vspec: joint_loss(
                 tape,
-                soft_cross_entropy(tape, leaves[0], t),
+                _mean_ce(tape, leaves[0], t),
                 vicreg_loss(tape, leaves[1], leaves[2], s),
                 JointLossSpec(lam=0.7),
             ),
@@ -240,7 +239,7 @@ def test_every_loss_matches_finite_differences(verdict):
     while produced < 10 and attempt < 200:
         attempt += 1
         mlp = mlp_init([2, 6, 5], seed=1000 + attempt)
-        proj = projector_init([6, 8, 8], seed=2000 + attempt)
+        proj = mlp_init([6, 8, 8], seed=2000 + attempt)
         named = {**params_to_named(mlp, "mlp"), **params_to_named(proj, "proj")}
         x = rng.normal(size=(5, 2))
         views = (x + 0.1 * rng.normal(size=x.shape), x + 0.1 * rng.normal(size=x.shape))
@@ -254,7 +253,7 @@ def test_every_loss_matches_finite_differences(verdict):
             if "proj.b1" not in lv:
                 lv["proj.b1"] = tape.constant(named["proj.b1"])
             logits, _ = forward_stack(tape.constant(x), lv, 2, "mlp")
-            supervised = soft_cross_entropy(tape, logits, targets)
+            supervised = _mean_ce(tape, logits, targets)
             embeddings = []
             for view in views:
                 _, penultimate = forward_stack(tape.constant(view), lv, 2, "mlp")

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -21,12 +22,14 @@ from skewtrain.autodiff import (
     log_softmax_rows,
     op_apply,
     powc,
-    reduce_mean,
     reduce_sum,
     row_sums,
-    slice_rows,
-    softmax_rows,
 )
+
+
+def _np_softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,6 @@ def test_scalar_nodes_stay_rank_zero():
     tape = Tape()
     x = tape.leaf(np.ones((2, 3)))
     assert reduce_sum(x).value.shape == ()
-    assert reduce_mean(x).value.shape == ()
     assert frobenius_sq(x).value.shape == ()
 
 
@@ -85,9 +87,11 @@ def test_matmul_hand_case():
 
 
 def test_softmax_rows_uniform():
+    # softmax rows are exp(log_softmax_rows); uniform logits give 1/K
     tape = Tape()
     z = tape.leaf(np.zeros((2, 4)))
-    npt.assert_allclose(softmax_rows(z).value, np.full((2, 4), 0.25), rtol=0, atol=1e-15)
+    npt.assert_allclose(np.exp(log_softmax_rows(z).value), np.full((2, 4), 0.25),
+                        rtol=0, atol=1e-15)
 
 
 def test_log_softmax_matches_softmax_log():
@@ -96,16 +100,18 @@ def test_log_softmax_matches_softmax_log():
     tape = Tape()
     z = tape.leaf(logits)
     npt.assert_allclose(
-        log_softmax_rows(z).value, np.log(softmax_rows(z).value), rtol=0, atol=1e-12
+        log_softmax_rows(z).value, np.log(_np_softmax(logits)), rtol=0, atol=1e-12
     )
 
 
 def test_softmax_rows_is_shift_invariant_and_stable():
     tape = Tape()
     z = tape.leaf([[1000.0, 1000.0, 999.0]])
-    out = softmax_rows(z).value
+    out = log_softmax_rows(z).value
     assert np.all(np.isfinite(out))
-    npt.assert_allclose(out.sum(axis=1), [1.0], rtol=0, atol=1e-12)
+    npt.assert_allclose(np.exp(out).sum(axis=1), [1.0], rtol=0, atol=1e-12)
+    shifted = log_softmax_rows(tape.leaf([[1.0, 1.0, 0.0]])).value
+    npt.assert_allclose(out, shifted, rtol=0, atol=1e-12)
 
 
 def test_concat_and_slice_roundtrip():
@@ -114,8 +120,8 @@ def test_concat_and_slice_roundtrip():
     tape = Tape()
     va, vb = tape.leaf(a), tape.leaf(b)
     w = concat_rows([va, vb])
-    npt.assert_array_equal(slice_rows(w, 0, 3).value, a)
-    npt.assert_array_equal(slice_rows(w, 3, 7).value, b)
+    npt.assert_array_equal(w.value[0:3], a)
+    npt.assert_array_equal(w.value[3:7], b)
 
 
 def test_sugar_expressions():
@@ -162,13 +168,6 @@ def test_overflow_raises_numerical_error_with_node_id():
     x = tape.leaf([1000.0])
     with pytest.raises(NumericalError, match="'exp' at node"):
         x.exp()
-
-
-def test_log_zero_raises_numerical_error():
-    tape = Tape()
-    x = tape.leaf([0.0])
-    with pytest.raises(NumericalError, match="log"):
-        x.log()
 
 
 def test_backward_overflow_raises_numerical_error():
@@ -235,7 +234,7 @@ def test_backward_is_deterministic():
     def run():
         tape = Tape()
         va, vb = tape.leaf(a), tape.leaf(b)
-        loss = reduce_sum(softmax_rows(va @ vb)) + frobenius_sq(va)
+        loss = reduce_sum(log_softmax_rows(va @ vb).exp()) + frobenius_sq(va)
         g = backward(tape, loss)
         return g[va.idx].copy(), g[vb.idx].copy()
 
@@ -291,10 +290,6 @@ def _case_relu(rng):
     return [x], lambda t, ls: ls[0].relu()
 
 
-def _case_log(rng):
-    return [rng.uniform(0.5, 2.0, size=(3, 4))], lambda t, ls: ls[0].log()
-
-
 def _case_exp(rng):
     return [rng.uniform(-1.0, 1.0, size=(3, 4))], lambda t, ls: ls[0].exp()
 
@@ -303,16 +298,8 @@ def _case_powc(rng):
     return [rng.uniform(0.5, 2.0, size=(3, 3))], lambda t, ls: powc(ls[0], 2.5)
 
 
-def _case_softmax_rows(rng):
-    return [rng.normal(size=(4, 5))], lambda t, ls: softmax_rows(ls[0])
-
-
 def _case_log_softmax_rows(rng):
     return [rng.normal(size=(4, 5))], lambda t, ls: log_softmax_rows(ls[0])
-
-
-def _case_reduce_mean(rng):
-    return [rng.normal(size=(4, 3))], lambda t, ls: reduce_mean(ls[0])
 
 
 def _case_reduce_sum(rng):
@@ -342,10 +329,6 @@ def _case_concat_rows(rng):
     )
 
 
-def _case_slice_rows(rng):
-    return [rng.normal(size=(5, 3))], lambda t, ls: slice_rows(ls[0], 1, 4)
-
-
 def _case_frobenius_sq(rng):
     return [rng.normal(size=(3, 4))], lambda t, ls: frobenius_sq(ls[0])
 
@@ -366,19 +349,15 @@ _PRIMITIVE_CASES = {
     "addc": _case_addc,
     "mul": _case_mul,
     "relu": _case_relu,
-    "log": _case_log,
     "exp": _case_exp,
     "powc": _case_powc,
-    "softmax_rows": _case_softmax_rows,
     "log_softmax_rows": _case_log_softmax_rows,
-    "reduce_mean": _case_reduce_mean,
     "reduce_sum": _case_reduce_sum,
     "row_sums": _case_row_sums,
     "col_means": _case_col_means,
     "square": _case_square,
     "sqrt": _case_sqrt,
     "concat_rows": _case_concat_rows,
-    "slice_rows": _case_slice_rows,
     "frobenius_sq": _case_frobenius_sq,
     "transpose": _case_transpose,
     "diag_part": _case_diag_part,
@@ -392,7 +371,8 @@ def test_every_primitive_has_a_gradient_case():
 @pytest.mark.parametrize("prim", sorted(_PRIMITIVE_CASES))
 @pytest.mark.parametrize("seed", range(10))
 def test_primitive_gradients_match_finite_differences(prim, seed):
-    rng = np.random.default_rng(1000 * seed + hash(prim) % 1000)
+    # str hash() is salted per process; crc32 keeps the instances reproducible
+    rng = np.random.default_rng(1000 * seed + zlib.crc32(prim.encode()) % 1000)
     params, apply = _PRIMITIVE_CASES[prim](rng)
     weight_seed = rng.integers(2**32)
 
@@ -436,6 +416,6 @@ def test_sum_gradient_is_all_ones(rows, cols, seed):
 def test_softmax_rows_output_rows_sum_to_one(rows, cols, seed):
     z = np.random.default_rng(seed).normal(size=(rows, cols)) * 3
     tape = Tape()
-    out = softmax_rows(tape.leaf(z)).value
+    out = np.exp(log_softmax_rows(tape.leaf(z)).value)
     npt.assert_allclose(out.sum(axis=1), np.ones(rows), rtol=0, atol=1e-12)
     assert np.all(out >= 0)

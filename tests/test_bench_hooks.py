@@ -1,0 +1,66 @@
+"""The benchmark instruments skewtrain by rebinding module attributes.
+
+bench/tracing.py wraps names such as harness.Tape, harness.backward and
+models.op_apply from outside. These tests install its hooks on the real
+modules, run one tiny trial through them and close them again, so a
+refactor that renames or stops calling a hooked name fails here and not
+only in the benchmark's own, slower smoke tests.
+"""
+
+import importlib.util
+import types
+from contextlib import ExitStack
+from pathlib import Path
+
+from skewtrain import autodiff, cli, data, diagnostics, harness, losses, models, optim
+from skewtrain.harness import DataSpec, ExperimentConfig, TrainConfig, apply_method
+
+MODULES = (autodiff, cli, data, diagnostics, harness, losses, models, optim)
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("skewtrain_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    names = {(m.__name__, k): v for m in MODULES for k, v in vars(m).items()}
+    names[("Tape", "leaf")] = autodiff.Tape.leaf
+    names[("BoundaryGrid", "to_csv")] = diagnostics.BoundaryGrid.to_csv
+    return names
+
+
+def test_benchmark_hooks_install_trace_a_trial_and_restore():
+    tracing = _load_tracing()
+    sk = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
+    before = _bindings()
+    cfg = apply_method(ExperimentConfig(
+        data=DataSpec(classes=3, train_per_class=20, test_per_class=10, sigma=0.5),
+        train=TrainConfig(lr0=0.05, epochs=2, warmup_epochs=1, batch_size=32),
+        hidden=[8],
+        r_train=0.5,
+        seeds=[0],
+    ), "sam_a_smoothed")
+    tracer = tracing.Tracer()
+    clock = tracing.StepClock(types.SimpleNamespace(cutting=False))
+    with ExitStack() as stack:
+        clock.install(stack, sk)
+        tracing.install_tracing(stack, tracer, sk)
+        assert harness.backward is not before[("skewtrain.harness", "backward")]
+        harness.run_training(cfg, 0)
+    assert _bindings() == before
+
+    calls = {layer: st[0] for layer, st in tracer.stats.items()}
+    steps = tracer.counts["harness.steps"]
+    assert steps > 0 and clock.steps == steps
+    assert tracer.counts["optim.sam_steps"] == steps
+    # every Tape() opened by the training objective is closed by its backward
+    assert calls["harness.loss_closure"] == calls["autodiff.backward"] == 2 * steps
+    assert tracer.top() is None
+    for layer in ("losses.cross_entropy_vec", "losses.smoothed_targets", "models.forward_stack",
+                  "autodiff.op_apply", "optim.sam_perturb", "harness.train_model"):
+        assert calls.get(layer, 0) > 0, layer
+    assert [preset for preset, _, _ in clock.trials] == ["sam_a_smoothed"]

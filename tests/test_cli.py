@@ -180,6 +180,41 @@ def test_boundary_rejects_non_planar_model(tmp_path, capsys):
     assert "2-d input" in capsys.readouterr().err
 
 
+def _stack_checkpoint(path, tensor_sizes, mlp_sizes):
+    """Raw and EMA tensors for tensor_sizes, labelled in the metadata as mlp_sizes."""
+    named = {}
+    for i, (fan_in, fan_out) in enumerate(zip(tensor_sizes[:-1], tensor_sizes[1:])):
+        for prefix in ("mlp", "ema.mlp"):
+            named[f"{prefix}.w{i}"] = np.ones((fan_in, fan_out))
+            named[f"{prefix}.b{i}"] = np.zeros(fan_out)
+    save_checkpoint(path, named, {"mlp_sizes": mlp_sizes})
+    return path
+
+
+def test_boundary_checkpoint_missing_tensor(tmp_path, capsys):
+    ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 5, 3], [2, 5, 3, 3])
+    code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert "missing tensor mlp.w2" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_boundary_checkpoint_without_tensors(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps({"format_version": 1, "meta": {"mlp_sizes": [2, 3]}}))
+    code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert "tensors" in capsys.readouterr().err
+
+
+def test_boundary_checkpoint_shape_mismatch(tmp_path, capsys):
+    ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 4, 3], [2, 5, 3])
+    code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert "mlp.w0 has shape (2, 4)" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # collapse
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from skewtrain.autodiff import NumericalError
+from skewtrain.autodiff import NumericalError, Tape, check_gradients
+from skewtrain.data import ClassProfile
 from skewtrain.harness import (
     AGGREGATED_METRICS,
+    SUPERVISED_LOSSES,
     ConfigError,
     DataSpec,
     ExperimentConfig,
@@ -16,6 +18,7 @@ from skewtrain.harness import (
     _iter_batches,
     _projector_sizes,
     _seed_children,
+    _write_json,
     aggregate,
     apply_method,
     config_from_dict,
@@ -29,8 +32,11 @@ from skewtrain.harness import (
     run_ratio_grid,
     run_sweep,
     run_training,
+    supervised_loss,
 )
+from skewtrain.losses import ReweightSpec, cross_entropy_vec, one_hot, reweight_class_weights
 from skewtrain.models import load_checkpoint
+from skewtrain.optim import SamSpec, sam_ascent_weights
 
 
 def _tiny_config(**kw):
@@ -208,6 +214,62 @@ def test_projector_sizes():
 
 
 # ---------------------------------------------------------------------------
+# The supervised objective that training minimizes
+# ---------------------------------------------------------------------------
+
+_OBJ_PROFILE = ClassProfile(np.array([40, 12, 3]))
+_OBJ_LABELS = np.array([0, 0, 1, 2, 0, 1, 2])
+_OBJ_SAM = SamSpec(rho=0.05, mode="sam_a_paper")
+
+
+def _objective_check(method, epoch, example_weights):
+    logits = np.random.default_rng(31).normal(size=(_OBJ_LABELS.size, 3))
+    class_w = reweight_class_weights(_OBJ_PROFILE)
+
+    def build(tape, leaves):
+        return supervised_loss(tape, leaves[0], _OBJ_LABELS, method, _OBJ_PROFILE, class_w,
+                               epoch, example_weights)
+
+    report = check_gradients(build, [logits], tolerance=1e-4)
+    assert report.passed, f"max rel err {report.max_relative_error:.3e}"
+
+
+@pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])
+@pytest.mark.parametrize("loss", SUPERVISED_LOSSES)
+def test_supervised_loss_matches_finite_differences(loss, ascent):
+    weights = sam_ascent_weights(_OBJ_LABELS, _OBJ_PROFILE, _OBJ_SAM) if ascent else None
+    _objective_check(MethodSpec(loss=loss, sam=_OBJ_SAM), 0, weights)
+
+
+@pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])
+@pytest.mark.parametrize("epoch", [2, 3], ids=["before_defer", "at_defer"])
+def test_supervised_loss_deferred_reweighting(epoch, ascent):
+    weights = sam_ascent_weights(_OBJ_LABELS, _OBJ_PROFILE, _OBJ_SAM) if ascent else None
+    method = MethodSpec(loss="reweighted", reweight=ReweightSpec(defer_epoch=3), sam=_OBJ_SAM)
+    _objective_check(method, epoch, weights)
+
+
+@pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])
+@pytest.mark.parametrize("epoch", [2, 3], ids=["before_defer", "at_defer"])
+def test_supervised_loss_reduction_formula(epoch, ascent):
+    # sum_i w_i s_i l_i / sum_i s_i, with w = class weights from defer_epoch on
+    # and s = 1 (so the divisor is B) outside the SAM ascent pass
+    logits = np.random.default_rng(32).normal(size=(_OBJ_LABELS.size, 3))
+    method = MethodSpec(loss="reweighted", reweight=ReweightSpec(defer_epoch=3))
+    s = sam_ascent_weights(_OBJ_LABELS, _OBJ_PROFILE, _OBJ_SAM) if ascent else None
+    tape = Tape()
+    x = tape.leaf(logits)
+    got = supervised_loss(tape, x, _OBJ_LABELS, method, _OBJ_PROFILE,
+                          reweight_class_weights(_OBJ_PROFILE), epoch, s)
+    per_example = cross_entropy_vec(tape, x, one_hot(_OBJ_LABELS, 3)).value
+    w = reweight_class_weights(_OBJ_PROFILE)[_OBJ_LABELS] if epoch >= 3 else 1.0
+    s_arr = np.ones(_OBJ_LABELS.size) if s is None else s
+    assert len(set(s_arr.tolist())) == (3 if ascent else 1)  # one radius per class
+    expected = float((w * s_arr * per_example).sum() / s_arr.sum())
+    assert abs(float(got.value) - expected) < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Aggregation arithmetic
 # ---------------------------------------------------------------------------
 
@@ -381,6 +443,18 @@ def test_run_all_seeds_files_and_aggregates(tmp_path):
     doc = json.loads((run_dir / "aggregate.json").read_text())
     assert doc["aggregates"]["overall"]["mean"] == overall.mean
     assert doc["seeds"] == [0, 1]
+
+
+def test_write_json_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "seed_0.json"
+    _write_json(path, {"seed": 0, "overall": 0.5})
+    before = path.read_bytes()
+    # json.dump writes the indented document chunk by chunk, so the
+    # object that cannot be encoded fails it partway through
+    with pytest.raises(TypeError):
+        _write_json(path, {"seed": 0, "overall": 0.75, "bad": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["seed_0.json"]
 
 
 def test_run_sweep_method_axis(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewtrain.autodiff import Tape, backward, check_gradients
+from skewtrain.autodiff import Tape, backward, check_gradients, reduce_sum
 from skewtrain.data import ClassProfile
+from skewtrain.harness import MethodSpec, supervised_loss
 from skewtrain.losses import (
     FocalSpec,
     JointLossSpec,
@@ -16,19 +17,29 @@ from skewtrain.losses import (
     VicRegSpec,
     class_epsilons,
     cross_entropy_vec,
-    focal_loss,
     joint_loss,
     one_hot,
     reweight_class_weights,
-    reweighted_ce,
     smoothed_targets,
-    soft_cross_entropy,
     vicreg_loss,
 )
 
 
 def _uniform_profile(k, per_class=10):
     return ClassProfile(np.full(k, per_class))
+
+
+def _mean_ce(tape, logits, targets):
+    """Batch-mean cross-entropy against soft targets, reduced as training reduces."""
+    vec = cross_entropy_vec(tape, logits, targets)
+    b = vec.shape[0]
+    return reduce_sum(vec * tape.constant(np.ones(b))) * (1.0 / b)
+
+
+def _supervised(tape, logits, labels, profile, epoch=0, **method):
+    """supervised_loss for MethodSpec(**method) at the given epoch."""
+    return supervised_loss(tape, logits, labels, MethodSpec(**method), profile,
+                           reweight_class_weights(profile), epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +50,7 @@ def _uniform_profile(k, per_class=10):
 def test_ce_uniform_logits_is_log_k():
     tape = Tape()
     logits = tape.leaf(np.zeros((1, 2)))
-    loss = soft_cross_entropy(tape, logits, one_hot(np.array([0]), 2))
+    loss = _supervised(tape, logits, np.array([0]), _uniform_profile(2), loss="ce")
     assert abs(float(loss.value) - math.log(2)) < 1e-12
 
 
@@ -48,7 +59,7 @@ def test_ce_against_direct_formula():
     logits = rng.normal(size=(2, 3)) * 2
     targets = rng.dirichlet(np.ones(3), size=2)
     tape = Tape()
-    loss = soft_cross_entropy(tape, tape.leaf(logits), targets)
+    loss = _mean_ce(tape, tape.leaf(logits), targets)
     # independent evaluation straight from the definition
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -60,7 +71,7 @@ def test_ce_entropy_fixed_point():
     # targets equal to softmax(logits) give the entropy; uniform K=4 -> ln 4
     tape = Tape()
     logits = tape.leaf(np.zeros((3, 4)))
-    loss = soft_cross_entropy(tape, logits, np.full((3, 4), 0.25))
+    loss = _mean_ce(tape, logits, np.full((3, 4), 0.25))
     assert abs(float(loss.value) - math.log(4)) < 1e-12
 
 
@@ -68,11 +79,11 @@ def test_ce_rejects_bad_target_rows():
     tape = Tape()
     logits = tape.leaf(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="sum to 1"):
-        soft_cross_entropy(tape, logits, np.array([[0.5, 0.5], [0.7, 0.6]]))
+        _mean_ce(tape, logits, np.array([[0.5, 0.5], [0.7, 0.6]]))
     with pytest.raises(ValueError, match="non-negative"):
-        soft_cross_entropy(tape, logits, np.array([[1.5, -0.5], [0.5, 0.5]]))
+        _mean_ce(tape, logits, np.array([[1.5, -0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="shape"):
-        soft_cross_entropy(tape, logits, np.full((2, 3), 1 / 3))
+        _mean_ce(tape, logits, np.full((2, 3), 1 / 3))
 
 
 def test_ce_vec_is_per_example():
@@ -172,7 +183,8 @@ def test_focal_hand_case():
     # two labels, equal logits -> p_t = 0.5; gamma=2 gives 0.25 * ln 2
     tape = Tape()
     logits = tape.leaf(np.zeros((1, 2)))
-    loss = focal_loss(tape, logits, np.array([0]), FocalSpec(gamma=2.0))
+    loss = _supervised(tape, logits, np.array([0]), _uniform_profile(2),
+                       loss="focal", focal=FocalSpec(gamma=2.0))
     assert abs(float(loss.value) - 0.25 * math.log(2)) < 1e-12
 
 
@@ -181,15 +193,17 @@ def test_focal_gamma_zero_is_cross_entropy():
     logits = rng.normal(size=(4, 3)) * 2
     labels = np.array([0, 2, 1, 1])
     tape = Tape()
-    f = focal_loss(tape, tape.leaf(logits), labels, FocalSpec(gamma=0.0))
-    ce = soft_cross_entropy(tape, tape.leaf(logits), one_hot(labels, 3))
+    f = _supervised(tape, tape.leaf(logits), labels, _uniform_profile(3),
+                    loss="focal", focal=FocalSpec(gamma=0.0))
+    ce = _supervised(tape, tape.leaf(logits), labels, _uniform_profile(3), loss="ce")
     assert abs(float(f.value) - float(ce.value)) < 1e-12
 
 
 def test_focal_vanishes_at_confident_correct():
     tape = Tape()
     logits = tape.leaf(np.array([[30.0, 0.0]]))
-    loss = focal_loss(tape, logits, np.array([0]), FocalSpec(gamma=2.0))
+    loss = _supervised(tape, logits, np.array([0]), _uniform_profile(2),
+                       loss="focal", focal=FocalSpec(gamma=2.0))
     assert float(loss.value) < 1e-10
 
 
@@ -198,8 +212,9 @@ def test_focal_down_weights_easy_examples():
     logits = rng.normal(size=(6, 4))
     labels = rng.integers(0, 4, size=6)
     tape = Tape()
-    f = focal_loss(tape, tape.leaf(logits), labels, FocalSpec(gamma=2.0))
-    ce = soft_cross_entropy(tape, tape.leaf(logits), one_hot(labels, 4))
+    f = _supervised(tape, tape.leaf(logits), labels, _uniform_profile(4),
+                    loss="focal", focal=FocalSpec(gamma=2.0))
+    ce = _supervised(tape, tape.leaf(logits), labels, _uniform_profile(4), loss="ce")
     assert float(f.value) < float(ce.value)
 
 
@@ -226,9 +241,9 @@ def test_reweighted_ce_balanced_equals_plain():
     logits = rng.normal(size=(6, 3))
     labels = np.array([0, 1, 2, 0, 1, 2])
     tape = Tape()
-    rw = reweighted_ce(tape, tape.leaf(logits), labels, _uniform_profile(3),
-                       ReweightSpec(defer_epoch=0), current_epoch=5)
-    ce = soft_cross_entropy(tape, tape.leaf(logits), one_hot(labels, 3))
+    rw = _supervised(tape, tape.leaf(logits), labels, _uniform_profile(3), epoch=5,
+                     loss="reweighted", reweight=ReweightSpec(defer_epoch=0))
+    ce = _supervised(tape, tape.leaf(logits), labels, _uniform_profile(3), loss="ce")
     assert abs(float(rw.value) - float(ce.value)) < 1e-12
 
 
@@ -238,11 +253,11 @@ def test_reweighted_ce_deferral():
     labels = np.array([0, 0, 0, 1])
     profile = ClassProfile(np.array([300, 100]))
     tape = Tape()
-    before = reweighted_ce(tape, tape.leaf(logits), labels, profile,
-                           ReweightSpec(defer_epoch=100), current_epoch=99)
-    plain = soft_cross_entropy(tape, tape.leaf(logits), one_hot(labels, 2))
-    at = reweighted_ce(tape, tape.leaf(logits), labels, profile,
-                       ReweightSpec(defer_epoch=100), current_epoch=100)
+    before = _supervised(tape, tape.leaf(logits), labels, profile, epoch=99,
+                         loss="reweighted", reweight=ReweightSpec(defer_epoch=100))
+    plain = _supervised(tape, tape.leaf(logits), labels, profile, loss="ce")
+    at = _supervised(tape, tape.leaf(logits), labels, profile, epoch=100,
+                     loss="reweighted", reweight=ReweightSpec(defer_epoch=100))
     assert abs(float(before.value) - float(plain.value)) < 1e-12
     assert float(at.value) != float(plain.value)
 
@@ -253,8 +268,8 @@ def test_reweighted_ce_matches_manual_weighting():
     labels = np.array([0, 0, 1, 0, 1])
     profile = ClassProfile(np.array([900, 100]))
     tape = Tape()
-    loss = reweighted_ce(tape, tape.leaf(logits), labels, profile,
-                         ReweightSpec(defer_epoch=0), current_epoch=0)
+    loss = _supervised(tape, tape.leaf(logits), labels, profile,
+                       loss="reweighted", reweight=ReweightSpec(defer_epoch=0))
     vec = cross_entropy_vec(tape, tape.leaf(logits), one_hot(labels, 2))
     w = reweight_class_weights(profile)[labels]
     manual = float((w * vec.value).sum() / 5)
@@ -350,10 +365,10 @@ def test_joint_loss_gradient_split():
 
 
 def test_soft_ce_gradients():
-    targets = one_hot(np.array([0, 2, 1]), 3)
+    labels = np.array([0, 2, 1])
 
     def build(tape, leaves):
-        return soft_cross_entropy(tape, leaves[0], targets)
+        return _supervised(tape, leaves[0], labels, _uniform_profile(3), loss="ce")
 
     logits = np.random.default_rng(20).normal(size=(3, 3))
     assert check_gradients(build, [logits], tolerance=1e-6).passed
@@ -364,10 +379,10 @@ def test_smoothed_ce_gradients_both_modes():
     labels = np.array([0, 1, 2, 0])
     logits = np.random.default_rng(21).normal(size=(4, 3))
     for mode in ("paper_formula", "inverse_proportion"):
-        targets = smoothed_targets(labels, profile, SmoothingSpec(epsilon=0.2, mode=mode))
+        spec = SmoothingSpec(epsilon=0.2, mode=mode)
 
         def build(tape, leaves):
-            return soft_cross_entropy(tape, leaves[0], targets)
+            return _supervised(tape, leaves[0], labels, profile, loss="smoothed", smoothing=spec)
 
         assert check_gradients(build, [logits], tolerance=1e-6).passed, mode
 
@@ -377,7 +392,8 @@ def test_focal_gradients():
     logits = np.random.default_rng(22).normal(size=(4, 3))
 
     def build(tape, leaves):
-        return focal_loss(tape, leaves[0], labels, FocalSpec(gamma=2.0))
+        return _supervised(tape, leaves[0], labels, _uniform_profile(3),
+                           loss="focal", focal=FocalSpec(gamma=2.0))
 
     assert check_gradients(build, [logits], tolerance=1e-6).passed
 
@@ -388,8 +404,8 @@ def test_reweighted_gradients():
     logits = np.random.default_rng(23).normal(size=(4, 2))
 
     def build(tape, leaves):
-        return reweighted_ce(tape, leaves[0], labels, profile,
-                             ReweightSpec(defer_epoch=0), current_epoch=0)
+        return _supervised(tape, leaves[0], labels, profile,
+                           loss="reweighted", reweight=ReweightSpec(defer_epoch=0))
 
     assert check_gradients(build, [logits], tolerance=1e-6).passed
 
@@ -408,10 +424,10 @@ def test_joint_gradients():
     rng = np.random.default_rng(25)
     z, zp = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     logits = rng.normal(size=(4, 2))
-    targets = one_hot(np.array([0, 1, 0, 1]), 2)
+    labels = np.array([0, 1, 0, 1])
 
     def build(tape, leaves):
-        sup = soft_cross_entropy(tape, leaves[0], targets)
+        sup = _supervised(tape, leaves[0], labels, _uniform_profile(2), loss="ce")
         ssl = vicreg_loss(tape, leaves[1], leaves[2], VicRegSpec())
         return joint_loss(tape, sup, ssl, JointLossSpec(lam=0.7))
 

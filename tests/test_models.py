@@ -6,19 +6,22 @@ from skewtrain.autodiff import Tape, check_gradients, reduce_sum
 from skewtrain.models import (
     CHECKPOINT_FORMAT_VERSION,
     MLPParams,
-    ProjectorParams,
     forward_stack,
     load_checkpoint,
-    mlp_forward,
     mlp_init,
     mlp_predict,
     named_to_mlp,
-    named_to_projector,
     params_to_named,
-    projector_forward,
-    projector_init,
     save_checkpoint,
 )
+
+
+def _tape_forward(params, x, prefix="mlp"):
+    """Register a stack's parameters on a new tape and run forward_stack on x."""
+    tape = Tape()
+    leaves = {n: tape.leaf(a, name=n) for n, a in params_to_named(params, prefix).items()}
+    out, penultimate = forward_stack(tape.constant(x), leaves, len(params.weights), prefix)
+    return out, penultimate, leaves
 
 
 def test_init_shapes_and_zero_biases():
@@ -69,52 +72,49 @@ def test_single_hidden_unit_hand_case():
     # x=3 -> hidden relu(3*1+0)=3 -> logit 3*2+1=7
     p = MLPParams([1, 1, 1], [np.array([[1.0]]), np.array([[2.0]])],
                   [np.zeros(1), np.array([1.0])])
-    tape = Tape()
-    out = mlp_forward(p, [[3.0]], tape)
-    npt.assert_array_equal(out.penultimate.value, [[3.0]])
-    npt.assert_array_equal(out.logits.value, [[7.0]])
+    logits, penultimate, _ = _tape_forward(p, [[3.0]])
+    npt.assert_array_equal(penultimate.value, [[3.0]])
+    npt.assert_array_equal(logits.value, [[7.0]])
 
 
 def test_projector_single_layer_hand_case():
     # plain affine: [[1,2],[3,4]] @ [[1,0],[1,1]] = [[3,2],[7,4]]
-    p = ProjectorParams([2, 2], [np.array([[1.0, 0.0], [1.0, 1.0]])], [np.zeros(2)])
-    tape = Tape()
-    feats = tape.constant([[1.0, 2.0], [3.0, 4.0]])
-    out, _ = projector_forward(p, feats, tape)
+    p = MLPParams([2, 2], [np.array([[1.0, 0.0], [1.0, 1.0]])], [np.zeros(2)])
+    out, penultimate, _ = _tape_forward(p, [[1.0, 2.0], [3.0, 4.0]], prefix="proj")
     npt.assert_array_equal(out.value, [[3.0, 2.0], [7.0, 4.0]])
+    assert penultimate is None  # no hidden layer
 
 
 def test_forward_output_shapes():
     p = mlp_init([2, 16, 16, 5], seed=0)
-    tape = Tape()
-    out = mlp_forward(p, np.random.default_rng(0).normal(size=(7, 2)), tape)
-    assert out.logits.shape == (7, 5)
-    assert out.penultimate.shape == (7, 16)
-    assert set(out.leaves) == {"mlp.w0", "mlp.w1", "mlp.w2", "mlp.b0", "mlp.b1", "mlp.b2"}
+    logits, penultimate, leaves = _tape_forward(p, np.random.default_rng(0).normal(size=(7, 2)))
+    assert logits.shape == (7, 5)
+    assert penultimate.shape == (7, 16)
+    assert set(leaves) == {"mlp.w0", "mlp.w1", "mlp.w2", "mlp.b0", "mlp.b1", "mlp.b2"}
 
 
 def test_forward_rejects_wrong_input_width():
     p = mlp_init([2, 4, 3], seed=0)
+    with pytest.raises(ValueError, match="inner dims"):
+        _tape_forward(p, np.zeros((5, 3)))
     with pytest.raises(ValueError, match="d_in"):
-        mlp_forward(p, np.zeros((5, 3)), Tape())
+        mlp_predict(p, np.zeros((5, 3)))
 
 
 def test_penultimate_is_post_relu():
     p = mlp_init([2, 8, 3], seed=1)
-    tape = Tape()
-    out = mlp_forward(p, np.random.default_rng(1).normal(size=(6, 2)) * 5, tape)
-    assert np.all(out.penultimate.value >= 0)
+    _, penultimate, _ = _tape_forward(p, np.random.default_rng(1).normal(size=(6, 2)) * 5)
+    assert np.all(penultimate.value >= 0)
 
 
 def test_predict_agrees_with_tape_forward():
     rng = np.random.default_rng(9)
     p = mlp_init([3, 10, 10, 4], seed=5)
     x = rng.normal(size=(11, 3))
-    tape = Tape()
-    out = mlp_forward(p, x, tape)
+    logits, penultimate, _ = _tape_forward(p, x)
     labels, probs, penult = mlp_predict(p, x)
-    npt.assert_allclose(penult, out.penultimate.value, rtol=0, atol=1e-12)
-    npt.assert_array_equal(labels, out.logits.value.argmax(axis=1))
+    npt.assert_allclose(penult, penultimate.value, rtol=0, atol=1e-12)
+    npt.assert_array_equal(labels, logits.value.argmax(axis=1))
     npt.assert_allclose(probs.sum(axis=1), np.ones(11), rtol=0, atol=1e-12)
 
 
@@ -126,15 +126,17 @@ def test_named_round_trip():
         assert np.array_equal(a, b)
     for a, b in zip(p.biases, back.biases):
         assert np.array_equal(a, b)
-    proj = projector_init([6, 4, 4], seed=2)
-    named_p = params_to_named(proj, "proj")
-    back_p = named_to_projector(named_p, [6, 4, 4])
+    proj = mlp_init([6, 4, 4], seed=2)
+    named_both = {**named, **params_to_named(proj, "proj")}
+    back_p = named_to_mlp(named_both, [6, 4, 4], prefix="proj")
     assert np.array_equal(proj.weights[1], back_p.weights[1])
+    # keys of the other stack are ignored
+    assert np.array_equal(named_to_mlp(named_both, [2, 6, 3]).weights[0], p.weights[0])
 
 
 def test_forward_stack_separate_prefixes_share_one_tape():
     mlp = mlp_init([2, 4, 3], seed=0)
-    proj = projector_init([4, 2], seed=1)
+    proj = mlp_init([4, 2], seed=1)
     tape = Tape()
     leaves = {}
     for name, arr in {**params_to_named(mlp, "mlp"), **params_to_named(proj, "proj")}.items():
@@ -160,6 +162,22 @@ def test_mlp_gradients_match_finite_differences():
 
     report = check_gradients(build_loss, [flat[n] for n in names], tolerance=1e-5)
     assert report.passed, f"max rel err {report.max_relative_error:.3e}"
+
+
+def test_named_to_mlp_rejects_missing_tensor():
+    named = params_to_named(mlp_init([2, 5, 3], seed=0), "mlp")
+    del named["mlp.b1"]
+    with pytest.raises(ValueError, match="missing tensor mlp.b1"):
+        named_to_mlp(named, [2, 5, 3])
+
+
+def test_named_to_mlp_rejects_shape_mismatch():
+    named = params_to_named(mlp_init([2, 4, 3], seed=0), "mlp")
+    with pytest.raises(ValueError, match=r"mlp.w0 has shape \(2, 4\)"):
+        named_to_mlp(named, [2, 5, 3])
+    named["mlp.b1"] = np.zeros(4)
+    with pytest.raises(ValueError, match="mlp.b1"):
+        named_to_mlp(named, [2, 4, 3])
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -190,3 +208,34 @@ def test_checkpoint_preserves_exact_float_bits(tmp_path):
     save_checkpoint(path, {"w": vals})
     loaded, _ = load_checkpoint(path)
     assert np.array_equal(loaded["w"], vals)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ('[1, 2]', "JSON object"),
+    ('{"format_version": 1, "meta": {}}', "tensors list"),
+    ('{"format_version": 1, "meta": [], "tensors": []}', "meta object"),
+    ('{"format_version": 1, "tensors": [{"name": "w", "values": [1.0]}]}', "entry 0"),
+    ('{"format_version": 1, "tensors": [{"name": "w", "shape": [2], "values": [1.0]}]}',
+     "entry 0"),
+])
+def test_checkpoint_rejects_malformed_documents(tmp_path, doc, match):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, {"w": np.ones(3)}, {"n": 1})
+    before = path.read_bytes()
+
+    def dump_then_fail(doc, fh):
+        fh.write('{"format_version": 1, "tens')
+        raise OSError("disk full")
+
+    monkeypatch.setattr("skewtrain.models.json.dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": np.zeros(3)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
