@@ -17,6 +17,7 @@ from .autodiff import NumericalError
 from .data import class_profile, curate_exponential, load_csv, save_csv
 from .diagnostics import boundary_grid, collapse_report
 from .harness import (
+    AXES,
     ConfigError,
     SWEEP_AXES,
     config_hash,
@@ -25,7 +26,7 @@ from .harness import (
     run_sweep,
     _jsonify,
 )
-from .models import load_checkpoint, mlp_predict, named_to_mlp
+from .models import atomic_write, load_checkpoint, mlp_predict, named_to_mlp
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,22 +69,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis_values(axis: str, raw: str) -> list:
-    parts = [s.strip() for s in raw.split(",") if s.strip()]
-    if not parts:
-        raise ConfigError("no sweep values given")
-    if axis in ("batch_size", "n_majority"):
-        return [int(s) for s in parts]
-    if axis in ("r_train", "r_test"):
-        return [float(s) for s in parts]
-    return parts
+def _parse_axis_value(axis: str, text: str):
+    kind = AXES[axis].type
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{axis} takes {kind.__name__} values, got {text!r}") from None
 
 
 def _load_model(args):
     named, meta = load_checkpoint(args.checkpoint)
     sizes = meta.get("mlp_sizes")
-    if not sizes:
-        raise ConfigError(f"{args.checkpoint}: missing mlp_sizes metadata")
+    if not (isinstance(sizes, list) and sizes and all(type(s) is int and s >= 1 for s in sizes)):
+        raise ConfigError(
+            f"{args.checkpoint}: mlp_sizes must be a list of positive ints, got {sizes!r}"
+        )
     prefix = "" if getattr(args, "raw", False) else "ema."
     picked = {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix + "mlp.")}
     if not picked:
@@ -115,12 +115,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = _parse_axis_values(args.axis, args.values)
+    values = [_parse_axis_value(args.axis, s.strip()) for s in args.values.split(",") if s.strip()]
+    if not values:
+        raise ConfigError("no sweep values given")
     baseline = args.baseline
-    if baseline is not None and args.axis in ("batch_size", "n_majority"):
-        baseline = int(baseline)
-    elif baseline is not None and args.axis in ("r_train", "r_test"):
-        baseline = float(baseline)
+    if baseline is not None:
+        baseline = _parse_axis_value(args.axis, baseline)
     result = run_sweep(
         config, args.axis, values,
         out_dir=args.out, baseline=baseline, improvement_mode=args.improvement_mode,
@@ -162,7 +162,8 @@ def _cmd_collapse(args) -> int:
     report = collapse_report(feats, dataset.y, preds, profile)
     doc = json.dumps(_jsonify(report.to_dict()), indent=2)
     if args.out:
-        Path(args.out).write_text(doc + "\n")
+        with atomic_write(args.out) as fh:
+            fh.write(doc + "\n")
         print(f"wrote collapse report to {args.out}")
     else:
         print(doc)
@@ -183,9 +184,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import atomic_write
+
 
 @dataclass
 class Dataset:
@@ -141,7 +143,7 @@ def load_csv(path, label_col: str) -> Dataset:
 
 def save_csv(path, dataset: Dataset, label_col: str = "label") -> None:
     """Inverse of load_csv, with features named f0..f{d-1}."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(dataset.d)] + [label_col])
         for x, label in zip(dataset.X, dataset.y):

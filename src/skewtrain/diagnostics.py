@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClassProfile
-from .models import MLPParams, mlp_predict
+from .models import MLPParams, atomic_write, mlp_predict
 
 FEW_SHOT_MAX = 19
 MANY_SHOT_MIN = 101
@@ -241,7 +241,7 @@ class BoundaryGrid:
     max_prob: np.ndarray  # (R, R) float64
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["x0", "x1", "pred_label", "max_prob"])
             for i in range(self.resolution):

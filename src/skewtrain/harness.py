@@ -5,6 +5,13 @@ data generation, curation draws, init, shuffling, and augmentation, is
 derived from the seed through named SeedSequence children, so repeated
 runs are bit-identical and results files can be regenerated at will.
 
+Method presets and sweep axes are data: _PRESETS maps each preset to
+method overrides and AXES maps each sweep axis to its value type and
+overrides. Every derived config (a preset, a sweep value, a ratio-grid
+cell) goes through derive_config, which merges the overrides into the
+config's dict form and rebuilds it with config_from_dict, so derived
+configs are validated exactly like config files.
+
 Results land as JSON: one file per (config hash, seed), one aggregate
 per config, and per-sweep tables. Aggregates report per-seed values,
 their mean, and the standard error (sample std / sqrt(n_seeds)); a
@@ -66,23 +73,6 @@ from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
 logger = logging.getLogger(__name__)
 
 IMPROVEMENT_MODES = ("paper_a1", "relative_to_baseline")
-SWEEP_AXES = ("batch_size", "r_train", "r_test", "n_majority", "method")
-
-METHOD_PRESETS = (
-    "erm",
-    "resample",
-    "reweight",
-    "drw",
-    "focal",
-    "smoothed",
-    "smoothed_inverse",
-    "sam",
-    "sam_a",
-    "sam_a_inverse",
-    "joint_ssl",
-    "sam_a_smoothed",
-    "sam_a_smoothed_inverse",
-)
 
 
 class ConfigError(ValueError):
@@ -168,6 +158,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {r}")
         if self.majority_size is not None and self.r_train is not None:
             raise ValueError("majority_size and r_train are mutually exclusive")
+        if self.majority_size is not None and self.majority_size < 1:
+            raise ValueError(f"majority_size must be >= 1, got {self.majority_size}")
+        if self.n_minority < 1:
+            raise ValueError(f"n_minority must be >= 1, got {self.n_minority}")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must be in [0, 1]")
         if self.method.resample and self.method.loss == "reweighted":
@@ -217,47 +211,89 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def apply_method(config: ExperimentConfig, name: str) -> ExperimentConfig:
-    """Return a copy of config switched to a named method preset."""
-    if name not in METHOD_PRESETS:
+def derive_config(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
+    """A copy of config with nested overrides merged in, validated like a config file.
+
+    Method presets, sweep values and ratio-grid cells are all derived
+    here, so none of them can skip config_from_dict's checks.
+    """
+    return config_from_dict(_merge(config_to_dict(config), overrides))
+
+
+def _merge(doc: dict, overrides: dict) -> dict:
+    out = dict(doc)
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _merge(out[key], value)
+        out[key] = value
+    return out
+
+
+# Every preset starts from this reset, so switching presets never keeps
+# the previous loss, ascent mode, joint objective or sampler.
+_PRESET_RESET = {"loss": "ce", "sam": {"mode": "off"}, "joint_ssl": False, "resample": False}
+
+# Method overrides per preset; drw depends on the config's epoch count.
+_PRESETS = {
+    "erm": {},
+    "resample": {"resample": True},
+    "reweight": {"loss": "reweighted", "reweight": {"defer_epoch": 0}},
+    "drw": lambda cfg: {"loss": "reweighted", "reweight": {"defer_epoch": cfg.train.epochs // 2}},
+    "focal": {"loss": "focal"},
+    "smoothed": {"loss": "smoothed"},
+    "smoothed_inverse": {"loss": "smoothed", "smoothing": {"mode": "inverse_proportion"}},
+    "sam": {"sam": {"mode": "sam"}},
+    "sam_a": {"sam": {"mode": "sam_a_paper"}},
+    "sam_a_inverse": {"sam": {"mode": "sam_a_inverse"}},
+    "joint_ssl": {"joint_ssl": True},
+    "sam_a_smoothed": {"loss": "smoothed", "sam": {"mode": "sam_a_paper"}},
+    "sam_a_smoothed_inverse": {
+        "loss": "smoothed",
+        "smoothing": {"mode": "inverse_proportion"},
+        "sam": {"mode": "sam_a_inverse"},
+    },
+}
+METHOD_PRESETS = tuple(_PRESETS)
+
+
+def _preset_overrides(config: ExperimentConfig, name) -> dict:
+    if name not in _PRESETS:
         raise ConfigError(f"unknown method {name!r}; choose from {METHOD_PRESETS}")
-    cfg = config_from_dict(config_to_dict(config))
-    m = cfg.method
-    m.loss = "ce"
-    m.sam.mode = "off"
-    m.joint_ssl = False
-    m.resample = False
-    if name == "resample":
-        m.resample = True
-    elif name == "reweight":
-        m.loss = "reweighted"
-        m.reweight.defer_epoch = 0
-    elif name == "drw":
-        m.loss = "reweighted"
-        m.reweight.defer_epoch = cfg.train.epochs // 2
-    elif name == "focal":
-        m.loss = "focal"
-    elif name == "smoothed":
-        m.loss = "smoothed"
-    elif name == "smoothed_inverse":
-        m.loss = "smoothed"
-        m.smoothing.mode = "inverse_proportion"
-    elif name == "sam":
-        m.sam.mode = "sam"
-    elif name == "sam_a":
-        m.sam.mode = "sam_a_paper"
-    elif name == "sam_a_inverse":
-        m.sam.mode = "sam_a_inverse"
-    elif name == "joint_ssl":
-        m.joint_ssl = True
-    elif name == "sam_a_smoothed":
-        m.loss = "smoothed"
-        m.sam.mode = "sam_a_paper"
-    elif name == "sam_a_smoothed_inverse":
-        m.loss = "smoothed"
-        m.smoothing.mode = "inverse_proportion"
-        m.sam.mode = "sam_a_inverse"
-    return cfg
+    preset = _PRESETS[name]
+    return {"method": _merge(_PRESET_RESET, preset(config) if callable(preset) else preset)}
+
+
+def apply_method(config: ExperimentConfig, name: str) -> ExperimentConfig:
+    """Return a validated copy of config switched to a named method preset."""
+    return derive_config(config, _preset_overrides(config, name))
+
+
+class SweepAxis(typing.NamedTuple):
+    type: type  # what a value is parsed as
+    overrides: typing.Callable[[ExperimentConfig, object], dict]
+
+
+# r_train and n_majority each clear the other curation field, since a
+# config may set only one of them.
+AXES = {
+    "batch_size": SweepAxis(int, lambda cfg, v: {"train": {"batch_size": v}}),
+    "r_train": SweepAxis(float, lambda cfg, v: {"r_train": v, "majority_size": None}),
+    "r_test": SweepAxis(float, lambda cfg, v: {"r_test": v}),
+    "n_majority": SweepAxis(int, lambda cfg, v: {"majority_size": v, "r_train": None}),
+    "method": SweepAxis(str, _preset_overrides),
+}
+SWEEP_AXES = tuple(AXES)
+
+
+def axis_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
+    """config with one sweep axis set to value; a bad value raises ConfigError naming both."""
+    if axis not in AXES:
+        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    spec = AXES[axis]
+    try:
+        return derive_config(config, spec.overrides(config, spec.type(value)))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{axis} value {value!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +356,9 @@ def curate_train_split(config: ExperimentConfig, pool: Dataset, seed: int) -> Da
     return pool
 
 
-def curate_test_split(
-    config: ExperimentConfig, pool: Dataset, seed: int, r_test: float | None = None
-) -> Dataset:
-    ss = _seed_children(seed)
-    r = config.r_test if r_test is None else r_test
-    if r is not None:
-        return curate_exponential(pool, r, seed=ss["curate_test"])
+def curate_test_split(config: ExperimentConfig, pool: Dataset, seed: int) -> Dataset:
+    if config.r_test is not None:
+        return curate_exponential(pool, config.r_test, seed=_seed_children(seed)["curate_test"])
     return pool
 
 
@@ -768,7 +800,7 @@ class SweepResult:
 
         cols = ["value", "overall_mean", "overall_stderr", "minority_mean", "minority_stderr",
                 "majority_mean", "majority_stderr", "percent_improvement"]
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path) as fh:
             writer = _csv.writer(fh)
             writer.writerow(cols)
             for row in self.rows:
@@ -782,22 +814,6 @@ class SweepResult:
                     repr(row.aggregates["majority"].stderr),
                     repr(row.improvement),
                 ])
-
-
-def _config_for_axis_value(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    cfg = config_from_dict(config_to_dict(config))
-    if axis == "batch_size":
-        cfg.train.batch_size = int(value)
-    elif axis == "r_train":
-        cfg.r_train = float(value)
-    elif axis == "r_test":
-        cfg.r_test = float(value)
-    elif axis == "n_majority":
-        cfg.majority_size = int(value)
-        cfg.r_train = None
-    elif axis == "method":
-        cfg = apply_method(cfg, str(value))
-    return cfg
 
 
 def run_sweep(
@@ -816,9 +832,10 @@ def run_sweep(
     value). The baseline row's improvement is exactly zero by
     construction. improvement_variance is the sample variance of the
     improvement column.
+
+    Every value's config is derived and validated before any training,
+    so a bad value raises ConfigError and leaves nothing written.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     if len(set(map(str, values))) != len(values):
@@ -837,10 +854,10 @@ def run_sweep(
     if improvement_mode not in IMPROVEMENT_MODES:
         raise ConfigError(f"improvement_mode must be one of {IMPROVEMENT_MODES}")
 
-    per_value = {}
-    for value in values:
-        cfg = _config_for_axis_value(config, axis, value)
-        per_value[str(value)] = run_all_seeds(cfg, out_dir=out_dir)
+    configs = [axis_config(config, axis, value) for value in values]
+    per_value = {
+        str(value): run_all_seeds(cfg, out_dir=out_dir) for value, cfg in zip(values, configs)
+    }
     base_acc = per_value[str(baseline)].aggregates["overall"].mean
     rows = []
     for value in values:
@@ -951,22 +968,24 @@ def run_ratio_grid(
     """Accuracy over the full r_train x r_test grid, per seed.
 
     Each (seed, r_train) model is trained once and evaluated against
-    every curated test split, so the grid stays affordable.
+    every curated test split, so the grid stays affordable. The
+    per-ratio configs come from the r_train and r_test sweep axes and
+    are all validated before any training.
     """
     if not train_ratios or not test_ratios:
         raise ConfigError("both ratio lists must be non-empty")
+    train_cfgs = [axis_config(config, "r_train", rt) for rt in train_ratios]
+    test_cfgs = [axis_config(config, "r_test", rs) for rs in test_ratios]
     per_seed = []
     for seed in config.seeds:
         grid: dict[tuple[float, float], float] = {}
-        for rt in train_ratios:
-            cfg = config_from_dict(config_to_dict(config))
-            cfg.r_train = float(rt)
+        for cfg in train_cfgs:
             model = train_model(cfg, seed)
             _, test_pool = build_pools(cfg, seed)
-            for rs in test_ratios:
-                test_split = curate_test_split(cfg, test_pool, seed, r_test=float(rs))
+            for test_cfg in test_cfgs:
+                test_split = curate_test_split(test_cfg, test_pool, seed)
                 preds, _, _ = mlp_predict(model.eval_mlp(), test_split.X)
-                grid[(float(rt), float(rs))] = float((preds == test_split.y).mean())
+                grid[(cfg.r_train, test_cfg.r_test)] = float((preds == test_split.y).mean())
         per_seed.append(grid)
     mean_grid = {
         key: float(np.mean([g[key] for g in per_seed])) for key in per_seed[0]
@@ -974,8 +993,8 @@ def run_ratio_grid(
     mis = [misalignment(g) for g in per_seed]
     steps = [misalignment_steps(g) for g in per_seed]
     result = RatioGridResult(
-        train_ratios=[float(r) for r in train_ratios],
-        test_ratios=[float(r) for r in test_ratios],
+        train_ratios=[cfg.r_train for cfg in train_cfgs],
+        test_ratios=[cfg.r_test for cfg in test_cfgs],
         seeds=list(config.seeds),
         per_seed=per_seed,
         mean_grid=mean_grid,

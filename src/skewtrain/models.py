@@ -135,11 +135,12 @@ def atomic_write(path):
 
     Writes go to a temporary file beside path, which os.replace moves
     into place; if the block raises, path keeps its old contents and
-    the temporary file is removed.
+    the temporary file is removed. The file is opened with newline=""
+    so the csv module's row terminators reach the disk unchanged.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -9,7 +9,9 @@ at the current point, move rho_eff along its normalized direction,
 compute the descent-loss gradient there, then apply a plain SGD update
 at the original point. The class-conditional variant (sam_a_*) scales
 per-example ascent losses by a per-class radius and uses the batch mean
-radius as rho_eff.
+radius as rho_eff. sam_step looks the batch radii up once and derives
+both the ascent weights and rho_eff from them; sam_perturb only moves
+the parameters.
 """
 
 from __future__ import annotations
@@ -151,63 +153,21 @@ def rho_per_class(profile: ClassProfile, spec: SamSpec) -> np.ndarray:
     return np.minimum(10.0 * spec.rho, spec.rho * ((1.0 / profile.num_classes) / p))
 
 
-def sam_ascent_weights(
-    batch_labels: np.ndarray, profile: ClassProfile, spec: SamSpec
-) -> np.ndarray | None:
-    """Per-example ascent-loss weights s_i = rho_{y_i} / rho, or None.
-
-    Plain sam uses the unweighted batch loss; with rho = 0 the step
-    degenerates to SGD so weights are irrelevant and None is returned.
-    """
-    if spec.mode in ("off", "sam") or spec.rho == 0.0:
-        return None
-    labels = np.asarray(batch_labels, dtype=np.int64)
-    return rho_per_class(profile, spec)[labels] / spec.rho
-
-
-def sam_perturb(
-    params: Params,
-    batch_labels: np.ndarray | None,
-    profile: ClassProfile | None,
-    grads: Params,
-    spec: SamSpec,
-):
+def sam_perturb(params: Params, grads: Params, rho_eff: float):
     """Move rho_eff along the normalized ascent gradient.
 
-    Returns (perturbed_params, rho_eff, ascent_skipped). The
-    perturbation has L2 norm exactly rho_eff over the flattened
-    parameter vector; a zero gradient norm skips the move and flags it.
+    Returns (perturbed_params, ascent_skipped). The perturbation has L2
+    norm exactly rho_eff over the flattened parameter vector; a zero
+    gradient norm skips the move and flags it.
     """
-    if spec.mode == "off":
-        raise ValueError("sam_perturb called with mode 'off'")
     _check_keys(params, grads, "gradient")
-    if spec.mode == "sam":
-        rho_eff = spec.rho
-    else:
-        if batch_labels is None or profile is None:
-            raise ValueError("class-conditional modes need batch labels and a profile")
-        labels = np.asarray(batch_labels, dtype=np.int64)
-        if labels.size == 0:
-            raise ValueError("empty batch")
-        if spec.rho == 0.0:
-            rho_eff = 0.0
-        else:
-            radii = rho_per_class(profile, spec)[labels]
-            # The mean of an all-equal vector is that value; summing
-            # would round it (128 copies of 0.1 average to 0.1 plus an
-            # ulp), which matters when this path must degenerate to
-            # plain sam exactly.
-            if np.all(radii == radii[0]):
-                rho_eff = float(radii[0])
-            else:
-                rho_eff = float(radii.mean())
     if rho_eff == 0.0:
-        return dict(params), 0.0, False
+        return dict(params), False
     norm = math.sqrt(sum(float(np.square(g).sum()) for g in grads.values()))
     if norm == 0.0:
-        return dict(params), rho_eff, True
+        return dict(params), True
     scale = rho_eff / norm
-    return {k: params[k] + scale * grads[k] for k in params}, rho_eff, False
+    return {k: params[k] + scale * grads[k] for k in params}, False
 
 
 def sam_step(
@@ -228,11 +188,23 @@ def sam_step(
     """
     if spec.mode == "off":
         raise ValueError("sam_step called with mode 'off'; use sgd_update")
-    weights = sam_ascent_weights(batch_labels, profile, spec) if batch_labels is not None else None
-    if spec.mode in ("sam_a_paper", "sam_a_inverse") and weights is None and spec.rho > 0:
-        raise ValueError("class-conditional modes need batch labels and a profile")
+    weights, rho_eff = None, float(spec.rho)
+    if spec.mode != "sam":
+        if batch_labels is None or profile is None:
+            raise ValueError("class-conditional modes need batch labels and a profile")
+        labels = np.asarray(batch_labels, dtype=np.int64)
+        if labels.size == 0:
+            raise ValueError("empty batch")
+        if spec.rho > 0.0:
+            radii = rho_per_class(profile, spec)[labels]
+            weights = radii / spec.rho
+            # The mean of an all-equal vector is that value; summing
+            # would round it (128 copies of 0.1 average to 0.1 plus an
+            # ulp), which matters when this path must degenerate to
+            # plain sam exactly.
+            rho_eff = float(radii[0]) if np.all(radii == radii[0]) else float(radii.mean())
     ascent_loss, ascent_grads = loss_and_grads(params, weights)
-    perturbed, rho_eff, skipped = sam_perturb(params, batch_labels, profile, ascent_grads, spec)
+    perturbed, skipped = sam_perturb(params, ascent_grads, rho_eff)
     descent_loss, descent_grads = loss_and_grads(perturbed, None)
     new_params, new_state = sgd_update(params, descent_grads, lr, config, state)
     new_state = ema_update(new_state, new_params)

@@ -2,7 +2,9 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
+from skewtrain import harness
 from skewtrain.cli import main
 from skewtrain.data import gen_gaussian_mixture, load_csv, save_csv
 from skewtrain.models import save_checkpoint
@@ -100,6 +102,16 @@ def test_train_missing_config(tmp_path, capsys):
     assert code == 2
 
 
+def test_train_divergence_exits_3(tmp_path, capsys):
+    # VICReg at the default lr0 of 0.1 blows up within the first epochs
+    doc = dict(TINY_CONFIG, method={"joint_ssl": True})
+    cfg = _write_config(tmp_path / "cfg.json", doc)
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 3
+    assert "training diverged at epoch" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -126,6 +138,65 @@ def test_sweep_duplicate_values(tmp_path, capsys):
                  "--axis", "batch_size", "--values", "32,32"])
     assert code == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def _refuse_training(monkeypatch):
+    def train_model(config, seed):
+        raise AssertionError("a sweep with a bad value started training")
+
+    monkeypatch.setattr(harness, "train_model", train_model)
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("batch_size", "16,0", "batch_size value 0"),
+    ("batch_size", "16,-4", "batch_size value -4"),
+    ("n_majority", "20,0", "n_majority value 0"),
+    ("batch_size", "16,abc", "batch_size takes int values, got 'abc'"),
+    ("r_train", "1.0,half", "r_train takes float values, got 'half'"),
+    ("method", "erm,mixup", "unknown method 'mixup'"),
+])
+def test_sweep_bad_value_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                                 axis, values, message):
+    _refuse_training(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", dict(TINY_CONFIG, n_minority=5))
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", axis, "--values", values])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_bad_baseline_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 "--axis", "r_test", "--values", "1.0,0.5", "--baseline", "x"])
+    assert code == 2
+    assert "r_test takes float values" in capsys.readouterr().err
+
+
+def test_sweep_r_test_command(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "r_test", "--values", "1,0.5", "--baseline", "0.5"])
+    assert code == 0
+    assert "baseline 0.5" in capsys.readouterr().out
+    doc = json.loads((out / "sweep_r_test.json").read_text())
+    assert doc["values"] == [1.0, 0.5] and doc["baseline"] == 0.5
+    assert doc["rows"][1]["percent_improvement"] == 0.0
+
+
+def test_sweep_n_majority_command(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", dict(TINY_CONFIG, n_minority=5))
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "n_majority", "--values", "10,25"])
+    assert code == 0
+    doc = json.loads((out / "sweep_n_majority.json").read_text())
+    assert doc["values"] == [10, 25] and doc["baseline"] == 10
+    configs = [json.loads(p.read_text())["config"] for p in out.glob("*/aggregate.json")]
+    assert sorted(c["majority_size"] for c in configs) == [10, 25]
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +283,16 @@ def test_boundary_checkpoint_shape_mismatch(tmp_path, capsys):
     code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
     assert code == 2
     assert "mlp.w0 has shape (2, 4)" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("sizes", [5, None, [], [2, "3"], [2, 0], [2.0, 3], [2, True]],
+                         ids=["int", "missing", "empty", "str", "zero", "float", "bool"])
+def test_boundary_malformed_mlp_sizes(tmp_path, capsys, sizes):
+    ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 3], sizes)
+    code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert "mlp_sizes must be a list of positive ints" in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
 
 

@@ -6,24 +6,33 @@ import numpy.testing as npt
 import pytest
 
 from skewtrain.autodiff import NumericalError, Tape, check_gradients
-from skewtrain.data import ClassProfile
+from skewtrain import harness
+from skewtrain.data import ClassProfile, Dataset, gen_gaussian_mixture, save_csv
 from skewtrain.harness import (
     AGGREGATED_METRICS,
+    METHOD_PRESETS,
     SUPERVISED_LOSSES,
+    SWEEP_AXES,
     ConfigError,
     DataSpec,
     ExperimentConfig,
     MethodSpec,
+    SweepResult,
+    SweepRow,
     TrainConfig,
     _iter_batches,
     _projector_sizes,
     _seed_children,
+    _stratified_split,
     _write_json,
     aggregate,
     apply_method,
+    axis_config,
+    build_pools,
     config_from_dict,
     config_hash,
     config_to_dict,
+    derive_config,
     load_config,
     misalignment,
     misalignment_steps,
@@ -36,7 +45,7 @@ from skewtrain.harness import (
 )
 from skewtrain.losses import ReweightSpec, cross_entropy_vec, one_hot, reweight_class_weights
 from skewtrain.models import load_checkpoint
-from skewtrain.optim import SamSpec, sam_ascent_weights
+from skewtrain.optim import SamSpec, rho_per_class
 
 
 def _tiny_config(**kw):
@@ -88,6 +97,10 @@ def test_config_validation():
         _tiny_config(hidden=[0])
     with pytest.raises(ValueError, match="r_train"):
         _tiny_config(r_train=1.5)
+    with pytest.raises(ValueError, match="majority_size must be >= 1"):
+        _tiny_config(majority_size=0)
+    with pytest.raises(ConfigError, match="n_minority must be >= 1"):
+        config_from_dict({"majority_size": 10, "n_minority": 0})
 
 
 def test_resample_plus_reweight_warns():
@@ -172,6 +185,155 @@ def test_apply_method_unknown():
 
 
 # ---------------------------------------------------------------------------
+# Derived configs: every preset and sweep value keeps its config hash
+# ---------------------------------------------------------------------------
+
+# The "tuned" base sets rho, epsilon, defer_epoch and projector away from
+# their defaults, so a derivation that resets a knob it should keep
+# changes the hash.
+_DERIVATION_BASES = {
+    "plain": {},
+    "tuned": {
+        "data": {"classes": 3, "train_per_class": 40, "test_per_class": 20, "sigma": 0.5},
+        "method": {"loss": "focal", "sam": {"rho": 0.2, "mode": "sam"},
+                   "smoothing": {"epsilon": 0.3}, "reweight": {"defer_epoch": 7},
+                   "projector": [8, 16], "joint_ssl": True},
+        "train": {"lr0": 0.05, "epochs": 30, "warmup_epochs": 2, "batch_size": 64},
+        "hidden": [16, 8],
+        "r_train": 0.1,
+        "r_test": 0.5,
+        "seeds": [3, 4],
+    },
+}
+
+# config_hash of each derivation, recorded before presets and sweep
+# axes became tables; "preset" rows go through apply_method. An int
+# ratio must hash like the float it is cast to.
+_DERIVED_HASHES = {
+    "plain": [
+        ("preset", "erm", "4875dcdad5bd"),
+        ("preset", "resample", "a3f2f046cfd7"),
+        ("preset", "reweight", "ed3d8ef61c9b"),
+        ("preset", "drw", "afeb7d8d0b7e"),
+        ("preset", "focal", "7819f9819661"),
+        ("preset", "smoothed", "e7bfddd3276a"),
+        ("preset", "smoothed_inverse", "62b93b95a533"),
+        ("preset", "sam", "71c2534ec316"),
+        ("preset", "sam_a", "25d37e5a474d"),
+        ("preset", "sam_a_inverse", "326dcbd0ab7b"),
+        ("preset", "joint_ssl", "400d08fcf766"),
+        ("preset", "sam_a_smoothed", "eae00f6aa05a"),
+        ("preset", "sam_a_smoothed_inverse", "62595295182b"),
+        ("batch_size", 16, "a019df645d0d"),
+        ("batch_size", 64, "bf468667e6c5"),
+        ("batch_size", 128, "b0452e18f6d1"),
+        ("r_train", 1.0, "da6462acf816"),
+        ("r_train", 0.1, "c1f2cf57b25c"),
+        ("r_train", 0.01, "99286ed3a7ce"),
+        ("r_train", 1, "da6462acf816"),
+        ("r_test", 1.0, "5eed2bc0fe56"),
+        ("r_test", 0.5, "029ed41e3599"),
+        ("r_test", 0.05, "8e8387f4b44e"),
+        ("r_test", 1, "5eed2bc0fe56"),
+        ("n_majority", 50, "47723a7e2cd4"),
+        ("n_majority", 500, "b7ac87db0758"),
+    ],
+    "tuned": [
+        ("preset", "erm", "769119da9eac"),
+        ("preset", "resample", "2731e536ceae"),
+        ("preset", "reweight", "89afff9d64ed"),
+        ("preset", "drw", "da19d3c8c598"),
+        ("preset", "focal", "493b2ca3a23d"),
+        ("preset", "smoothed", "0fe663c78c0d"),
+        ("preset", "smoothed_inverse", "928ffdc648d4"),
+        ("preset", "sam", "24f13b62ad8e"),
+        ("preset", "sam_a", "febbd0b6d48d"),
+        ("preset", "sam_a_inverse", "ef4618234459"),
+        ("preset", "joint_ssl", "9a50aeabdf1c"),
+        ("preset", "sam_a_smoothed", "1ac6f58e96ff"),
+        ("preset", "sam_a_smoothed_inverse", "a3f553b551d5"),
+        ("batch_size", 16, "30a57bc0517c"),
+        ("batch_size", 64, "2046203fb0aa"),
+        ("batch_size", 128, "daca81b96f69"),
+        ("r_train", 1.0, "b75992648357"),
+        ("r_train", 0.1, "2046203fb0aa"),
+        ("r_train", 0.01, "a4bda1c57311"),
+        ("r_train", 1, "b75992648357"),
+        ("r_test", 1.0, "c329b26ddb1c"),
+        ("r_test", 0.5, "2046203fb0aa"),
+        ("r_test", 0.05, "8b40607c76e4"),
+        ("r_test", 1, "c329b26ddb1c"),
+        ("n_majority", 50, "c522fc6c7442"),
+        ("n_majority", 500, "2838067deade"),
+    ],
+}
+
+
+@pytest.mark.parametrize("base, kind, value, expected", [
+    pytest.param(base, kind, value, expected, id=f"{base}-{kind}-{value!r}")
+    for base, table in _DERIVED_HASHES.items()
+    for kind, value, expected in table
+])
+def test_derived_config_hashes_are_pinned(base, kind, value, expected):
+    cfg = config_from_dict(_DERIVATION_BASES[base])
+    if kind == "preset":
+        derived = apply_method(cfg, value)
+        assert config_hash(axis_config(cfg, "method", value)) == expected
+    else:
+        derived = axis_config(cfg, kind, value)
+    assert config_hash(derived) == expected
+
+
+def test_presets_and_axes_are_complete():
+    assert METHOD_PRESETS == (
+        "erm", "resample", "reweight", "drw", "focal", "smoothed", "smoothed_inverse",
+        "sam", "sam_a", "sam_a_inverse", "joint_ssl", "sam_a_smoothed", "sam_a_smoothed_inverse",
+    )
+    assert SWEEP_AXES == ("batch_size", "r_train", "r_test", "n_majority", "method")
+    assert {preset for kind, preset, _ in _DERIVED_HASHES["plain"] if kind == "preset"} == set(
+        METHOD_PRESETS
+    )
+
+
+@pytest.mark.parametrize("axis, value, message", [
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("batch_size", -4, "batch_size must be >= 1"),
+    ("batch_size", "sixteen", "invalid literal"),
+    ("r_train", 0.0, "r_train must be in"),
+    ("r_test", 1.5, "r_test must be in"),
+    ("n_majority", 0, "majority_size must be >= 1"),
+    ("method", "mixup", "unknown method"),
+])
+def test_axis_config_rejects_bad_values(axis, value, message):
+    with pytest.raises(ConfigError, match=message) as info:
+        axis_config(_tiny_config(), axis, value)
+    assert str(info.value).startswith(f"{axis} value {value!r}")
+
+
+def test_axis_config_unknown_axis():
+    with pytest.raises(ConfigError, match="axis must be one of"):
+        axis_config(_tiny_config(), "learning_rate", 0.1)
+
+
+def test_curation_axes_clear_each_other():
+    grown = axis_config(_tiny_config(r_train=0.1), "n_majority", 40)
+    assert (grown.majority_size, grown.r_train) == (40, None)
+    ratio = axis_config(_tiny_config(majority_size=40), "r_train", 0.1)
+    assert (ratio.majority_size, ratio.r_train) == (None, 0.1)
+
+
+def test_derive_config_validates_and_keeps_the_original():
+    cfg = _tiny_config()
+    out = derive_config(cfg, {"train": {"epochs": 9}, "method": {"sam": {"rho": 0.3}}})
+    assert (out.train.epochs, out.train.lr0, out.method.sam.rho) == (9, 0.1, 0.3)
+    assert (cfg.train.epochs, cfg.method.sam.rho) == (3, 0.05)
+    with pytest.raises(ConfigError, match="train: warmup_epochs"):
+        derive_config(cfg, {"train": {"epochs": 1}})
+    with pytest.raises(ConfigError, match="unknown config key train.steps"):
+        derive_config(cfg, {"train": {"steps": 1}})
+
+
+# ---------------------------------------------------------------------------
 # Seeds and batching
 # ---------------------------------------------------------------------------
 
@@ -214,12 +376,69 @@ def test_projector_sizes():
 
 
 # ---------------------------------------------------------------------------
+# CSV-backed pools
+# ---------------------------------------------------------------------------
+
+
+def _csv_config(tmp_path, test_classes=None, **data):
+    save_csv(tmp_path / "train.csv", gen_gaussian_mixture(3, 20, seed=0))
+    if test_classes is not None:
+        save_csv(tmp_path / "test.csv", gen_gaussian_mixture(test_classes, 10, seed=1))
+        data["test_path"] = str(tmp_path / "test.csv")
+    return _tiny_config(data=DataSpec(kind="csv", train_path=str(tmp_path / "train.csv"), **data))
+
+
+def test_build_pools_csv_with_test_file(tmp_path):
+    train, test = build_pools(_csv_config(tmp_path, test_classes=3), seed=0)
+    assert (train.n, test.n) == (60, 30)
+    assert train.class_names == test.class_names
+    npt.assert_array_equal(np.bincount(test.y), [10, 10, 10])
+
+
+def test_build_pools_csv_split_when_no_test_file(tmp_path):
+    cfg = _csv_config(tmp_path, test_frac=0.25)
+    train, test = build_pools(cfg, seed=0)
+    npt.assert_array_equal(np.bincount(train.y), [15, 15, 15])
+    npt.assert_array_equal(np.bincount(test.y), [5, 5, 5])
+    # the split is seeded, and the pool is the file's rows, split once
+    again, _ = build_pools(cfg, seed=0)
+    npt.assert_array_equal(again.X, train.X)
+    assert sorted(map(tuple, np.vstack([train.X, test.X]))) == sorted(
+        map(tuple, gen_gaussian_mixture(3, 20, seed=0).X))
+
+
+def test_build_pools_csv_class_names_must_agree(tmp_path):
+    with pytest.raises(ValueError, match="disagree on class names"):
+        build_pools(_csv_config(tmp_path, test_classes=2), seed=0)
+
+
+def test_stratified_split_is_seeded_and_covers_every_class():
+    data = gen_gaussian_mixture(3, 10, seed=0)
+    a_train, a_test = _stratified_split(data, 0.3, np.random.default_rng(5))
+    b_train, b_test = _stratified_split(data, 0.3, np.random.default_rng(5))
+    c_train, _ = _stratified_split(data, 0.3, np.random.default_rng(6))
+    npt.assert_array_equal(a_train.X, b_train.X)
+    npt.assert_array_equal(a_test.X, b_test.X)
+    assert not np.array_equal(a_train.X, c_train.X)
+    npt.assert_array_equal(np.bincount(a_train.y, minlength=3), [7, 7, 7])
+    npt.assert_array_equal(np.bincount(a_test.y, minlength=3), [3, 3, 3])
+
+
+def test_stratified_split_rejects_a_class_too_small():
+    data = Dataset(np.zeros((5, 2)), np.array([0, 0, 0, 0, 1]), ["big", "tiny"])
+    with pytest.raises(ValueError, match="class tiny too small to split"):
+        _stratified_split(data, 0.2, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
 # The supervised objective that training minimizes
 # ---------------------------------------------------------------------------
 
 _OBJ_PROFILE = ClassProfile(np.array([40, 12, 3]))
 _OBJ_LABELS = np.array([0, 0, 1, 2, 0, 1, 2])
 _OBJ_SAM = SamSpec(rho=0.05, mode="sam_a_paper")
+# the ascent weights s_i = rho_{y_i} / rho that sam_step passes in
+_OBJ_ASCENT = rho_per_class(_OBJ_PROFILE, _OBJ_SAM)[_OBJ_LABELS] / _OBJ_SAM.rho
 
 
 def _objective_check(method, epoch, example_weights):
@@ -237,14 +456,14 @@ def _objective_check(method, epoch, example_weights):
 @pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])
 @pytest.mark.parametrize("loss", SUPERVISED_LOSSES)
 def test_supervised_loss_matches_finite_differences(loss, ascent):
-    weights = sam_ascent_weights(_OBJ_LABELS, _OBJ_PROFILE, _OBJ_SAM) if ascent else None
+    weights = _OBJ_ASCENT if ascent else None
     _objective_check(MethodSpec(loss=loss, sam=_OBJ_SAM), 0, weights)
 
 
 @pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])
 @pytest.mark.parametrize("epoch", [2, 3], ids=["before_defer", "at_defer"])
 def test_supervised_loss_deferred_reweighting(epoch, ascent):
-    weights = sam_ascent_weights(_OBJ_LABELS, _OBJ_PROFILE, _OBJ_SAM) if ascent else None
+    weights = _OBJ_ASCENT if ascent else None
     method = MethodSpec(loss="reweighted", reweight=ReweightSpec(defer_epoch=3), sam=_OBJ_SAM)
     _objective_check(method, epoch, weights)
 
@@ -256,7 +475,7 @@ def test_supervised_loss_reduction_formula(epoch, ascent):
     # and s = 1 (so the divisor is B) outside the SAM ascent pass
     logits = np.random.default_rng(32).normal(size=(_OBJ_LABELS.size, 3))
     method = MethodSpec(loss="reweighted", reweight=ReweightSpec(defer_epoch=3))
-    s = sam_ascent_weights(_OBJ_LABELS, _OBJ_PROFILE, _OBJ_SAM) if ascent else None
+    s = _OBJ_ASCENT if ascent else None
     tape = Tape()
     x = tape.leaf(logits)
     got = supervised_loss(tape, x, _OBJ_LABELS, method, _OBJ_PROFILE,
@@ -481,6 +700,59 @@ def test_run_sweep_batch_default_baseline(tmp_path):
     assert base_row.improvement == 0.0
 
 
+def _record_trained_profiles(monkeypatch):
+    """Make harness.train_model log the class counts of each split it trains on."""
+    seen = []
+    real = harness.train_model
+
+    def train_model(config, seed):
+        model = real(config, seed)
+        seen.append(model.profile.counts.tolist())
+        return model
+
+    monkeypatch.setattr(harness, "train_model", train_model)
+    return seen
+
+
+def test_run_sweep_r_train_clears_majority_size(monkeypatch):
+    seen = _record_trained_profiles(monkeypatch)
+    cfg = _tiny_config(majority_size=20, n_minority=5)
+    run_sweep(cfg, "r_train", [1.0, 0.2])
+    assert seen == [[30, 30, 30], [30, 13, 6]]
+
+
+def test_run_sweep_n_majority_axis(monkeypatch, tmp_path):
+    seen = _record_trained_profiles(monkeypatch)
+    cfg = _tiny_config(r_train=0.2, n_minority=5)
+    sweep = run_sweep(cfg, "n_majority", [10, 25], out_dir=tmp_path)
+    assert seen == [[5, 10, 10], [5, 25, 25]]
+    assert sweep.baseline == 10 and sweep.rows[0].improvement == 0.0
+    assert (tmp_path / "sweep_n_majority.csv").exists()
+
+
+def test_run_sweep_r_test_axis():
+    cfg = _tiny_config(seeds=[0])
+    sweep = run_sweep(cfg, "r_test", [1.0, 0.1])
+    assert sweep.baseline == 1.0
+    assert sweep.improvement_mode == "relative_to_baseline"
+    # the same model is scored on a balanced and on a 1:10 test split
+    balanced, skewed = (row.aggregates for row in sweep.rows)
+    assert balanced["final_train_accuracy"].values == skewed["final_train_accuracy"].values
+    assert balanced["overall"].values != skewed["overall"].values
+
+
+def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
+    trained = []
+    monkeypatch.setattr(harness, "train_model", lambda config, seed: trained.append(seed))
+    for values in ([16, 0], [16, -4]):
+        with pytest.raises(ConfigError, match=f"batch_size value {values[1]}"):
+            run_sweep(_tiny_config(), "batch_size", values, out_dir=tmp_path / "out")
+    with pytest.raises(ConfigError, match="n_majority value 0: .*majority_size must be >= 1"):
+        run_sweep(_tiny_config(), "n_majority", [20, 0], out_dir=tmp_path / "out")
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_sweep_validation():
     cfg = _tiny_config()
     with pytest.raises(ConfigError, match="axis"):
@@ -506,6 +778,38 @@ def test_run_ratio_grid_structure(tmp_path):
     doc = json.loads((tmp_path / "ratio_grid.json").read_text())
     assert len(doc["mean_grid"]) == 4
     assert doc["train_ratios"] == [1.0, 0.5]
+
+
+def test_run_ratio_grid_clears_majority_size(monkeypatch):
+    seen = _record_trained_profiles(monkeypatch)
+    cfg = _tiny_config(majority_size=20, n_minority=5, train=TrainConfig(
+        lr0=0.1, epochs=2, warmup_epochs=1, batch_size=32))
+    grid = run_ratio_grid(cfg, [1.0, 0.2], [1.0])
+    assert seen == [[30, 30, 30], [30, 13, 6]]
+    assert set(grid.per_seed[0]) == {(1.0, 1.0), (0.2, 1.0)}
+
+
+def test_run_ratio_grid_bad_ratio_fails_before_training(monkeypatch):
+    trained = []
+    monkeypatch.setattr(harness, "train_model", lambda config, seed: trained.append(seed))
+    with pytest.raises(ConfigError, match="r_test value 0.0"):
+        run_ratio_grid(_tiny_config(), [1.0], [1.0, 0.0])
+    assert trained == []
+
+
+def test_sweep_csv_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "sweep_batch_size.csv"
+    agg = {k: aggregate([0.5]) for k in ("overall", "minority", "majority")}
+    good = SweepResult("batch_size", [16], 16, "paper_a1", [SweepRow(16, agg, 0.0)], 0.0)
+    good.to_csv(path)
+    before = path.read_bytes()
+    # the second row lacks its aggregates, so the write fails after one row
+    bad = SweepResult("batch_size", [16, 32], 16, "paper_a1",
+                      [SweepRow(16, agg, 0.0), SweepRow(32, {}, 0.1)], 0.0)
+    with pytest.raises(KeyError):
+        bad.to_csv(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_batch_size.csv"]
 
 
 def test_run_ratio_grid_empty_lists():

@@ -12,7 +12,6 @@ from skewtrain.optim import (
     ema_update,
     init_state,
     rho_per_class,
-    sam_ascent_weights,
     sam_perturb,
     sam_step,
     sgd_update,
@@ -197,14 +196,35 @@ def test_rho_per_class_mode_errors():
         rho_per_class(ClassProfile(np.array([10])), SamSpec(rho=0.1, mode="sam_a_paper"))
 
 
+def _recording_objective(calls):
+    """A loss_and_grads that records the example weights it is given."""
+    def loss_and_grads(p, weights):
+        calls.append(weights)
+        return 0.0, {"w": np.ones(1)}
+
+    return loss_and_grads
+
+
 def test_sam_ascent_weights():
+    # s_i = rho_{y_i} / rho on the ascent pass only; None for plain sam
+    # and for a zero radius
     profile = ClassProfile(np.array([900, 100]))
     labels = np.array([0, 1, 1])
-    assert sam_ascent_weights(labels, profile, SamSpec(rho=0.1, mode="sam")) is None
-    assert sam_ascent_weights(labels, profile, SamSpec(rho=0.0, mode="sam_a_paper")) is None
-    w = sam_ascent_weights(labels, profile, SamSpec(rho=0.1, mode="sam_a_paper"))
-    rho = rho_per_class(profile, SamSpec(rho=0.1, mode="sam_a_paper"))
-    npt.assert_allclose(w, rho[labels] / 0.1, rtol=0, atol=0)
+    params = {"w": np.zeros(1)}
+    for spec, want in [
+        (SamSpec(rho=0.1, mode="sam"), None),
+        (SamSpec(rho=0.0, mode="sam_a_paper"), None),
+        (SamSpec(rho=0.1, mode="sam_a_paper"),
+         rho_per_class(profile, SamSpec(rho=0.1, mode="sam_a_paper"))[labels] / 0.1),
+    ]:
+        calls = []
+        sam_step(params, init_state(params), 0.1, _cfg(), spec, _recording_objective(calls),
+                 batch_labels=labels, profile=profile)
+        assert calls[1] is None
+        if want is None:
+            assert calls[0] is None
+        else:
+            npt.assert_array_equal(calls[0], want)
 
 
 def test_sam_spec_validation():
@@ -223,51 +243,42 @@ def test_sam_perturb_norm_equals_rho_eff():
     rng = np.random.default_rng(3)
     params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)}
     grads = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)}
-    pert, rho_eff, skipped = sam_perturb(params, None, None, grads, SamSpec(rho=0.35, mode="sam"))
-    assert rho_eff == 0.35 and not skipped
+    pert, skipped = sam_perturb(params, grads, 0.35)
+    assert not skipped
     delta_sq = sum(float(np.square(pert[k] - params[k]).sum()) for k in params)
     assert abs(math.sqrt(delta_sq) - 0.35) < 1e-12
 
 
 def test_sam_perturb_rho_zero_returns_copy():
     params = {"w": np.array([1.0, 2.0])}
-    pert, rho_eff, skipped = sam_perturb(params, None, None, {"w": np.ones(2)},
-                                         SamSpec(rho=0.0, mode="sam"))
-    assert rho_eff == 0.0 and not skipped
+    pert, skipped = sam_perturb(params, {"w": np.ones(2)}, 0.0)
+    assert not skipped
     assert pert is not params
     assert pert["w"] is params["w"]  # untouched arrays, fresh dict
 
 
 def test_sam_perturb_zero_grad_skips():
     params = {"w": np.array([1.0])}
-    pert, rho_eff, skipped = sam_perturb(params, None, None, {"w": np.zeros(1)},
-                                         SamSpec(rho=0.1, mode="sam"))
-    assert skipped and rho_eff == 0.1
+    pert, skipped = sam_perturb(params, {"w": np.zeros(1)}, 0.1)
+    assert skipped
     npt.assert_array_equal(pert["w"], params["w"])
 
 
-def test_sam_perturb_class_conditional_rho_eff():
+def test_sam_perturb_errors():
+    with pytest.raises(ValueError, match="gradient keys"):
+        sam_perturb({"w": np.zeros(1)}, {"v": np.ones(1)}, 0.1)
+
+
+def test_sam_step_class_conditional_rho_eff():
     # batch mean of per-class radii; counts [300, 100] -> p = [0.75, 0.25]
     profile = ClassProfile(np.array([300, 100]))
     spec = SamSpec(rho=0.1, mode="sam_a_paper")
     rho = rho_per_class(profile, spec)
     labels = np.array([0, 0, 1, 1])
     params = {"w": np.array([0.0])}
-    _, rho_eff, _ = sam_perturb(params, labels, profile, {"w": np.ones(1)}, spec)
-    assert rho_eff == float(rho[labels].mean())
-
-
-def test_sam_perturb_errors():
-    params = {"w": np.zeros(1)}
-    grads = {"w": np.ones(1)}
-    with pytest.raises(ValueError, match="mode 'off'"):
-        sam_perturb(params, None, None, grads, SamSpec(rho=0.1, mode="off"))
-    with pytest.raises(ValueError, match="labels and a profile"):
-        sam_perturb(params, None, None, grads, SamSpec(rho=0.1, mode="sam_a_paper"))
-    with pytest.raises(ValueError, match="empty batch"):
-        sam_perturb(params, np.array([], dtype=np.int64),
-                    ClassProfile(np.array([5, 5])), grads,
-                    SamSpec(rho=0.1, mode="sam_a_paper"))
+    _, _, info = sam_step(params, init_state(params), 0.1, _cfg(), spec,
+                          _recording_objective([]), batch_labels=labels, profile=profile)
+    assert info.rho_eff == float(rho[labels].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +312,16 @@ def test_sam_step_mode_off_raises():
 
 def test_sam_step_class_conditional_needs_labels():
     params = {"w": np.zeros(1)}
+    spec = SamSpec(rho=0.1, mode="sam_a_paper")
     with pytest.raises(ValueError, match="labels and a profile"):
-        sam_step(params, init_state(params), 0.1, _cfg(),
-                 SamSpec(rho=0.1, mode="sam_a_paper"),
+        sam_step(params, init_state(params), 0.1, _cfg(), spec,
                  lambda p, w: (0.0, {"w": np.ones(1)}))
+    with pytest.raises(ValueError, match="labels and a profile"):
+        sam_step(params, init_state(params), 0.1, _cfg(), spec, _recording_objective([]),
+                 batch_labels=np.array([0, 1]))
+    with pytest.raises(ValueError, match="empty batch"):
+        sam_step(params, init_state(params), 0.1, _cfg(), spec, _recording_objective([]),
+                 batch_labels=np.array([], dtype=np.int64), profile=ClassProfile(np.array([5, 5])))
 
 
 def test_sam_step_rho_zero_matches_sgd_bitwise():
