@@ -1,8 +1,9 @@
 """Training and diagnosing small classifiers under long-tailed imbalance.
 
 The package is layered bottom-up: a tape-based reverse-mode autodiff
-engine (autodiff), MLP layer stacks for the classifier and the
-projector (models), dataset curation and sampling (data), supervised
+engine that serves as the gradient reference (autodiff), MLP layer
+stacks for the classifier and the projector with their numpy forward
+and backward (models), dataset curation and sampling (data), supervised
 and self-supervised loss terms (losses), SGD/SAM optimizers with EMA
 (optim), evaluation and collapse diagnostics (diagnostics), and the
 experiment harness, which owns the training objective, plus CLI

@@ -12,6 +12,12 @@ cell) goes through derive_config, which merges the overrides into the
 config's dict form and rebuilds it with config_from_dict, so derived
 configs are validated exactly like config files.
 
+The training objective is computed in closed form: batch_loss_and_grads
+runs the numpy forward and backward (models.mlp_forward/mlp_backward
+and the losses' *_and_grad forms) and builds no tape. supervised_loss
+is the same supervised term on the tape; it is the reference that the
+numpy step and acceptance criterion 1 check against.
+
 Results land as JSON: one file per (config hash, seed), one aggregate
 per config, and per-sweep tables. Aggregates report per-seed values,
 their mean, and the standard error (sample std / sqrt(n_seeds)); a
@@ -51,17 +57,21 @@ from .losses import (
     ReweightSpec,
     SmoothingSpec,
     VicRegSpec,
+    cross_entropy_and_grad,
     cross_entropy_vec,
+    focal_and_grad,
     focal_vec,
-    joint_loss,
     one_hot,
     reweight_class_weights,
     smoothed_targets,
+    vicreg_and_grads,
     vicreg_loss,
 )
 from .models import (
     atomic_write,
     forward_stack,
+    mlp_backward,
+    mlp_forward,
     mlp_init,
     mlp_predict,
     named_to_mlp,
@@ -69,6 +79,9 @@ from .models import (
 )
 from .optim import OptimState, SamSpec, TrainConfig, cosine_lr, ema_update, init_state, sam_step, sgd_update
 from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
+
+# Training builds no tape, so backward, forward_stack and vicreg_loss
+# have no caller here; bench/tracing.py rebinds them on this module.
 
 logger = logging.getLogger(__name__)
 
@@ -168,16 +181,22 @@ class ExperimentConfig:
             warnings.warn("combining the balanced resampler with reweighted loss double-counts rarity")
 
 
+@functools.cache
+def _field_hints(cls) -> dict:
+    """{field name: resolved type} of a config dataclass, computed once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints.get(f.name) for f in dataclasses.fields(cls)}
+
+
 def _strict_from_dict(cls, doc, path: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(doc).__name__}")
-    hints = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
+    hints = _field_hints(cls)
     kwargs = {}
     for key, value in doc.items():
-        if key not in names:
+        if key not in hints:
             raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
-        target = hints.get(key)
+        target = hints[key]
         if dataclasses.is_dataclass(target) and value is not None:
             kwargs[key] = _strict_from_dict(target, value, f"{path + '.' if path else ''}{key}")
         else:
@@ -285,13 +304,30 @@ AXES = {
 SWEEP_AXES = tuple(AXES)
 
 
-def axis_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """config with one sweep axis set to value; a bad value raises ConfigError naming both."""
+def _axis_value(axis: str, value):
+    """value cast to the axis type; ConfigError naming both if it is not one.
+
+    Bools are not numbers here, and an int axis takes no fractional
+    float, so 16.7 never trains batch size 16.
+    """
     if axis not in AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    spec = AXES[axis]
+    kind = AXES[axis].type
+    if kind is not str and isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{axis} value {value!r}: expected {kind.__name__}, got a bool")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{axis} value {value!r}: expected an integer")
     try:
-        return derive_config(config, spec.overrides(config, spec.type(value)))
+        return kind(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{axis} value {value!r}: {exc}") from exc
+
+
+def axis_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
+    """config with one sweep axis set to value; a bad value raises ConfigError naming both."""
+    cast = _axis_value(axis, value)
+    try:
+        return derive_config(config, AXES[axis].overrides(config, cast))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{axis} value {value!r}: {exc}") from exc
 
@@ -452,6 +488,9 @@ def supervised_loss(
 ) -> Var:
     """The supervised term that training minimizes, as a tape scalar.
 
+    Training computes it with supervised_loss_and_grad; this tape form
+    is the reference that one is tested against.
+
     Per-example losses l_i (cross-entropy against one-hot or smoothed
     targets, or focal) get weights w_i = class_w[y_i] once a reweighted
     loss reaches its defer_epoch, else 1, and reduce to
@@ -471,6 +510,40 @@ def supervised_loss(
     return reduce_sum(vec * tape.constant(w * example_weights)) * (1.0 / float(example_weights.sum()))
 
 
+def supervised_loss_and_grad(
+    logits: np.ndarray, labels: np.ndarray, method: MethodSpec, profile: ClassProfile,
+    class_w: np.ndarray, epoch: int, example_weights: np.ndarray | None = None,
+    adjoint: float = 1.0,
+):
+    """supervised_loss in closed form: (value, gradient at the logits).
+
+    adjoint is the gradient of the objective at this term (lam in the
+    joint objective). Value and gradient match the tape bit for bit.
+    """
+    if method.loss == "smoothed":
+        targets = smoothed_targets(labels, profile, method.smoothing)
+        vec, vec_grad = cross_entropy_and_grad(logits, targets)
+    elif method.loss == "focal":
+        vec, vec_grad = focal_and_grad(logits, labels, method.focal)
+    else:
+        vec, vec_grad = cross_entropy_and_grad(logits, one_hot(labels, logits.shape[1]))
+    reweight = method.loss == "reweighted" and epoch >= method.reweight.defer_epoch
+    w = class_w[labels] if reweight else np.ones(labels.size)
+    if example_weights is None:
+        inv_total = 1.0 / labels.size
+    else:
+        w = w * example_weights
+        inv_total = 1.0 / float(example_weights.sum())
+    loss = (vec * w).sum() * inv_total
+    return loss, vec_grad(adjoint * inv_total * w)
+
+
+def _require_finite(stage: str, *arrays) -> None:
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"non-finite {stage}")
+
+
 def batch_loss_and_grads(
     params_named, example_weights, *, xb, yb, views, epoch, method, profile, class_w,
     mlp_sizes, proj_sizes,
@@ -478,25 +551,46 @@ def batch_loss_and_grads(
     """(loss, gradient per parameter name) of the training objective on one batch.
 
     sam_step calls it as f(params, example_weights); train_model binds
-    the rest with functools.partial.
+    the rest with functools.partial. Forward and backward are closed-form
+    numpy (models.mlp_forward/mlp_backward, the losses' *_and_grad
+    forms) and repeat the tape's operations in its order, so the result
+    is bit-identical to backward() over supervised_loss and, for the
+    joint objective, forward_stack, vicreg_loss and joint_loss. A
+    non-finite pre-activation, loss or gradient raises NumericalError
+    naming the stage.
     """
-    tape = Tape()
-    leaves = {name: tape.leaf(arr, name=name) for name, arr in params_named.items()}
-    mlp_leaves = {n: v for n, v in leaves.items() if n.startswith("mlp.")}
-    n_mlp_layers = len(mlp_sizes) - 1
-    logits, _ = forward_stack(tape.constant(xb), mlp_leaves, n_mlp_layers, "mlp")
-    total = supervised_loss(tape, logits, yb, method, profile, class_w, epoch, example_weights)
-    if method.joint_ssl:
-        proj_leaves = {n: v for n, v in leaves.items() if n.startswith("proj.")}
-        embeddings = []
-        for view in views:
-            _, penult = forward_stack(tape.constant(view), mlp_leaves, n_mlp_layers, "mlp")
-            emb, _ = forward_stack(penult, proj_leaves, len(proj_sizes) - 1, "proj")
-            embeddings.append(emb)
-        ssl = vicreg_loss(tape, embeddings[0], embeddings[1], method.vicreg)
-        total = joint_loss(tape, total, ssl, method.joint)
-    grads = backward(tape, total)
-    return float(total.value), {name: grads[leaves[name].idx] for name in leaves}
+    mlp = named_to_mlp(params_named, mlp_sizes)
+    lam = float(method.joint.lam) if method.joint_ssl else 1.0
+    grads: dict[str, np.ndarray] = {}
+    # Overflow surfaces as NumericalError below, as it does on the tape.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logits, inputs = mlp_forward(mlp, np.ascontiguousarray(xb, dtype=np.float64), check=True)
+        loss, g_logits = supervised_loss_and_grad(
+            logits, yb, method, profile, class_w, epoch, example_weights, lam,
+        )
+        _require_finite("supervised loss", loss)
+        if method.joint_ssl:
+            proj = named_to_mlp(params_named, proj_sizes, "proj")
+            branches = []
+            for view in views:
+                view = np.ascontiguousarray(view, dtype=np.float64)
+                _, view_inputs = mlp_forward(mlp, view, skip_last=True, check=True)
+                emb, proj_inputs = mlp_forward(proj, view_inputs[-1], check=True)
+                branches.append((view_inputs, emb, proj_inputs))
+            ssl, g_emb, g_emb_prime = vicreg_and_grads(branches[0][1], branches[1][1], method.vicreg)
+            loss = ssl + loss * lam
+            _require_finite("joint objective", loss)
+            # The tape walks the second view's branch back before the first.
+            for (view_inputs, _, proj_inputs), g in zip(branches[::-1], (g_emb_prime, g_emb)):
+                g_pen = mlp_backward(proj, proj_inputs, g, "proj", grads, input_grad=True)
+                mlp_backward(mlp, view_inputs[:-1], g_pen * (view_inputs[-1] > 0.0), "mlp", grads)
+        mlp_backward(mlp, inputs, g_logits, "mlp", grads)
+        grads = {
+            name: grads[name] if name in grads else np.zeros_like(arr)
+            for name, arr in params_named.items()
+        }
+        _require_finite("gradient", *grads.values())
+    return float(loss), grads
 
 
 def train_model(config: ExperimentConfig, seed: int) -> TrainedModel:
@@ -833,13 +927,16 @@ def run_sweep(
     construction. improvement_variance is the sample variance of the
     improvement column.
 
-    Every value's config is derived and validated before any training,
-    so a bad value raises ConfigError and leaves nothing written.
+    Values are cast to the axis type first, so duplicates are found
+    among the cast values (r_test 1 and 1.0 are one value). Every
+    value's config is derived and validated before any training, so a
+    bad value raises ConfigError and leaves nothing written.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if len(set(map(str, values))) != len(values):
-        raise ConfigError("duplicate sweep values")
+    values = [_axis_value(axis, value) for value in values]
+    if len(set(values)) != len(values):
+        raise ConfigError(f"duplicate sweep values {values}")
     if baseline is None:
         if axis == "batch_size" and 128 in values:
             baseline = 128
@@ -847,6 +944,7 @@ def run_sweep(
             baseline = "erm"
         else:
             baseline = values[0]
+    baseline = _axis_value(axis, baseline)
     if baseline not in values:
         raise ConfigError(f"baseline {baseline!r} is not among the sweep values")
     if improvement_mode is None:
@@ -855,13 +953,11 @@ def run_sweep(
         raise ConfigError(f"improvement_mode must be one of {IMPROVEMENT_MODES}")
 
     configs = [axis_config(config, axis, value) for value in values]
-    per_value = {
-        str(value): run_all_seeds(cfg, out_dir=out_dir) for value, cfg in zip(values, configs)
-    }
-    base_acc = per_value[str(baseline)].aggregates["overall"].mean
+    per_value = {value: run_all_seeds(cfg, out_dir=out_dir) for value, cfg in zip(values, configs)}
+    base_acc = per_value[baseline].aggregates["overall"].mean
     rows = []
     for value in values:
-        agg = per_value[str(value)]
+        agg = per_value[value]
         acc = agg.aggregates["overall"].mean
         if value == baseline:
             imp = 0.0

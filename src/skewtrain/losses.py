@@ -1,12 +1,18 @@
-"""Supervised and self-supervised loss terms built from tape primitives.
+"""Supervised and self-supervised loss terms, in numpy and on the tape.
 
 Supervised losses are per-example vectors over the batch: cross-entropy
-against one-hot or smoothed targets (cross_entropy_vec) and focal loss
-(focal_vec). This module does not reduce them. The one reduction that
-training uses, with class weights for the reweighted loss, its deferral
-epoch and the SAM ascent weights, is harness.supervised_loss.
-vicreg_loss and joint_loss are the self-supervised term and the joint
-objective ssl + lam * supervised.
+against one-hot or smoothed targets and focal loss. This module does
+not reduce them. The one reduction that training uses, with class
+weights for the reweighted loss, its deferral epoch and the SAM ascent
+weights, lives in harness. vicreg_loss and joint_loss are the
+self-supervised term and the joint objective ssl + lam * supervised.
+
+Training uses the closed-form numpy forms: cross_entropy_and_grad,
+focal_and_grad and vicreg_and_grads. They repeat the tape's operations
+in its order, and their backward passes walk the tape's reverse node
+order, so values and gradients match the tape bit for bit. The tape
+forms (cross_entropy_vec, focal_vec, vicreg_loss, joint_loss) are the
+reference those are tested against.
 
 Class-conditional label smoothing has two modes because the source
 material is ambiguous about direction: `paper_formula` uses
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    NumericalError,
     Tape,
     Var,
     add_row_bias,
@@ -121,6 +128,59 @@ def _check_targets(logits: Var, targets: np.ndarray) -> np.ndarray:
     return targets
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax of a (B, K) array, shifted by the row maximum."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _log_softmax_grad(g: np.ndarray, lsm: np.ndarray) -> np.ndarray:
+    return g - np.exp(lsm) * g.sum(axis=1, keepdims=True)
+
+
+def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray):
+    """Numpy cross_entropy_vec: (per-example losses, grad).
+
+    grad maps the adjoint of the (B,) losses to the logit gradient.
+    """
+    lsm = _log_softmax(logits)
+    vec = (lsm * targets).sum(axis=1) * -1.0
+
+    def grad(g: np.ndarray) -> np.ndarray:
+        return _log_softmax_grad((g * -1.0)[:, None] * targets, lsm)
+
+    return vec, grad
+
+
+def focal_and_grad(logits: np.ndarray, labels: np.ndarray, spec: FocalSpec):
+    """Numpy focal_vec: (per-example losses, grad), as cross_entropy_and_grad.
+
+    A non-finite power-rule gradient raises NumericalError; with
+    gamma < 1 that happens once some p_t rounds to 1.
+    """
+    hot = one_hot(labels, logits.shape[1])
+    lsm = _log_softmax(logits)
+    log_pt = (lsm * hot).sum(axis=1)
+    pt = np.exp(log_pt)
+    one_minus_pt = pt * -1.0 + 1.0
+    gamma = float(spec.gamma)
+    weight = np.power(one_minus_pt, gamma)
+    neg_log_pt = log_pt * -1.0
+    vec = weight * neg_log_pt
+
+    def grad(g: np.ndarray) -> np.ndarray:
+        if gamma == 0.0:
+            g_base = np.zeros_like(one_minus_pt)
+        else:
+            g_base = g * neg_log_pt * gamma * np.power(one_minus_pt, gamma - 1.0)
+        if not np.isfinite(g_base).all():
+            raise NumericalError("non-finite focal power-rule gradient")
+        g_log_pt = g * weight * -1.0 + g_base * -1.0 * pt
+        return _log_softmax_grad(g_log_pt[:, None] * hot, lsm)
+
+    return vec, grad
+
+
 def cross_entropy_vec(tape: Tape, logits: Var, targets: np.ndarray) -> Var:
     """Per-example cross-entropy -sum_j t_j log softmax(z)_j, shape (B,)."""
     targets = _check_targets(logits, targets)
@@ -192,6 +252,55 @@ def vicreg_loss(tape: Tape, z: Var, z_prime: Var, spec: VicRegSpec) -> Var:
         + off_diag_sq * (spec.cov_weight / d)
         + inv * (spec.inv_weight / b)
     )
+
+
+def vicreg_and_grads(z: np.ndarray, z_prime: np.ndarray, spec: VicRegSpec):
+    """Numpy vicreg_loss and its gradients for a unit adjoint: (loss, dz, dz').
+
+    The joint objective is ssl + lam * supervised, so its ssl term
+    always has adjoint 1.
+    """
+    if z.shape != z_prime.shape:
+        raise ValueError(f"view shapes differ: {z.shape} vs {z_prime.shape}")
+    b, d = z.shape
+    if b < 2:
+        raise ValueError("vicreg needs batch size >= 2")
+    w = np.concatenate([z, z_prime], axis=0)
+    centered = w + w.mean(axis=0) * -1.0
+    # The tape transposes into a copy; centered.T @ centered would take
+    # numpy's symmetric-product path and round differently.
+    centered_t = centered.T.copy()
+    cov = (centered_t @ centered) * (1.0 / (2 * b))
+    diag = np.diagonal(cov).copy()
+    std = np.sqrt(diag + spec.eps_num)
+    slack = std * -1.0 + spec.margin
+    hinge_sum = np.maximum(slack, 0.0).sum()
+    off_diag_sq = np.square(cov).sum() + np.square(diag).sum() * -1.0
+    diff = z + z_prime * -1.0
+    inv = np.square(diff).sum()
+    loss = (
+        hinge_sum * (spec.var_weight / d)
+        + off_diag_sq * (spec.cov_weight / d)
+        + inv * (spec.inv_weight / b)
+    )
+
+    # Backward in the tape's reverse node order; where a value feeds two
+    # ops, the later op's adjoint comes first in the sum.
+    g_diff = 2.0 * diff * (spec.inv_weight / b)
+    g_off = spec.cov_weight / d
+    g_diag = 2.0 * diag * (g_off * -1.0)
+    g_cov = 2.0 * cov * g_off
+    g_slack = (spec.var_weight / d) * (slack > 0.0)
+    g_diag = g_diag + g_slack * -1.0 / (2.0 * std)
+    g_cov_diag = np.zeros_like(cov)
+    np.fill_diagonal(g_cov_diag, g_diag)
+    g_cov = g_cov + g_cov_diag
+    g_prod = g_cov * (1.0 / (2 * b))
+    g_centered_t = g_prod @ centered.T
+    g_centered = centered_t.T @ g_prod + g_centered_t.T
+    g_mean = g_centered.sum(axis=0) * -1.0
+    g_w = g_centered + g_mean / (2 * b)
+    return loss, g_diff + g_w[:b], g_diff * -1.0 + g_w[b:]
 
 
 def joint_loss(tape: Tape, supervised: Var, ssl: Var, spec: JointLossSpec) -> Var:

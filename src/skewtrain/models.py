@@ -9,10 +9,11 @@ construction, so one type (MLPParams) and one initializer (mlp_init)
 serve both.
 
 Parameters live as named float64 arrays ({prefix.w0, prefix.b0, ...}).
-There is one tape forward, forward_stack, which runs a stack on leaves
-the caller registered, so gradients come back per name; mlp_predict is
-its plain numpy mirror for evaluation. Checkpoints are JSON documents
-written atomically.
+There is one forward, the numpy mlp_forward, which training and
+mlp_predict share; mlp_backward is its closed-form backward and adds
+gradients per name. forward_stack runs the same stack on a tape: it is
+the reference the numpy pair is tested against, bit for bit.
+Checkpoints are JSON documents written atomically.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var, add_row_bias, op_apply
+from .autodiff import NumericalError, Var, add_row_bias, op_apply
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -95,7 +96,7 @@ def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: s
 
 
 def forward_stack(x: Var, leaves: dict[str, Var], n_layers: int, prefix: str):
-    """Affine chain with ReLU between layers; returns (output, last hidden post-ReLU)."""
+    """Tape reference of mlp_forward; returns (output, last hidden post-ReLU)."""
     h = x
     penultimate = None
     for i in range(n_layers):
@@ -108,25 +109,72 @@ def forward_stack(x: Var, leaves: dict[str, Var], n_layers: int, prefix: str):
     return h, penultimate
 
 
-def mlp_predict(params: MLPParams, x: np.ndarray):
-    """Tape-free inference: (labels, softmax probabilities, penultimate).
+def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check: bool = False):
+    """Affine layers with ReLU between them, in plain numpy.
 
-    Plain numpy mirror of forward_stack for evaluation loops and grids.
+    Returns (out, inputs). inputs[i] is the input of layer i, so
+    inputs[0] is x and inputs[-1] is the penultimate features (x itself
+    for a stack without hidden layers); out is the output layer's
+    pre-activation. skip_last does not run the output layer and returns
+    out None: a projector branch needs only the penultimate features.
+    With check, a non-finite pre-activation raises NumericalError.
     """
+    h = x
+    inputs = [x]
+    n = len(params.weights)
+    for i in range(n - 1 if skip_last else n):
+        # In place, so a layer holds one new array: large predicts
+        # (boundary grids) keep their memory peak.
+        z = h @ params.weights[i]
+        z += params.biases[i]
+        if check and not np.isfinite(z).all():
+            raise NumericalError(
+                f"non-finite pre-activation in layer {i} of a {params.layer_sizes} stack"
+            )
+        if i == n - 1:
+            return z, inputs
+        h = np.maximum(z, 0.0, out=z)
+        inputs.append(h)
+    return None, inputs
+
+
+def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, prefix: str, grads: dict,
+                 input_grad: bool = False):
+    """Backpropagate g, the gradient at the pre-activation of layer len(inputs) - 1.
+
+    inputs are the layer inputs that mlp_forward returned, cut to the
+    layers to run back through. Each weight and bias gradient is added
+    to grads[{prefix}.w{i}] / [{prefix}.b{i}] as existing + new, the
+    order in which the tape accumulates fan-out. Returns the gradient
+    at the stack input when input_grad, else None.
+    """
+    for i in reversed(range(len(inputs))):
+        _accumulate(grads, f"{prefix}.b{i}", g.sum(axis=0))
+        _accumulate(grads, f"{prefix}.w{i}", inputs[i].T @ g)
+        if i == 0 and not input_grad:
+            return None
+        g = g @ params.weights[i].T
+        if i > 0:
+            # the tape's ReLU mask; inputs[i] > 0 exactly where its
+            # pre-activation is
+            g = g * (inputs[i] > 0.0)
+    return g
+
+
+def _accumulate(grads: dict, name: str, g: np.ndarray) -> None:
+    grads[name] = grads[name] + g if name in grads else g
+
+
+def mlp_predict(params: MLPParams, x: np.ndarray):
+    """Inference: (labels, softmax probabilities, penultimate features)."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.layer_sizes[0]:
         raise ValueError(f"input shape {h.shape} does not match d_in={params.layer_sizes[0]}")
-    penultimate = h
-    n = len(params.weights)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i < n - 1:
-            h = np.maximum(h, 0.0)
-            penultimate = h
-    shifted = h - h.max(axis=1, keepdims=True)
+    logits, inputs = mlp_forward(params, h)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
-    return probs.argmax(axis=1), probs, penultimate
+    return probs.argmax(axis=1), probs, inputs[-1]
 
 
 @contextmanager
@@ -164,7 +212,7 @@ def save_checkpoint(path, named: dict[str, np.ndarray], meta: dict | None = None
         "tensors": tensors,
     }
     with atomic_write(path) as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -3,8 +3,9 @@
 bench/tracing.py wraps names such as harness.Tape, harness.backward and
 models.op_apply from outside. These tests install its hooks on the real
 modules, run one tiny trial through them and close them again, so a
-refactor that renames or stops calling a hooked name fails here and not
-only in the benchmark's own, slower smoke tests.
+refactor that renames a hooked name fails here and not only in the
+benchmark's own, slower smoke tests. Training builds no tape, so the
+tape's layers must stay silent during a trial.
 """
 
 import importlib.util
@@ -57,10 +58,11 @@ def test_benchmark_hooks_install_trace_a_trial_and_restore():
     steps = tracer.counts["harness.steps"]
     assert steps > 0 and clock.steps == steps
     assert tracer.counts["optim.sam_steps"] == steps
-    # every Tape() opened by the training objective is closed by its backward
-    assert calls["harness.loss_closure"] == calls["autodiff.backward"] == 2 * steps
     assert tracer.top() is None
-    for layer in ("losses.cross_entropy_vec", "losses.smoothed_targets", "models.forward_stack",
-                  "autodiff.op_apply", "optim.sam_perturb", "harness.train_model"):
+    for layer in ("losses.smoothed_targets", "optim.sam_perturb", "harness.train_model"):
         assert calls.get(layer, 0) > 0, layer
+    # the training objective is closed-form numpy: no Tape(), backward or tape op
+    for layer in ("harness.loss_closure", "autodiff.backward", "autodiff.op_apply",
+                  "autodiff.Tape.leaf", "models.forward_stack", "losses.cross_entropy_vec"):
+        assert layer not in calls, layer
     assert [preset for preset, _, _ in clock.trials] == ["sam_a_smoothed"]

@@ -1,0 +1,237 @@
+"""The closed-form training step against the tape it replaced.
+
+harness.batch_loss_and_grads computes the training objective and its
+gradients in plain numpy. The tape (forward_stack, supervised_loss,
+vicreg_loss, joint_loss and backward) is kept as the reference: the
+numpy step must reproduce it bit for bit, signed zeros included, and
+must raise NumericalError wherever the tape does.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from skewtrain.autodiff import NumericalError, Tape, backward, finite_diff_check
+from skewtrain.data import ClassProfile
+from skewtrain.harness import (
+    MethodSpec,
+    apply_method,
+    batch_loss_and_grads,
+    config_from_dict,
+    supervised_loss,
+    train_model,
+)
+from skewtrain.losses import (
+    FocalSpec,
+    JointLossSpec,
+    ReweightSpec,
+    SmoothingSpec,
+    joint_loss,
+    reweight_class_weights,
+    vicreg_loss,
+)
+from skewtrain.models import MLPParams, forward_stack, mlp_init, mlp_predict, params_to_named
+from skewtrain.optim import SamSpec, rho_per_class
+
+
+def _tape_loss_and_grads(
+    params_named, example_weights, *, xb, yb, views, epoch, method, profile, class_w,
+    mlp_sizes, proj_sizes,
+):
+    """The training objective on the tape: the reference for batch_loss_and_grads."""
+    tape = Tape()
+    leaves = {name: tape.leaf(arr, name=name) for name, arr in params_named.items()}
+    mlp_leaves = {n: v for n, v in leaves.items() if n.startswith("mlp.")}
+    n_mlp_layers = len(mlp_sizes) - 1
+    logits, _ = forward_stack(tape.constant(xb), mlp_leaves, n_mlp_layers, "mlp")
+    total = supervised_loss(tape, logits, yb, method, profile, class_w, epoch, example_weights)
+    if method.joint_ssl:
+        proj_leaves = {n: v for n, v in leaves.items() if n.startswith("proj.")}
+        embeddings = []
+        for view in views:
+            _, penult = forward_stack(tape.constant(view), mlp_leaves, n_mlp_layers, "mlp")
+            emb, _ = forward_stack(penult, proj_leaves, len(proj_sizes) - 1, "proj")
+            embeddings.append(emb)
+        ssl = vicreg_loss(tape, embeddings[0], embeddings[1], method.vicreg)
+        total = joint_loss(tape, total, ssl, method.joint)
+    grads = backward(tape, total)
+    return float(total.value), {name: grads[leaves[name].idx] for name in leaves}
+
+
+_SAM = SamSpec(rho=0.05, mode="sam_a_paper")
+_DEFER = ReweightSpec(defer_epoch=1)
+
+METHODS = {
+    "erm": MethodSpec(),
+    "reweighted": MethodSpec(loss="reweighted", reweight=_DEFER),
+    "smoothed_paper": MethodSpec(loss="smoothed"),
+    "smoothed_inverse": MethodSpec(
+        loss="smoothed", smoothing=SmoothingSpec(mode="inverse_proportion")),
+    "focal_0": MethodSpec(loss="focal", focal=FocalSpec(gamma=0.0)),
+    "focal_0.5": MethodSpec(loss="focal", focal=FocalSpec(gamma=0.5)),
+    "focal_2": MethodSpec(loss="focal", focal=FocalSpec(gamma=2.0)),
+    "joint_0": MethodSpec(joint_ssl=True, joint=JointLossSpec(lam=0.0)),
+    "joint_0.7": MethodSpec(joint_ssl=True, joint=JointLossSpec(lam=0.7)),
+    "joint_2.5_reweighted": MethodSpec(
+        loss="reweighted", reweight=_DEFER, joint_ssl=True, joint=JointLossSpec(lam=2.5)),
+}
+
+# (hidden sizes, classes, batch size, projector sizes after its input);
+# "wide" has the toy problem's hidden layers and batch, where numpy's
+# symmetric product centered.T @ centered rounds differently from the
+# tape's general one.
+SHAPES = {
+    "one_hidden": ([16], 2, 7, [6, 5]),
+    "three_hidden": ([8, 6, 4], 3, 7, [6, 5]),
+    "wide": ([64, 64], 5, 128, [12, 10]),
+}
+
+
+def _instance(shape: str, method: MethodSpec, ascent: bool, epoch: int, seed: int = 0):
+    """(params, example_weights, keyword arguments) of one training-step call."""
+    hidden, k, batch, projector = SHAPES[shape]
+    profile = ClassProfile(np.array([40, 12, 3, 2, 1][:k]))
+    rng = np.random.default_rng(seed)
+    mlp_sizes = [2] + hidden + [k]
+    proj_sizes = [hidden[-1]] + projector
+    params = params_to_named(mlp_init(mlp_sizes, seed=seed), "mlp")
+    if method.joint_ssl:
+        params.update(params_to_named(mlp_init(proj_sizes, seed=seed + 1), "proj"))
+    xb = rng.normal(size=(batch, 2)) * 2.0
+    yb = np.arange(batch) % k
+    views = [xb + rng.normal(size=xb.shape) * 0.3, xb * 1.1 + rng.normal(size=xb.shape) * 0.3]
+    weights = rho_per_class(profile, _SAM)[yb] / _SAM.rho if ascent else None
+    kwargs = dict(
+        xb=xb, yb=yb, views=views if method.joint_ssl else None, epoch=epoch, method=method,
+        profile=profile, class_w=reweight_class_weights(profile), mlp_sizes=mlp_sizes,
+        proj_sizes=proj_sizes if method.joint_ssl else None,
+    )
+    return params, weights, kwargs
+
+
+@pytest.mark.parametrize("epoch", [0, 1], ids=["before_defer", "at_defer"])
+@pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", METHODS)
+def test_fused_step_is_bitwise_the_tape(name, shape, ascent, epoch):
+    params, weights, kwargs = _instance(shape, METHODS[name], ascent, epoch)
+    want_loss, want = _tape_loss_and_grads(params, weights, **kwargs)
+    got_loss, got = batch_loss_and_grads(params, weights, **kwargs)
+    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+    assert list(got) == list(want) == list(params)
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        # tobytes tells -0.0 from 0.0
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def test_fused_step_fills_zeros_for_unused_parameters():
+    params, weights, kwargs = _instance("one_hidden", METHODS["erm"], False, 0)
+    params["proj.w0"] = np.ones((16, 4))
+    _, grads = batch_loss_and_grads(params, weights, **kwargs)
+    _, want = _tape_loss_and_grads(params, weights, **kwargs)
+    assert list(grads) == list(params)
+    assert grads["proj.w0"].tobytes() == want["proj.w0"].tobytes() == np.zeros((16, 4)).tobytes()
+
+
+@pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])
+@pytest.mark.parametrize("name", ["erm", "reweighted", "smoothed_paper", "focal_2", "joint_0.7"])
+def test_fused_gradients_match_finite_differences(name, ascent):
+    params, weights, kwargs = _instance("one_hidden", METHODS[name], ascent, epoch=1, seed=3)
+    loss, grads = batch_loss_and_grads(params, weights, **kwargs)
+    # VICReg ignores a common shift of both views' embeddings, so the
+    # projector's output bias has a zero gradient that only rounding
+    # moves; finite differences cannot resolve it relatively.
+    shift_invariant = [n for n in params if n == "proj.b1"]
+    for n in shift_invariant:
+        assert np.abs(grads[n]).max() < 1e-12
+    names = [n for n in params if n not in shift_invariant]
+
+    def f(point):
+        return batch_loss_and_grads({**params, **dict(zip(names, point))}, weights, **kwargs)[0]
+
+    assert f([params[n] for n in names]) == loss
+    report = finite_diff_check(f, [params[n] for n in names], [grads[n] for n in names],
+                               tolerance=1e-4)
+    assert report.passed, f"max rel err {report.max_relative_error:.3e}"
+
+
+def _one_layer(logits_rows, labels, method):
+    """A step call whose logits are exactly logits_rows: identity weights, no hidden layer."""
+    xb = np.array(logits_rows, dtype=np.float64)
+    k = xb.shape[1]
+    params = {"mlp.w0": np.eye(k), "mlp.b0": np.zeros(k)}
+    kwargs = dict(
+        xb=xb, yb=np.array(labels), views=None, epoch=0, method=method,
+        profile=ClassProfile(np.array([5] * k)), class_w=np.ones(k), mlp_sizes=[k, k],
+        proj_sizes=None,
+    )
+    return params, kwargs
+
+
+def test_focal_below_one_raises_where_the_tape_raises():
+    # a margin of 40 rounds p_t to 1, and d/dp (1 - p)^0.5 is infinite there
+    method = MethodSpec(loss="focal", focal=FocalSpec(gamma=0.5))
+    params, kwargs = _one_layer([[40.0, 0.0], [0.0, 1.0]], [0, 1], method)
+    with pytest.raises(NumericalError):
+        _tape_loss_and_grads(params, None, **kwargs)
+    with pytest.raises(NumericalError, match="focal power-rule gradient"):
+        batch_loss_and_grads(params, None, **kwargs)
+
+
+def test_overflowing_pre_activation_is_named():
+    params, kwargs = _one_layer([[1e200, 0.0], [0.0, 1.0]], [0, 1], MethodSpec())
+    params["mlp.w0"] = params["mlp.w0"] * 1e200
+    with pytest.raises(NumericalError):
+        _tape_loss_and_grads(params, None, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        match = r"non-finite pre-activation in layer 0 of a \[2, 2\] stack"
+        with pytest.raises(NumericalError, match=match):
+            batch_loss_and_grads(params, None, **kwargs)
+
+
+def test_joint_ssl_divergence_is_reported_at_the_tape_step():
+    # The tape objective diverged here too, at the same epoch and step.
+    cfg = apply_method(config_from_dict({
+        "data": {"classes": 3, "train_per_class": 30, "test_per_class": 20, "sigma": 0.5},
+        "train": {"lr0": 0.1, "epochs": 2, "warmup_epochs": 1, "batch_size": 32},
+        "hidden": [8],
+        "seeds": [0],
+    }), "joint_ssl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"training diverged at epoch 1, step 0 \(seed 0\)"):
+            train_model(cfg, 0)
+
+
+def _reference_predict(params: MLPParams, x):
+    """mlp_predict as it was before it shared mlp_forward with training."""
+    h = np.asarray(x, dtype=np.float64)
+    penultimate = h
+    n = len(params.weights)
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if i < n - 1:
+            h = np.maximum(h, 0.0)
+            penultimate = h
+    shifted = h - h.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    return probs.argmax(axis=1), probs, penultimate
+
+
+@pytest.mark.parametrize("sizes", [[2, 5], [2, 16, 3], [3, 8, 6, 4, 5]],
+                         ids=["no_hidden", "one_hidden", "three_hidden"])
+def test_mlp_predict_is_bitwise_unchanged(sizes):
+    params = mlp_init(sizes, seed=11)
+    params.biases = [np.random.default_rng(i).normal(size=b.shape) for i, b in enumerate(params.biases)]
+    x = np.random.default_rng(12).normal(size=(33, sizes[0])) * 3.0
+    got = mlp_predict(params, x)
+    want = _reference_predict(params, x)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    if len(sizes) == 2:
+        assert got[2].tobytes() == x.tobytes()  # no hidden layer: the penultimate is the input

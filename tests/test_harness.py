@@ -310,6 +310,25 @@ def test_axis_config_rejects_bad_values(axis, value, message):
     assert str(info.value).startswith(f"{axis} value {value!r}")
 
 
+@pytest.mark.parametrize("axis, value, message", [
+    ("batch_size", 16.7, "expected an integer"),
+    ("batch_size", True, "got a bool"),
+    ("n_majority", 2.5, "expected an integer"),
+    ("n_majority", np.bool_(True), "got a bool"),
+    ("r_test", True, "got a bool"),
+])
+def test_axis_config_rejects_bools_and_fractions(axis, value, message):
+    with pytest.raises(ConfigError, match=message) as info:
+        axis_config(_tiny_config(), axis, value)
+    assert str(info.value).startswith(f"{axis} value {value!r}")
+
+
+def test_axis_config_casts_integral_values():
+    cfg = axis_config(_tiny_config(), "batch_size", 16.0)
+    assert cfg.train.batch_size == 16 and type(cfg.train.batch_size) is int
+    assert axis_config(_tiny_config(), "r_test", 1).r_test == 1.0
+
+
 def test_axis_config_unknown_axis():
     with pytest.raises(ConfigError, match="axis must be one of"):
         axis_config(_tiny_config(), "learning_rate", 0.1)
@@ -749,6 +768,19 @@ def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
             run_sweep(_tiny_config(), "batch_size", values, out_dir=tmp_path / "out")
     with pytest.raises(ConfigError, match="n_majority value 0: .*majority_size must be >= 1"):
         run_sweep(_tiny_config(), "n_majority", [20, 0], out_dir=tmp_path / "out")
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_sweep_checks_values_after_the_cast(monkeypatch, tmp_path):
+    trained = []
+    monkeypatch.setattr(harness, "train_model", lambda config, seed: trained.append(seed))
+    for axis, values in (("r_test", [1, 1.0]), ("batch_size", [16, 16.0])):
+        with pytest.raises(ConfigError, match="duplicate sweep values"):
+            run_sweep(_tiny_config(), axis, values, out_dir=tmp_path / "out")
+    for values, bad in (([32, 16.7], "16.7"), ([32, True], "True")):
+        with pytest.raises(ConfigError, match=f"batch_size value {bad}"):
+            run_sweep(_tiny_config(), "batch_size", values, out_dir=tmp_path / "out")
     assert trained == []
     assert not (tmp_path / "out").exists()
 

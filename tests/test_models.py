@@ -230,11 +230,17 @@ def test_save_checkpoint_failure_keeps_previous_file(tmp_path, monkeypatch):
     save_checkpoint(path, {"w": np.ones(3)}, {"n": 1})
     before = path.read_bytes()
 
-    def dump_then_fail(doc, fh):
-        fh.write('{"format_version": 1, "tens')
+    # the document fails to encode, so nothing reaches the temporary file
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_checkpoint(path, {"w": np.zeros(3)}, {"n": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    # the temporary file is complete but cannot be moved into place
+    def replace_fails(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr("skewtrain.models.json.dump", dump_then_fail)
+    monkeypatch.setattr("skewtrain.models.os.replace", replace_fails)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, {"w": np.zeros(3)})
     assert path.read_bytes() == before
