@@ -17,16 +17,15 @@ from .autodiff import NumericalError
 from .data import class_profile, curate_exponential, load_csv, save_csv
 from .diagnostics import boundary_grid, collapse_report
 from .harness import (
-    AXES,
     ConfigError,
     SWEEP_AXES,
-    config_hash,
     load_config,
     run_all_seeds,
     run_sweep,
     _jsonify,
+    _write_json,
 )
-from .models import atomic_write, load_checkpoint, mlp_predict, named_to_mlp
+from .models import load_checkpoint, mlp_predict, named_to_mlp
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,14 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis_value(axis: str, text: str):
-    kind = AXES[axis].type
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"{axis} takes {kind.__name__} values, got {text!r}") from None
-
-
 def _load_model(args):
     named, meta = load_checkpoint(args.checkpoint)
     sizes = meta.get("mlp_sizes")
@@ -115,15 +106,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = [_parse_axis_value(args.axis, s.strip()) for s in args.values.split(",") if s.strip()]
-    if not values:
-        raise ConfigError("no sweep values given")
-    baseline = args.baseline
-    if baseline is not None:
-        baseline = _parse_axis_value(args.axis, baseline)
+    # run_sweep casts the strings to the axis type and rejects an empty list.
+    values = [s.strip() for s in args.values.split(",") if s.strip()]
     result = run_sweep(
         config, args.axis, values,
-        out_dir=args.out, baseline=baseline, improvement_mode=args.improvement_mode,
+        out_dir=args.out, baseline=args.baseline, improvement_mode=args.improvement_mode,
     )
     print(f"sweep over {args.axis}: baseline {result.baseline} ({result.improvement_mode})")
     for row in result.rows:
@@ -160,13 +147,11 @@ def _cmd_collapse(args) -> int:
     profile = class_profile(dataset)
     preds, _, feats = mlp_predict(mlp, dataset.X)
     report = collapse_report(feats, dataset.y, preds, profile)
-    doc = json.dumps(_jsonify(report.to_dict()), indent=2)
     if args.out:
-        with atomic_write(args.out) as fh:
-            fh.write(doc + "\n")
+        _write_json(args.out, report.to_dict())
         print(f"wrote collapse report to {args.out}")
     else:
-        print(doc)
+        print(json.dumps(_jsonify(report.to_dict()), indent=2))
     return 0
 
 

@@ -200,18 +200,14 @@ def exponential_counts(n_max: int, ratio: float, num_classes: int) -> np.ndarray
     return np.maximum(1, np.array([round(v) for v in raw], dtype=np.int64))
 
 
-def curate_exponential(dataset: Dataset, ratio: float, seed: int) -> Dataset:
-    """Subsample to an exponential class-size profile.
+def _subsample_per_class(dataset: Dataset, targets: np.ndarray, seed) -> Dataset:
+    """targets[k] samples of each class k, in ascending class order.
 
-    Class 0 keeps n_max (the largest class size in the input) samples
-    and counts decay geometrically to roughly n_max * ratio for the
-    last class, so the curated imbalance ratio is ratio up to rounding.
-    Selection within each class is a seeded uniform draw without
-    replacement; classes stay in ascending id order.
+    Each class is one seeded uniform draw without replacement; a class
+    with fewer samples than its target raises ValueError naming every
+    short class.
     """
     counts_in = np.bincount(dataset.y, minlength=dataset.num_classes)
-    n_max = int(counts_in.max())
-    targets = exponential_counts(n_max, ratio, dataset.num_classes)
     short = np.flatnonzero(counts_in < targets)
     if short.size:
         detail = ", ".join(
@@ -227,41 +223,33 @@ def curate_exponential(dataset: Dataset, ratio: float, seed: int) -> Dataset:
     return Dataset(dataset.X[idx], dataset.y[idx], list(dataset.class_names))
 
 
-def grow_majority(
-    pool: Dataset,
-    n_majority: int,
-    n_minority: int = 200,
-    seed: int = 0,
-    minority_class: int | None = None,
-) -> Dataset:
+def curate_exponential(dataset: Dataset, ratio: float, seed: int) -> Dataset:
+    """Subsample to an exponential class-size profile.
+
+    Class 0 keeps n_max (the largest class size in the input) samples
+    and counts decay geometrically to roughly n_max * ratio for the
+    last class, so the curated imbalance ratio is ratio up to rounding.
+    Selection within each class is a seeded uniform draw without
+    replacement; classes stay in ascending id order.
+    """
+    n_max = int(np.bincount(dataset.y, minlength=dataset.num_classes).max())
+    targets = exponential_counts(n_max, ratio, dataset.num_classes)
+    return _subsample_per_class(dataset, targets, seed)
+
+
+def grow_majority(pool: Dataset, n_majority: int, n_minority: int = 200, seed: int = 0) -> Dataset:
     """Fix the minority class size and scale every other class.
 
-    With minority_class unset, the rarest class in the pool (lowest id
-    on ties) is the minority. All remaining classes get n_majority
-    samples each, so in the binary case the imbalance ratio is
-    n_minority / n_majority.
+    The rarest class in the pool (lowest id on ties) is the minority and
+    gets n_minority samples; every other class gets n_majority, so in
+    the binary case the imbalance ratio is n_minority / n_majority.
+    Draws are as in curate_exponential.
     """
     if n_majority < 1 or n_minority < 1:
         raise ValueError("class sizes must be >= 1")
-    counts = np.bincount(pool.y, minlength=pool.num_classes)
-    if np.any(counts == 0):
-        raise ValueError("pool is missing samples for some classes")
-    if minority_class is None:
-        minority_class = int(np.argmin(counts))
-    if not 0 <= minority_class < pool.num_classes:
-        raise ValueError(f"minority_class {minority_class} out of range")
-    rng = np.random.default_rng(seed)
-    keep = []
-    for k in range(pool.num_classes):
-        want = n_minority if k == minority_class else n_majority
-        members = np.flatnonzero(pool.y == k)
-        if members.size < want:
-            raise ValueError(
-                f"class {pool.class_names[k]} has {members.size} samples, need {want}"
-            )
-        keep.append(rng.choice(members, size=want, replace=False))
-    idx = np.concatenate(keep)
-    return Dataset(pool.X[idx], pool.y[idx], list(pool.class_names))
+    targets = np.full(pool.num_classes, n_majority, dtype=np.int64)
+    targets[np.argmin(np.bincount(pool.y, minlength=pool.num_classes))] = n_minority
+    return _subsample_per_class(pool, targets, seed)
 
 
 def make_balanced_sampler(dataset: Dataset, batch_size: int, seed: int):

@@ -35,6 +35,7 @@ import math
 import typing
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -800,38 +801,45 @@ def _write_json(path, doc) -> None:
 def run_all_seeds(config: ExperimentConfig, out_dir=None) -> AggregateResult:
     """Run every configured seed sequentially and aggregate.
 
-    Values in each aggregate are ordered by ascending seed so the
-    output is independent of execution order.
+    With out_dir, each seed's JSON and checkpoint are written to
+    out_dir/<config hash>/ as soon as that seed finishes, so a later
+    seed that fails leaves the finished ones on disk; aggregate.json is
+    written last. The directory is created at the first write. Values
+    in each aggregate are ordered by ascending seed so the output is
+    independent of execution order.
     """
-    results = [run_training(config, seed) for seed in config.seeds]
+    chash = config_hash(config)
+    run_dir = None if out_dir is None else Path(out_dir) / chash
+    results = []
+    for seed in config.seeds:
+        result = run_training(config, seed)
+        if run_dir is not None:
+            _write_trial(result, run_dir)
+        results.append(result)
     results.sort(key=lambda r: r.seed)
     aggregates = {}
     for key in AGGREGATED_METRICS:
         vals = [_metric_value(r, key) for r in results]
         aggregates[key] = aggregate(vals)
-    out = AggregateResult(config_hash(config), config, results, aggregates)
-    if out_dir is not None:
-        _write_aggregate(out, out_dir)
+    out =AggregateResult(chash, config, results, aggregates)
+    if run_dir is not None:
+        _write_json(run_dir / "aggregate.json", out.to_dict())
     return out
 
 
-def _write_aggregate(agg: AggregateResult, out_dir) -> None:
-    from pathlib import Path
-
+def _write_trial(result: TrialResult, run_dir: Path) -> None:
+    # Imported at call time: bench/tracing.py rebinds models.save_checkpoint.
     from .models import save_checkpoint
 
-    run_dir = Path(out_dir) / agg.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
-    for r in agg.results:
-        _write_json(run_dir / f"seed_{r.seed}.json", r.to_dict())
-        meta = {
-            "mlp_sizes": r.model.mlp_sizes,
-            "proj_sizes": r.model.proj_sizes,
-            "config_hash": agg.config_hash,
-            "seed": r.seed,
-        }
-        save_checkpoint(run_dir / f"checkpoint_seed_{r.seed}.json", r.model.checkpoint_named(), meta)
-    _write_json(run_dir / "aggregate.json", agg.to_dict())
+    _write_json(run_dir / f"seed_{result.seed}.json", result.to_dict())
+    meta = {
+        "mlp_sizes": result.model.mlp_sizes,
+        "proj_sizes": result.model.proj_sizes,
+        "config_hash": result.config_hash,
+        "seed": result.seed,
+    }
+    save_checkpoint(run_dir / f"checkpoint_seed_{result.seed}.json", result.model.checkpoint_named(), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -975,8 +983,6 @@ def run_sweep(
         improvement_variance=variance,
     )
     if out_dir is not None:
-        from pathlib import Path
-
         sweep_dir = Path(out_dir)
         sweep_dir.mkdir(parents=True, exist_ok=True)
         _write_json(sweep_dir / f"sweep_{axis}.json", result.to_dict())
@@ -1064,9 +1070,11 @@ def run_ratio_grid(
     """Accuracy over the full r_train x r_test grid, per seed.
 
     Each (seed, r_train) model is trained once and evaluated against
-    every curated test split, so the grid stays affordable. The
-    per-ratio configs come from the r_train and r_test sweep axes and
-    are all validated before any training.
+    every curated test split. The ratios change no data setting, so
+    each seed's test pool is built and its test splits curated once,
+    before its models train. The per-ratio configs come from the
+    r_train and r_test sweep axes and are all validated before any
+    training.
     """
     if not train_ratios or not test_ratios:
         raise ConfigError("both ratio lists must be non-empty")
@@ -1074,13 +1082,13 @@ def run_ratio_grid(
     test_cfgs = [axis_config(config, "r_test", rs) for rs in test_ratios]
     per_seed = []
     for seed in config.seeds:
+        _, test_pool = build_pools(config, seed)
+        test_splits = [curate_test_split(cfg, test_pool, seed) for cfg in test_cfgs]
         grid: dict[tuple[float, float], float] = {}
         for cfg in train_cfgs:
-            model = train_model(cfg, seed)
-            _, test_pool = build_pools(cfg, seed)
-            for test_cfg in test_cfgs:
-                test_split = curate_test_split(test_cfg, test_pool, seed)
-                preds, _, _ = mlp_predict(model.eval_mlp(), test_split.X)
+            mlp = train_model(cfg, seed).eval_mlp()
+            for test_cfg, test_split in zip(test_cfgs, test_splits):
+                preds, _, _ = mlp_predict(mlp, test_split.X)
                 grid[(cfg.r_train, test_cfg.r_test)] = float((preds == test_split.y).mean())
         per_seed.append(grid)
     mean_grid = {
@@ -1100,8 +1108,6 @@ def run_ratio_grid(
         misalignment_steps_mean=float(np.mean(steps)),
     )
     if out_dir is not None:
-        from pathlib import Path
-
         grid_dir = Path(out_dir)
         grid_dir.mkdir(parents=True, exist_ok=True)
         _write_json(grid_dir / "ratio_grid.json", result.to_dict())

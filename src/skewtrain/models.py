@@ -43,8 +43,8 @@ class MLPParams:
     biases: list[np.ndarray]
 
 
-def mlp_init(layer_sizes: list[int], seed: int, init: str = "he_normal") -> MLPParams:
-    """Seeded init; he_normal draws N(0, 2/fan_in), biases start at zero."""
+def mlp_init(layer_sizes: list[int], seed: int) -> MLPParams:
+    """Seeded He-normal init: weights N(0, 2/fan_in), biases zero."""
     if len(layer_sizes) < 2:
         raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
     if any(s < 1 for s in layer_sizes):
@@ -52,12 +52,7 @@ def mlp_init(layer_sizes: list[int], seed: int, init: str = "he_normal") -> MLPP
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        if init == "he_normal":
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        elif init == "uniform_small":
-            w = rng.uniform(-0.05, 0.05, size=(fan_in, fan_out))
-        else:
-            raise ValueError(f"unknown init {init!r}")
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
         weights.append(np.ascontiguousarray(w))
         biases.append(np.zeros(fan_out))
     return MLPParams(list(layer_sizes), weights, biases)

@@ -125,11 +125,11 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
     return config.lr0 * 0.5 * (1.0 + math.cos(math.pi * (epoch - config.warmup_epochs) / span))
 
 
-def ema_update(state: OptimState, params: Params, decay: float | None = None) -> OptimState:
-    """ema <- decay * ema + (1 - decay) * theta."""
-    d = state.ema_decay if decay is None else decay
+def ema_update(state: OptimState, params: Params) -> OptimState:
+    """ema <- d * ema + (1 - d) * theta, with d the stored state.ema_decay."""
+    d = state.ema_decay
     if not 0.0 <= d <= 1.0:
-        raise ValueError("decay must be in [0, 1]")
+        raise ValueError("ema_decay must be in [0, 1]")
     _check_keys(params, state.ema, "ema")
     new_ema = {k: d * state.ema[k] + (1.0 - d) * params[k] for k in params}
     return OptimState(state.velocity, new_ema, state.ema_decay)

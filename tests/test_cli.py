@@ -151,8 +151,8 @@ def _refuse_training(monkeypatch):
     ("batch_size", "16,0", "batch_size value 0"),
     ("batch_size", "16,-4", "batch_size value -4"),
     ("n_majority", "20,0", "n_majority value 0"),
-    ("batch_size", "16,abc", "batch_size takes int values, got 'abc'"),
-    ("r_train", "1.0,half", "r_train takes float values, got 'half'"),
+    ("batch_size", "16,abc", "batch_size value 'abc': invalid literal for int() with base 10: 'abc'"),
+    ("r_train", "1.0,half", "r_train value 'half': could not convert string to float: 'half'"),
     ("method", "erm,mixup", "unknown method 'mixup'"),
 ])
 def test_sweep_bad_value_exits_2_before_training(tmp_path, capsys, monkeypatch,
@@ -172,7 +172,7 @@ def test_sweep_bad_baseline_exits_2(tmp_path, capsys):
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                  "--axis", "r_test", "--values", "1.0,0.5", "--baseline", "x"])
     assert code == 2
-    assert "r_test takes float values" in capsys.readouterr().err
+    assert "r_test value 'x': could not convert string to float: 'x'" in capsys.readouterr().err
 
 
 def test_sweep_r_test_command(tmp_path, capsys):

@@ -220,16 +220,10 @@ def test_grow_majority_picks_rarest_class():
     npt.assert_array_equal(class_profile(grown).counts, [400, 50, 400])
 
 
-def test_grow_majority_explicit_minority():
-    pool = _toy([500, 500])
-    grown = grow_majority(pool, n_majority=300, n_minority=100, seed=0, minority_class=0)
-    npt.assert_array_equal(class_profile(grown).counts, [100, 300])
-
-
 def test_grow_majority_rejects_short_pool():
     # class 0 is the rarest so it becomes the minority, and 100 < 150
     pool = _toy([100, 300])
-    with pytest.raises(ValueError, match="has 100 samples, need 150"):
+    with pytest.raises(ValueError, match="have 100, need 150"):
         grow_majority(pool, n_majority=200, n_minority=150, seed=0)
 
 

@@ -683,6 +683,23 @@ def test_run_all_seeds_files_and_aggregates(tmp_path):
     assert doc["seeds"] == [0, 1]
 
 
+def test_run_all_seeds_keeps_finished_seeds_when_a_later_one_fails(tmp_path, monkeypatch):
+    real = harness.run_training
+
+    def run_training(config, seed):
+        if seed == 1:
+            raise NumericalError("training diverged at epoch 0, step 0 (seed 1)")
+        return real(config, seed)
+
+    monkeypatch.setattr(harness, "run_training", run_training)
+    cfg = _tiny_config(seeds=[0, 1])
+    with pytest.raises(NumericalError):
+        run_all_seeds(cfg, out_dir=tmp_path)
+    run_dir = tmp_path / config_hash(cfg)
+    assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint_seed_0.json", "seed_0.json"]
+    assert json.loads((run_dir / "seed_0.json").read_text())["seed"] == 0
+
+
 def test_write_json_failure_keeps_previous_file(tmp_path):
     path = tmp_path / "seed_0.json"
     _write_json(path, {"seed": 0, "overall": 0.5})
@@ -810,6 +827,20 @@ def test_run_ratio_grid_structure(tmp_path):
     doc = json.loads((tmp_path / "ratio_grid.json").read_text())
     assert len(doc["mean_grid"]) == 4
     assert doc["train_ratios"] == [1.0, 0.5]
+
+
+def test_run_ratio_grid_curates_each_test_split_once_per_seed(monkeypatch):
+    real = harness.curate_test_split
+    calls = []
+
+    def curate_test_split(config, pool, seed):
+        calls.append((config.r_test, seed))
+        return real(config, pool, seed)
+
+    monkeypatch.setattr(harness, "curate_test_split", curate_test_split)
+    cfg = _tiny_config(seeds=[0, 1], train=TrainConfig(lr0=0.1, epochs=2, warmup_epochs=1, batch_size=32))
+    run_ratio_grid(cfg, [1.0, 0.5, 0.2], [1.0, 0.5])
+    assert calls == [(1.0, 0), (0.5, 0), (1.0, 1), (0.5, 1)]
 
 
 def test_run_ratio_grid_clears_majority_size(monkeypatch):

@@ -41,19 +41,6 @@ def test_he_normal_std_matches_fan_in():
     assert abs(w.mean()) < 0.01
 
 
-def test_uniform_small_init_bounds():
-    p = mlp_init([100, 100], seed=3, init="uniform_small")
-    w = p.weights[0]
-    assert w.min() >= -0.05 and w.max() <= 0.05
-    # spread should look uniform, not degenerate
-    assert w.std() > 0.02
-
-
-def test_unknown_init_rejected():
-    with pytest.raises(ValueError, match="unknown init"):
-        mlp_init([2, 2], seed=0, init="xavier")
-
-
 def test_init_needs_two_sizes():
     with pytest.raises(ValueError, match="at least"):
         mlp_init([4], seed=0)

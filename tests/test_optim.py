@@ -6,6 +6,7 @@ import pytest
 
 from skewtrain.data import ClassProfile
 from skewtrain.optim import (
+    OptimState,
     SamSpec,
     TrainConfig,
     cosine_lr,
@@ -139,17 +140,14 @@ def test_ema_update_hand_case():
     state = init_state({"w": np.array([0.0])}, ema_decay=0.5)
     state = ema_update(state, params)
     assert state.ema["w"][0] == 0.5
-    # explicit decay argument overrides the stored one
-    state = ema_update(state, params, decay=0.0)
-    assert state.ema["w"][0] == 1.0
 
 
 def test_ema_update_validation():
     state = init_state({"w": np.zeros(1)})
-    with pytest.raises(ValueError, match="decay"):
-        ema_update(state, {"w": np.ones(1)}, decay=-0.1)
     with pytest.raises(ValueError, match="ema keys"):
         ema_update(state, {"v": np.ones(1)})
+    with pytest.raises(ValueError, match="ema_decay"):
+        ema_update(OptimState(state.velocity, state.ema, -0.1), {"w": np.ones(1)})
 
 
 # ---------------------------------------------------------------------------
