@@ -265,8 +265,9 @@ def _bw_powc(g, out, ins, attrs):
     p = attrs["p"]
     if p == 0.0:
         return (np.zeros_like(ins[0]),)
+    # A zero adjoint contributes zero, also where x^(p-1) is infinite (x = 0, p < 1).
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (g * p * np.power(ins[0], p - 1.0),)
+        return (np.where(g == 0.0, g * p, g * p * np.power(ins[0], p - 1.0)),)
 
 
 def _fw_log_softmax_rows(ins, attrs):

@@ -2,7 +2,8 @@
 
 Subcommands: curate, train, sweep, boundary, collapse. Exit codes are
 0 on success, 2 for configuration problems (bad flags, bad config
-files), 3 for runtime failures such as non-finite losses.
+files or values, paths that cannot be read or written), 3 for runtime
+failures such as non-finite losses.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -164,6 +164,8 @@ class ExperimentConfig:
             raise ValueError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("duplicate seeds")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("hidden sizes must be positive")
         for name in ("r_train", "r_test"):
@@ -189,18 +191,49 @@ def _field_hints(cls) -> dict:
     return {f.name: hints.get(f.name) for f in dataclasses.fields(cls)}
 
 
+_KIND_NAMES = {
+    bool: "a bool", int: "an int", float: "a finite number", str: "a string", list[int]: "a list of ints",
+}
+
+
+def _is_kind(value, kind) -> bool:
+    """value fits the scalar field type kind: only bools are bools, a float is any finite number."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _check_value(value, hint, name: str) -> None:
+    """ConfigError unless value has the field's type; nothing is converted."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # every optional field is written X | None
+        if value is None:
+            return
+        hint = args[0]
+    if typing.get_origin(hint) is list:
+        ok = isinstance(value, list) and all(_is_kind(v, typing.get_args(hint)[0]) for v in value)
+    else:
+        ok = _is_kind(value, hint)
+    if not ok:
+        raise ConfigError(f"{name}: expected {_KIND_NAMES[hint]}, got {value!r}")
+
+
 def _strict_from_dict(cls, doc, path: str):
+    """cls built from doc, each value checked against its field type; paths name fields."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(doc).__name__}")
     hints = _field_hints(cls)
     kwargs = {}
     for key, value in doc.items():
+        name = f"{path}.{key}" if path else key
         if key not in hints:
-            raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
-        target = hints[key]
-        if dataclasses.is_dataclass(target) and value is not None:
-            kwargs[key] = _strict_from_dict(target, value, f"{path + '.' if path else ''}{key}")
+            raise ConfigError(f"unknown config key {name}")
+        if dataclasses.is_dataclass(hints[key]):
+            kwargs[key] = _strict_from_dict(hints[key], value, name)
         else:
+            _check_value(value, hints[key], name)
             kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -442,9 +475,6 @@ class TrialResult:
     config_hash: str
     metrics: MetricsReport
     collapse: CollapseReport
-    train_acc_trajectory: list[float]
-    final_train_accuracy: float
-    epochs_to_full_fit: int | None
     model: TrainedModel
 
     def to_dict(self) -> dict:
@@ -453,9 +483,9 @@ class TrialResult:
             "config_hash": self.config_hash,
             "metrics": self.metrics.to_dict(),
             "collapse": self.collapse.to_dict(),
-            "train_acc_trajectory": list(self.train_acc_trajectory),
-            "final_train_accuracy": self.final_train_accuracy,
-            "epochs_to_full_fit": self.epochs_to_full_fit,
+            "train_acc_trajectory": list(self.model.train_acc_trajectory),
+            "final_train_accuracy": self.model.final_train_accuracy,
+            "epochs_to_full_fit": self.model.epochs_to_full_fit,
         }
 
 
@@ -594,11 +624,12 @@ def batch_loss_and_grads(
     return float(loss), grads
 
 
-def train_model(config: ExperimentConfig, seed: int) -> TrainedModel:
-    """Run one training trial; see run_training for the full report."""
+def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> TrainedModel:
+    """Train one (config, seed) trial on the caller's curated train_split.
+
+    Callers build it with build_pools and curate_train_split, once per seed.
+    """
     ss = _seed_children(seed)
-    train_pool, _ = build_pools(config, seed)
-    train_split = curate_train_split(config, train_pool, seed)
     profile = class_profile(train_split)
     k = train_split.num_classes
     mlp_sizes = [train_split.d] + list(config.hidden) + [k]
@@ -687,20 +718,12 @@ def evaluate_model(model: TrainedModel, test_split: Dataset) -> tuple[MetricsRep
 
 
 def run_training(config: ExperimentConfig, seed: int) -> TrialResult:
-    """Train and evaluate one (config, seed) trial."""
-    model = train_model(config, seed)
-    _, test_pool = build_pools(config, seed)
-    test_split = curate_test_split(config, test_pool, seed)
-    metrics, collapse = evaluate_model(model, test_split)
+    """Train and evaluate one (config, seed) trial on pools built once."""
+    train_pool, test_pool = build_pools(config, seed)
+    model = train_model(config, seed, curate_train_split(config, train_pool, seed))
+    metrics, collapse = evaluate_model(model, curate_test_split(config, test_pool, seed))
     return TrialResult(
-        seed=seed,
-        config_hash=config_hash(config),
-        metrics=metrics,
-        collapse=collapse,
-        train_acc_trajectory=model.train_acc_trajectory,
-        final_train_accuracy=model.final_train_accuracy,
-        epochs_to_full_fit=model.epochs_to_full_fit,
-        model=model,
+        seed=seed, config_hash=config_hash(config), metrics=metrics, collapse=collapse, model=model,
     )
 
 
@@ -758,7 +781,7 @@ def _metric_value(result: TrialResult, key: str) -> float:
         return getattr(result.metrics, key)
     if hasattr(result.collapse, key):
         return getattr(result.collapse, key)
-    return getattr(result, key)
+    return getattr(result.model, key)
 
 
 @dataclass
@@ -1071,8 +1094,9 @@ def run_ratio_grid(
 
     Each (seed, r_train) model is trained once and evaluated against
     every curated test split. The ratios change no data setting, so
-    each seed's test pool is built and its test splits curated once,
-    before its models train. The per-ratio configs come from the
+    each seed's pools are built once: every train ratio curates its
+    split from the shared train pool, and the test splits are curated
+    once, before the models train. The per-ratio configs come from the
     r_train and r_test sweep axes and are all validated before any
     training.
     """
@@ -1082,11 +1106,11 @@ def run_ratio_grid(
     test_cfgs = [axis_config(config, "r_test", rs) for rs in test_ratios]
     per_seed = []
     for seed in config.seeds:
-        _, test_pool = build_pools(config, seed)
+        train_pool, test_pool = build_pools(config, seed)
         test_splits = [curate_test_split(cfg, test_pool, seed) for cfg in test_cfgs]
         grid: dict[tuple[float, float], float] = {}
         for cfg in train_cfgs:
-            mlp = train_model(cfg, seed).eval_mlp()
+            mlp = train_model(cfg, seed, curate_train_split(cfg, train_pool, seed)).eval_mlp()
             for test_cfg, test_split in zip(test_cfgs, test_splits):
                 preds, _, _ = mlp_predict(mlp, test_split.X)
                 grid[(cfg.r_train, test_cfg.r_test)] = float((preds == test_split.y).mean())

@@ -155,8 +155,10 @@ def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray):
 def focal_and_grad(logits: np.ndarray, labels: np.ndarray, spec: FocalSpec):
     """Numpy focal_vec: (per-example losses, grad), as cross_entropy_and_grad.
 
-    A non-finite power-rule gradient raises NumericalError; with
-    gamma < 1 that happens once some p_t rounds to 1.
+    The power-rule term g * -log p_t * gamma * (1 - p_t)^(gamma - 1) is
+    0 where g * -log p_t is 0, as on the tape: with gamma < 1 the power
+    is infinite once p_t rounds to 1, where -log p_t is 0 and the term's
+    limit is 0. Any other non-finite term raises NumericalError.
     """
     hot = one_hot(labels, logits.shape[1])
     lsm = _log_softmax(logits)
@@ -172,7 +174,10 @@ def focal_and_grad(logits: np.ndarray, labels: np.ndarray, spec: FocalSpec):
         if gamma == 0.0:
             g_base = np.zeros_like(one_minus_pt)
         else:
-            g_base = g * neg_log_pt * gamma * np.power(one_minus_pt, gamma - 1.0)
+            g_pow = g * neg_log_pt
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = np.power(one_minus_pt, gamma - 1.0)
+                g_base = np.where(g_pow == 0.0, g_pow * gamma, g_pow * gamma * slope)
         if not np.isfinite(g_base).all():
             raise NumericalError("non-finite focal power-rule gradient")
         g_log_pt = g * weight * -1.0 + g_base * -1.0 * pt

@@ -37,6 +37,8 @@ from skewtrain.harness import (
     TrainConfig,
     aggregate,
     apply_method,
+    build_pools,
+    curate_train_split,
     misalignment,
     misalignment_steps,
     percent_improvement,
@@ -109,6 +111,12 @@ def _toy_config() -> ExperimentConfig:
 
 
 _TRIALS: dict[str, list] = {}
+
+
+def _train(config: ExperimentConfig, seed: int):
+    """train_model on the curated train split of (config, seed), as run_training builds it."""
+    train_pool, _ = build_pools(config, seed)
+    return train_model(config, seed, curate_train_split(config, train_pool, seed))
 
 
 def _toy_trials(preset: str):
@@ -356,12 +364,12 @@ def test_optimizer_degeneracies_are_bitwise(verdict):
             for name in m1.raw
         )
 
-    zero_rho = train_model(uniform_config("sam", 0.0), seed=0)
-    plain = train_model(uniform_config("off", 0.0), seed=0)
+    zero_rho = _train(uniform_config("sam", 0.0), seed=0)
+    plain = _train(uniform_config("off", 0.0), seed=0)
     zero_rho_harness = same_weights(zero_rho, plain)
 
-    sam = train_model(uniform_config("sam", 0.1), seed=0)
-    sam_a = train_model(uniform_config("sam_a_inverse", 0.1), seed=0)
+    sam = _train(uniform_config("sam", 0.1), seed=0)
+    sam_a = _train(uniform_config("sam_a_inverse", 0.1), seed=0)
     uniform_identical = same_weights(sam, sam_a)
 
     verdict(
@@ -486,7 +494,7 @@ def test_imbalanced_toy_problem_fits_completely(verdict):
     cfg.stop_at_train_acc = 1.0
     fit_epochs = []
     for seed in cfg.seeds:
-        model = train_model(cfg, seed)
+        model = _train(cfg, seed)
         fit_epochs.append(model.epochs_to_full_fit)
     elapsed = time.perf_counter() - t0
     fits = [e is not None and e <= 500 for e in fit_epochs]

@@ -1,8 +1,13 @@
+import copy
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewtrain import harness
 from skewtrain.cli import main
@@ -141,7 +146,7 @@ def test_sweep_duplicate_values(tmp_path, capsys):
 
 
 def _refuse_training(monkeypatch):
-    def train_model(config, seed):
+    def train_model(config, seed, train_split):
         raise AssertionError("a sweep with a bad value started training")
 
     monkeypatch.setattr(harness, "train_model", train_model)
@@ -323,3 +328,73 @@ def test_collapse_command_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert 0.0 <= doc["ncc_agreement"] <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["curate_in_dir", "train_config_dir", "collapse_checkpoint_dir",
+                                     "train_out_under_file"])
+def test_unusable_paths_exit_2(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path / "cfg.json")
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    argv = {
+        "curate_in_dir": ["curate", "--in", str(tmp_path / "a_dir"), "--out", str(tmp_path / "o.csv"),
+                          "--ratio", "0.5"],
+        "train_config_dir": ["train", "--config", str(tmp_path / "a_dir"), "--out", str(tmp_path / "r")],
+        "collapse_checkpoint_dir": ["collapse", "--checkpoint", str(tmp_path / "a_dir"),
+                                    "--data", str(tmp_path / "a_file")],
+        "train_out_under_file": ["train", "--config", str(cfg), "--out", str(tmp_path / "a_file" / "sub")],
+    }[command]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _config_nodes(doc, path=()):
+    """(path, value) of every object and leaf below the top level of a config document."""
+    for key, value in doc.items():
+        yield path + (key,), value
+        if isinstance(value, dict):
+            yield from _config_nodes(value, path + (key,))
+
+
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_TEXT = st.text(max_size=3)
+_LISTS = st.lists(st.integers(), max_size=2)
+# Values of the wrong kind for a field whose valid value has this Python type.
+# A None default stands for an optional field of any kind.
+_WRONG_KIND = {
+    dict: st.one_of(st.none(), st.integers(), _TEXT, _LISTS),
+    bool: st.one_of(st.none(), st.integers(), st.floats(), _TEXT),
+    int: st.one_of(st.none(), st.booleans(), st.floats(), _TEXT, _LISTS),
+    float: st.one_of(st.none(), st.booleans(), _NON_FINITE, _TEXT, _LISTS),
+    str: st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _LISTS),
+    list: st.one_of(
+        st.none(), st.integers(), _TEXT,
+        st.lists(st.one_of(st.booleans(), st.floats(), _TEXT, st.none()), min_size=1, max_size=2),
+    ),
+    type(None): st.one_of(_NON_FINITE, st.just({"a": 1}), st.just([["a"]])),
+}
+_FULL_TINY = harness.config_to_dict(harness.config_from_dict(TINY_CONFIG))
+_NODES = list(_config_nodes(_FULL_TINY))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_malformed_config_value_exits_2_and_writes_nothing(data):
+    path, valid = data.draw(st.sampled_from(_NODES), label="node")
+    bad = data.draw(_WRONG_KIND[type(valid)], label="value")
+    doc = copy.deepcopy(_FULL_TINY)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = Path(tmp) / "results"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()

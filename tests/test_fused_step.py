@@ -18,6 +18,7 @@ from skewtrain.harness import (
     MethodSpec,
     apply_method,
     batch_loss_and_grads,
+    build_pools,
     config_from_dict,
     supervised_loss,
     train_model,
@@ -170,14 +171,23 @@ def _one_layer(logits_rows, labels, method):
     return params, kwargs
 
 
-def test_focal_below_one_raises_where_the_tape_raises():
-    # a margin of 40 rounds p_t to 1, and d/dp (1 - p)^0.5 is infinite there
-    method = MethodSpec(loss="focal", focal=FocalSpec(gamma=0.5))
-    params, kwargs = _one_layer([[40.0, 0.0], [0.0, 1.0]], [0, 1], method)
-    with pytest.raises(NumericalError):
-        _tape_loss_and_grads(params, None, **kwargs)
-    with pytest.raises(NumericalError, match="focal power-rule gradient"):
-        batch_loss_and_grads(params, None, **kwargs)
+def test_focal_at_p_t_one_is_finite_and_bitwise_the_tape():
+    # A margin of 40 rounds p_t to 1 and -log p_t to 0. Below gamma 1,
+    # d/dp (1 - p)^gamma is infinite there; both paths use the power-rule
+    # term's limit, 0, instead of 0 * inf.
+    for gamma in (0.5, 2.0):
+        method = MethodSpec(loss="focal", focal=FocalSpec(gamma=gamma))
+        params, kwargs = _one_layer([[40.0, 0.0], [0.0, 1.0]], [0, 1], method)
+        want_loss, want = _tape_loss_and_grads(params, None, **kwargs)
+        got_loss, got = batch_loss_and_grads(params, None, **kwargs)
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+        for key in want:
+            assert np.isfinite(got[key]).all(), (gamma, key)
+            assert got[key].tobytes() == want[key].tobytes(), (gamma, key)
+        # the first example adds nothing: the gradient is the second one's alone
+        params_2, kwargs_2 = _one_layer([[0.0, 1.0]], [1], method)
+        _, alone = batch_loss_and_grads(params_2, None, **kwargs_2)
+        np.testing.assert_array_equal(got["mlp.b0"], alone["mlp.b0"] / 2)
 
 
 def test_overflowing_pre_activation_is_named():
@@ -203,7 +213,7 @@ def test_joint_ssl_divergence_is_reported_at_the_tape_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=r"training diverged at epoch 1, step 0 \(seed 0\)"):
-            train_model(cfg, 0)
+            train_model(cfg, 0, build_pools(cfg, 0)[0])  # uncurated: the pool is the split
 
 
 def _reference_predict(params: MLPParams, x):

@@ -88,6 +88,29 @@ def test_config_from_dict_bad_values_carry_path():
         config_from_dict({"train": {"lr0": -1.0}})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"train": {"lr0": math.nan}}, "train.lr0: expected a finite number, got nan"),
+    ({"method": {"sam": {"rho": math.inf}}}, "method.sam.rho: expected a finite number, got inf"),
+    ({"train": {"warmup_epochs": 0.5}}, "train.warmup_epochs: expected an int, got 0.5"),
+    ({"data": {"classes": True}}, "data.classes: expected an int, got True"),
+    ({"method": {"joint_ssl": "no"}}, "method.joint_ssl: expected a bool, got 'no'"),
+    ({"seeds": [True, 2]}, r"seeds: expected a list of ints, got \[True, 2\]"),
+    ({"method": {"projector": [4, 2.5]}}, r"method.projector: expected a list of ints"),
+    ({"data": {"label_col": None}}, "data.label_col: expected a string, got None"),
+    ({"method": {"sam": None}}, "method.sam: expected an object, got NoneType"),
+    ({"seeds": [0, -1]}, r"seeds must be >= 0, got \[0, -1\]"),
+])
+def test_config_values_are_checked_against_their_field_types(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(doc)
+
+
+def test_config_values_are_not_converted():
+    cfg = config_from_dict({"train": {"lr0": 1}, "r_test": None, "method": {"projector": None}})
+    assert type(cfg.train.lr0) is int  # a float field keeps an int, so the config hash is unchanged
+    assert cfg.r_test is None and cfg.method.projector is None
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="duplicate seeds"):
         _tiny_config(seeds=[0, 0])
@@ -599,7 +622,7 @@ def test_run_training_is_deterministic():
         npt.assert_array_equal(a.model.raw[name], b.model.raw[name])
         npt.assert_array_equal(a.model.ema[name], b.model.ema[name])
     assert a.metrics.overall == b.metrics.overall
-    assert a.train_acc_trajectory == b.train_acc_trajectory
+    assert a.model.train_acc_trajectory == b.model.train_acc_trajectory
     c = run_training(cfg, seed=1)
     assert any(not np.array_equal(a.model.raw[n], c.model.raw[n]) for n in a.model.raw)
 
@@ -610,17 +633,18 @@ def test_run_training_fits_separable_data():
         train=TrainConfig(lr0=0.1, epochs=20, warmup_epochs=1, batch_size=32),
     )
     res = run_training(cfg, seed=0)
-    assert res.final_train_accuracy == 1.0
-    assert res.epochs_to_full_fit is not None
-    assert res.train_acc_trajectory[res.epochs_to_full_fit - 1] == 1.0
-    if res.epochs_to_full_fit > 1:
-        assert res.train_acc_trajectory[res.epochs_to_full_fit - 2] < 1.0
+    model = res.model
+    assert model.final_train_accuracy == 1.0
+    assert model.epochs_to_full_fit is not None
+    assert model.train_acc_trajectory[model.epochs_to_full_fit - 1] == 1.0
+    if model.epochs_to_full_fit > 1:
+        assert model.train_acc_trajectory[model.epochs_to_full_fit - 2] < 1.0
 
 
 def test_stop_at_train_acc_short_circuits():
     cfg = _tiny_config(stop_at_train_acc=0.0)
     res = run_training(cfg, seed=0)
-    assert len(res.train_acc_trajectory) == 1
+    assert len(res.model.train_acc_trajectory) == 1
 
 
 def test_run_training_curated_profile():
@@ -641,7 +665,7 @@ def test_run_training_joint_ssl_smoke():
     res = run_training(cfg, seed=0)
     assert res.model.proj_sizes == [8, 32, 32]
     assert any(n.startswith("proj.") for n in res.model.raw)
-    assert np.isfinite(res.final_train_accuracy)
+    assert np.isfinite(res.model.final_train_accuracy)
 
 
 def test_run_training_divergence_is_reported():
@@ -741,8 +765,8 @@ def _record_trained_profiles(monkeypatch):
     seen = []
     real = harness.train_model
 
-    def train_model(config, seed):
-        model = real(config, seed)
+    def train_model(config, seed, train_split):
+        model = real(config, seed, train_split)
         seen.append(model.profile.counts.tolist())
         return model
 
@@ -779,7 +803,7 @@ def test_run_sweep_r_test_axis():
 
 def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
     trained = []
-    monkeypatch.setattr(harness, "train_model", lambda config, seed: trained.append(seed))
+    monkeypatch.setattr(harness, "train_model", lambda config, seed, train_split: trained.append(seed))
     for values in ([16, 0], [16, -4]):
         with pytest.raises(ConfigError, match=f"batch_size value {values[1]}"):
             run_sweep(_tiny_config(), "batch_size", values, out_dir=tmp_path / "out")
@@ -791,7 +815,7 @@ def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
 
 def test_run_sweep_checks_values_after_the_cast(monkeypatch, tmp_path):
     trained = []
-    monkeypatch.setattr(harness, "train_model", lambda config, seed: trained.append(seed))
+    monkeypatch.setattr(harness, "train_model", lambda config, seed, train_split: trained.append(seed))
     for axis, values in (("r_test", [1, 1.0]), ("batch_size", [16, 16.0])):
         with pytest.raises(ConfigError, match="duplicate sweep values"):
             run_sweep(_tiny_config(), axis, values, out_dir=tmp_path / "out")
@@ -843,6 +867,32 @@ def test_run_ratio_grid_curates_each_test_split_once_per_seed(monkeypatch):
     assert calls == [(1.0, 0), (0.5, 0), (1.0, 1), (0.5, 1)]
 
 
+def _count_build_pools(monkeypatch):
+    """Make harness.build_pools record the seed of each call and pass it through."""
+    real = harness.build_pools
+    seeds = []
+
+    def build_pools(config, seed):
+        seeds.append(seed)
+        return real(config, seed)
+
+    monkeypatch.setattr(harness, "build_pools", build_pools)
+    return seeds
+
+
+def test_run_all_seeds_builds_each_trials_pools_once(monkeypatch):
+    seeds = _count_build_pools(monkeypatch)
+    run_all_seeds(_tiny_config(seeds=[0, 1], r_train=0.2))
+    assert seeds == [0, 1]
+
+
+def test_run_ratio_grid_builds_pools_once_per_seed(monkeypatch):
+    seeds = _count_build_pools(monkeypatch)
+    cfg = _tiny_config(seeds=[0, 1], train=TrainConfig(lr0=0.1, epochs=2, warmup_epochs=1, batch_size=32))
+    run_ratio_grid(cfg, [1.0, 0.5, 0.2], [1.0, 0.5])
+    assert seeds == [0, 1]
+
+
 def test_run_ratio_grid_clears_majority_size(monkeypatch):
     seen = _record_trained_profiles(monkeypatch)
     cfg = _tiny_config(majority_size=20, n_minority=5, train=TrainConfig(
@@ -854,7 +904,7 @@ def test_run_ratio_grid_clears_majority_size(monkeypatch):
 
 def test_run_ratio_grid_bad_ratio_fails_before_training(monkeypatch):
     trained = []
-    monkeypatch.setattr(harness, "train_model", lambda config, seed: trained.append(seed))
+    monkeypatch.setattr(harness, "train_model", lambda config, seed, train_split: trained.append(seed))
     with pytest.raises(ConfigError, match="r_test value 0.0"):
         run_ratio_grid(_tiny_config(), [1.0], [1.0, 0.0])
     assert trained == []
