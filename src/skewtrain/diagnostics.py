@@ -263,8 +263,8 @@ def boundary_grid(
     if params.layer_sizes[0] != 2:
         raise ValueError(f"boundary grids need a 2-d input model, got d_in={params.layer_sizes[0]}")
     x_min, x_max, y_min, y_max = (float(v) for v in bounds)
-    if not (x_min < x_max and y_min < y_max):
-        raise ValueError(f"degenerate bounds {bounds}")
+    if not (np.isfinite([x_min, x_max, y_min, y_max]).all() and x_min < x_max and y_min < y_max):
+        raise ValueError(f"degenerate or non-finite bounds {bounds}")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     xs = np.linspace(x_min, x_max, resolution)

@@ -76,9 +76,10 @@ from .models import (
     mlp_init,
     mlp_predict,
     named_to_mlp,
+    named_views,
     params_to_named,
 )
-from .optim import OptimState, SamSpec, TrainConfig, cosine_lr, ema_update, init_state, sam_step, sgd_update
+from .optim import SamSpec, TrainConfig, cosine_lr, ema_update, init_state, sam_step, sgd_update
 from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
 
 # Training builds no tape, so backward, forward_stack and vicreg_loss
@@ -569,19 +570,20 @@ def supervised_loss_and_grad(
     return loss, vec_grad(adjoint * inv_total * w)
 
 
-def _require_finite(stage: str, *arrays) -> None:
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"non-finite {stage}")
+def _require_finite(stage: str, value) -> None:
+    if not np.isfinite(value).all():
+        raise NumericalError(f"non-finite {stage}")
 
 
 def batch_loss_and_grads(
-    params_named, example_weights, *, xb, yb, views, epoch, method, profile, class_w,
-    mlp_sizes, proj_sizes,
+    theta, example_weights, *, xb, yb, views, epoch, method, profile, class_w,
+    mlp_sizes, proj_sizes, shapes,
 ):
-    """(loss, gradient per parameter name) of the training objective on one batch.
+    """(loss, gradient) of the training objective on one batch.
 
-    sam_step calls it as f(params, example_weights); train_model binds
+    theta and the gradient are vectors holding the tensors of shapes back
+    to back; a tensor the objective does not use gets a zero gradient.
+    sam_step calls it as f(theta, example_weights); train_model binds
     the rest with functools.partial. Forward and backward are closed-form
     numpy (models.mlp_forward/mlp_backward, the losses' *_and_grad
     forms) and repeat the tape's operations in its order, so the result
@@ -590,7 +592,8 @@ def batch_loss_and_grads(
     non-finite pre-activation, loss or gradient raises NumericalError
     naming the stage.
     """
-    mlp = named_to_mlp(params_named, mlp_sizes)
+    named = named_views(theta, shapes)
+    mlp = named_to_mlp(named, mlp_sizes)
     lam = float(method.joint.lam) if method.joint_ssl else 1.0
     grads: dict[str, np.ndarray] = {}
     # Overflow surfaces as NumericalError below, as it does on the tape.
@@ -601,7 +604,7 @@ def batch_loss_and_grads(
         )
         _require_finite("supervised loss", loss)
         if method.joint_ssl:
-            proj = named_to_mlp(params_named, proj_sizes, "proj")
+            proj = named_to_mlp(named, proj_sizes, "proj")
             branches = []
             for view in views:
                 view = np.ascontiguousarray(view, dtype=np.float64)
@@ -616,12 +619,11 @@ def batch_loss_and_grads(
                 g_pen = mlp_backward(proj, proj_inputs, g, "proj", grads, input_grad=True)
                 mlp_backward(mlp, view_inputs[:-1], g_pen * (view_inputs[-1] > 0.0), "mlp", grads)
         mlp_backward(mlp, inputs, g_logits, "mlp", grads)
-        grads = {
-            name: grads[name] if name in grads else np.zeros_like(arr)
-            for name, arr in params_named.items()
-        }
-        _require_finite("gradient", *grads.values())
-    return float(loss), grads
+        # Adding into a zeroed buffer instead would turn -0.0 into +0.0.
+        grad = np.concatenate([grads[name].reshape(-1) if name in grads else np.zeros(arr.size)
+                               for name, arr in named.items()])
+        _require_finite("gradient", grad)
+    return float(loss), grad
 
 
 def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> TrainedModel:
@@ -638,7 +640,11 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     proj_sizes = _projector_sizes(config)
     if proj_sizes is not None:
         named.update(params_to_named(mlp_init(proj_sizes, seed=init_rng.integers(2**32)), "proj"))
-    state = init_state(named, config.ema_decay)
+    shapes = {name: arr.shape for name, arr in named.items()}
+    stops = np.cumsum([arr.size for arr in named.values()]).tolist()
+    bounds = list(zip([0] + stops[:-1], stops))
+    theta = np.concatenate([arr.reshape(-1) for arr in named.values()])
+    state = init_state(theta, config.ema_decay)
 
     method = config.method
     tc = config.train
@@ -670,22 +676,23 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
             loss_and_grads = functools.partial(
                 batch_loss_and_grads, xb=xb, yb=yb, views=views, epoch=epoch, method=method,
                 profile=profile, class_w=class_w, mlp_sizes=mlp_sizes, proj_sizes=proj_sizes,
+                shapes=shapes,
             )
             try:
                 if method.sam.mode != "off":
-                    named, state, _ = sam_step(
-                        named, state, lr, tc, method.sam, loss_and_grads,
+                    theta, state, _ = sam_step(
+                        theta, state, lr, tc, method.sam, loss_and_grads, bounds,
                         batch_labels=yb, profile=profile,
                     )
                 else:
-                    _, grads = loss_and_grads(named, None)
-                    named, state = sgd_update(named, grads, lr, tc, state)
-                    state = ema_update(state, named)
+                    _, grad = loss_and_grads(theta, None)
+                    theta, state = sgd_update(theta, grad, lr, tc, state)
+                    state = ema_update(state, theta)
             except NumericalError as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, step {step} (seed {seed}): {exc}"
                 ) from exc
-        preds, _, _ = mlp_predict(named_to_mlp(named, mlp_sizes), train_split.X)
+        preds, _, _ = mlp_predict(named_to_mlp(named_views(theta, shapes), mlp_sizes), train_split.X)
         acc = float((preds == train_split.y).mean())
         trajectory.append(acc)
         logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)
@@ -697,8 +704,8 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     return TrainedModel(
         mlp_sizes=mlp_sizes,
         proj_sizes=proj_sizes,
-        raw=named,
-        ema=state.ema,
+        raw=named_views(theta, shapes),
+        ema=named_views(state.ema, shapes),
         use_ema_eval=config.use_ema_eval,
         train_split=train_split,
         profile=profile,

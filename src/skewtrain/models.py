@@ -19,6 +19,7 @@ Checkpoints are JSON documents written atomically.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -65,6 +66,15 @@ def params_to_named(params, prefix: str) -> dict[str, np.ndarray]:
         named[f"{prefix}.w{i}"] = w
         named[f"{prefix}.b{i}"] = b
     return named
+
+
+def named_views(vec: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """{name: view of vec} for the tensors of shapes, laid back to back in its order.
+
+    The views share vec's memory; a length mismatch raises ValueError.
+    """
+    parts = np.split(vec, np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
 def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: str = "mlp") -> MLPParams:
@@ -213,7 +223,7 @@ def save_checkpoint(path, named: dict[str, np.ndarray], meta: dict | None = None
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint back.
 
-    Unknown format versions and malformed documents raise ValueError.
+    Unknown format versions, malformed documents and non-finite values raise ValueError.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -228,7 +238,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     named = {}
     for i, entry in enumerate(doc["tensors"]):
         try:
-            named[entry["name"]] = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            if not isinstance(entry["name"], str):
+                raise TypeError(f"name {entry['name']!r} is not a string")
+            named[entry["name"]] = arr
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed tensor entry {i}: {exc!r}") from None
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {entry['name']} holds non-finite values")
     return named, meta

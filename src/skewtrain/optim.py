@@ -1,8 +1,8 @@
 """SGD with momentum, cosine schedule, EMA, and sharpness-aware steps.
 
-Parameters are named float64 arrays; every update is functional (new
-dicts, inputs untouched) so trajectories are bit-reproducible and easy
-to compare across optimizer variants.
+The parameters are one 1-D float64 vector, theta, and the velocity and
+EMA share its layout; names are the caller's. Every update is functional
+(new vectors, inputs untouched) so trajectories are bit-reproducible.
 
 The sharpness-aware step is two-phase: compute the ascent-loss gradient
 at the current point, move rho_eff along its normalized direction,
@@ -64,8 +64,8 @@ class SamSpec:
 
 @dataclass
 class OptimState:
-    velocity: dict[str, np.ndarray]
-    ema: dict[str, np.ndarray]
+    velocity: np.ndarray
+    ema: np.ndarray
     ema_decay: float
 
 
@@ -77,42 +77,23 @@ class StepInfo:
     ascent_skipped: bool
 
 
-Params = dict[str, np.ndarray]
-
-
-def init_state(params: Params, ema_decay: float = 0.999) -> OptimState:
+def init_state(theta: np.ndarray, ema_decay: float = 0.999) -> OptimState:
     """Zero velocity; EMA starts as a copy of the initial parameters."""
     if not 0.0 <= ema_decay <= 1.0:
         raise ValueError("ema_decay must be in [0, 1]")
-    return OptimState(
-        velocity={k: np.zeros_like(v) for k, v in params.items()},
-        ema={k: v.copy() for k, v in params.items()},
-        ema_decay=ema_decay,
-    )
+    return OptimState(velocity=np.zeros_like(theta), ema=theta.copy(), ema_decay=ema_decay)
 
 
-def _check_keys(params: Params, other: dict, what: str):
-    if set(params) != set(other):
-        raise ValueError(f"{what} keys do not match parameter keys")
-
-
-def sgd_update(params: Params, grads: Params, lr: float, config: TrainConfig, state: OptimState):
+def sgd_update(theta: np.ndarray, grad: np.ndarray, lr: float, config: TrainConfig, state: OptimState):
     """One momentum step with coupled weight decay.
 
     g <- grad + weight_decay * theta
     v <- momentum * v + g
     theta <- theta - lr * v
     """
-    _check_keys(params, grads, "gradient")
-    _check_keys(params, state.velocity, "velocity")
-    new_params: Params = {}
-    new_vel: Params = {}
-    for name, theta in params.items():
-        g = grads[name] + config.weight_decay * theta
-        v = config.momentum * state.velocity[name] + g
-        new_params[name] = theta - lr * v
-        new_vel[name] = v
-    return new_params, OptimState(new_vel, state.ema, state.ema_decay)
+    g = grad + config.weight_decay * theta
+    v = config.momentum * state.velocity + g
+    return theta - lr * v, OptimState(v, state.ema, state.ema_decay)
 
 
 def cosine_lr(epoch: int, config: TrainConfig) -> float:
@@ -125,14 +106,10 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
     return config.lr0 * 0.5 * (1.0 + math.cos(math.pi * (epoch - config.warmup_epochs) / span))
 
 
-def ema_update(state: OptimState, params: Params) -> OptimState:
+def ema_update(state: OptimState, theta: np.ndarray) -> OptimState:
     """ema <- d * ema + (1 - d) * theta, with d the stored state.ema_decay."""
     d = state.ema_decay
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("ema_decay must be in [0, 1]")
-    _check_keys(params, state.ema, "ema")
-    new_ema = {k: d * state.ema[k] + (1.0 - d) * params[k] for k in params}
-    return OptimState(state.velocity, new_ema, state.ema_decay)
+    return OptimState(state.velocity, d * state.ema + (1.0 - d) * theta, d)
 
 
 def rho_per_class(profile: ClassProfile, spec: SamSpec) -> np.ndarray:
@@ -153,38 +130,38 @@ def rho_per_class(profile: ClassProfile, spec: SamSpec) -> np.ndarray:
     return np.minimum(10.0 * spec.rho, spec.rho * ((1.0 / profile.num_classes) / p))
 
 
-def sam_perturb(params: Params, grads: Params, rho_eff: float):
+def sam_perturb(theta: np.ndarray, grad: np.ndarray, rho_eff: float, bounds):
     """Move rho_eff along the normalized ascent gradient.
 
-    Returns (perturbed_params, ascent_skipped). The perturbation has L2
-    norm exactly rho_eff over the flattened parameter vector; a zero
-    gradient norm skips the move and flags it.
+    Returns (perturbed_theta, ascent_skipped). The norm sums squares per
+    tensor over bounds, the tensors' (start, stop) offsets, as one sum
+    over theta rounds differently; a zero norm skips the move and flags it.
     """
-    _check_keys(params, grads, "gradient")
     if rho_eff == 0.0:
-        return dict(params), False
-    norm = math.sqrt(sum(float(np.square(g).sum()) for g in grads.values()))
+        return theta, False
+    norm = math.sqrt(sum(float(np.square(grad[a:b]).sum()) for a, b in bounds))
     if norm == 0.0:
-        return dict(params), True
-    scale = rho_eff / norm
-    return {k: params[k] + scale * grads[k] for k in params}, False
+        return theta, True
+    return theta + (rho_eff / norm) * grad, False
 
 
 def sam_step(
-    params: Params,
+    theta: np.ndarray,
     state: OptimState,
     lr: float,
     config: TrainConfig,
     spec: SamSpec,
     loss_and_grads,
+    bounds,
     batch_labels: np.ndarray | None = None,
     profile: ClassProfile | None = None,
 ):
     """Two forward/backward passes, one SGD update, one EMA update.
 
-    loss_and_grads(params, example_weights) -> (loss_value, grads);
-    example_weights is None except for the class-conditional ascent
-    pass, where the callee should average s_i * l_i / sum(s_i).
+    loss_and_grads(theta, example_weights) -> (loss_value, grad), grad in
+    theta's layout; example_weights is None except for the class-conditional
+    ascent pass, where the callee should average s_i * l_i / sum(s_i).
+    bounds, the tensors' offsets in theta, go to sam_perturb.
     """
     if spec.mode == "off":
         raise ValueError("sam_step called with mode 'off'; use sgd_update")
@@ -203,15 +180,15 @@ def sam_step(
             # ulp), which matters when this path must degenerate to
             # plain sam exactly.
             rho_eff = float(radii[0]) if np.all(radii == radii[0]) else float(radii.mean())
-    ascent_loss, ascent_grads = loss_and_grads(params, weights)
-    perturbed, skipped = sam_perturb(params, ascent_grads, rho_eff)
-    descent_loss, descent_grads = loss_and_grads(perturbed, None)
-    new_params, new_state = sgd_update(params, descent_grads, lr, config, state)
-    new_state = ema_update(new_state, new_params)
+    ascent_loss, ascent_grad = loss_and_grads(theta, weights)
+    perturbed, skipped = sam_perturb(theta, ascent_grad, rho_eff, bounds)
+    descent_loss, descent_grad = loss_and_grads(perturbed, None)
+    new_theta, new_state = sgd_update(theta, descent_grad, lr, config, state)
+    new_state = ema_update(new_state, new_theta)
     info = StepInfo(
         ascent_loss=float(ascent_loss),
         descent_loss=float(descent_loss),
         rho_eff=rho_eff,
         ascent_skipped=skipped,
     )
-    return new_params, new_state, info
+    return new_theta, new_state, info

@@ -306,37 +306,33 @@ def test_optimizer_degeneracies_are_bitwise(verdict):
     target = rng.normal(size=8)
     w0 = rng.normal(size=3)
 
-    def loss_and_grads(params, example_weights):
-        w = params["w"]
+    def loss_and_grads(w, example_weights):
         r = design @ w - target
         if example_weights is None:
-            return float((r * r).mean()), {"w": (2.0 / target.size) * (design.T @ r)}
+            return float((r * r).mean()), (2.0 / target.size) * (design.T @ r)
         s = example_weights
-        return (
-            float((s * r * r).sum() / s.sum()),
-            {"w": 2.0 * (design.T @ (s * r)) / s.sum()},
-        )
+        return float((s * r * r).sum() / s.sum()), 2.0 * (design.T @ (s * r)) / s.sum()
 
     tc = TrainConfig(
         lr0=0.05, momentum=0.9, weight_decay=1e-3, epochs=100, warmup_epochs=5, batch_size=8
     )
-    a_params = {"w": w0.copy()}
-    a_state = init_state(a_params)
-    b_params = {"w": w0.copy()}
-    b_state = init_state(b_params)
+    a_theta = w0.copy()
+    a_state = init_state(a_theta)
+    b_theta = w0.copy()
+    b_state = init_state(b_theta)
     zero_radius_identical = True
     for step in range(100):
         lr = cosine_lr(step, tc)
-        a_params, a_state, _ = sam_step(
-            a_params, a_state, lr, tc, SamSpec(rho=0.0, mode="sam"), loss_and_grads
+        a_theta, a_state, _ = sam_step(
+            a_theta, a_state, lr, tc, SamSpec(rho=0.0, mode="sam"), loss_and_grads, [(0, 3)]
         )
-        _, grads = loss_and_grads(b_params, None)
-        b_params, b_state = sgd_update(b_params, grads, lr, tc, b_state)
-        b_state = ema_update(b_state, b_params)
+        _, grad = loss_and_grads(b_theta, None)
+        b_theta, b_state = sgd_update(b_theta, grad, lr, tc, b_state)
+        b_state = ema_update(b_state, b_theta)
         zero_radius_identical = zero_radius_identical and (
-            np.array_equal(a_params["w"], b_params["w"])
-            and np.array_equal(a_state.velocity["w"], b_state.velocity["w"])
-            and np.array_equal(a_state.ema["w"], b_state.ema["w"])
+            np.array_equal(a_theta, b_theta)
+            and np.array_equal(a_state.velocity, b_state.velocity)
+            and np.array_equal(a_state.ema, b_state.ema)
         )
 
     # Part two: with perfectly uniform classes the class-conditional

@@ -34,7 +34,8 @@ def _bindings():
     return names
 
 
-def test_benchmark_hooks_install_trace_a_trial_and_restore():
+def _trace_one_trial(preset):
+    """Install the benchmark's hooks, run one tiny trial of preset and restore them."""
     tracing = _load_tracing()
     sk = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
     before = _bindings()
@@ -44,7 +45,7 @@ def test_benchmark_hooks_install_trace_a_trial_and_restore():
         hidden=[8],
         r_train=0.5,
         seeds=[0],
-    ), "sam_a_smoothed")
+    ), preset)
     tracer = tracing.Tracer()
     clock = tracing.StepClock(types.SimpleNamespace(cutting=False))
     with ExitStack() as stack:
@@ -53,16 +54,32 @@ def test_benchmark_hooks_install_trace_a_trial_and_restore():
         assert harness.backward is not before[("skewtrain.harness", "backward")]
         harness.run_training(cfg, 0)
     assert _bindings() == before
-
-    calls = {layer: st[0] for layer, st in tracer.stats.items()}
-    steps = tracer.counts["harness.steps"]
-    assert steps > 0 and clock.steps == steps
-    assert tracer.counts["optim.sam_steps"] == steps
     assert tracer.top() is None
-    for layer in ("losses.smoothed_targets", "optim.sam_perturb", "harness.train_model"):
-        assert calls.get(layer, 0) > 0, layer
+    assert [p for p, _, _ in clock.trials] == [preset]
+    calls = {layer: st[0] for layer, st in tracer.stats.items()}
     # the training objective is closed-form numpy: no Tape(), backward or tape op
     for layer in ("harness.loss_closure", "autodiff.backward", "autodiff.op_apply",
                   "autodiff.Tape.leaf", "models.forward_stack", "losses.cross_entropy_vec"):
         assert layer not in calls, layer
-    assert [preset for preset, _, _ in clock.trials] == ["sam_a_smoothed"]
+    return tracer, clock, calls
+
+
+def test_benchmark_hooks_install_trace_a_trial_and_restore():
+    tracer, clock, calls = _trace_one_trial("sam_a_smoothed")
+    steps = tracer.counts["harness.steps"]
+    assert steps > 0 and clock.steps == steps
+    assert tracer.counts["optim.sam_steps"] == steps
+    for layer in ("losses.smoothed_targets", "optim.sam_perturb", "harness.train_model"):
+        assert calls.get(layer, 0) > 0, layer
+
+
+def test_benchmark_hooks_trace_the_plain_step():
+    # erm takes the plain path: harness.sgd_update and harness.ema_update,
+    # which the hooks rebind on harness itself
+    tracer, clock, calls = _trace_one_trial("erm")
+    steps = tracer.counts["harness.steps"]
+    assert steps > 0 and clock.steps == steps
+    assert tracer.counts["optim.sam_steps"] == 0
+    assert calls["optim.ema_update"] == steps
+    for layer in ("optim.sam_step", "optim.sam_perturb"):
+        assert layer not in calls, layer

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from skewtrain import harness
 from skewtrain.cli import main
 from skewtrain.data import gen_gaussian_mixture, load_csv, save_csv
-from skewtrain.models import save_checkpoint
+from skewtrain.models import mlp_init, params_to_named, save_checkpoint
 
 TINY_CONFIG = {
     "data": {"classes": 3, "train_per_class": 30, "test_per_class": 20, "sigma": 0.5},
@@ -30,6 +30,14 @@ def _write_dataset_csv(path, classes=3, per_class=20):
 
 def _write_config(path, doc=None):
     path.write_text(json.dumps(doc or TINY_CONFIG))
+    return path
+
+
+def _untrained_checkpoint(path, sizes=(2, 4, 3)):
+    """Save raw and EMA copies of one freshly initialized MLP; no training."""
+    named = params_to_named(mlp_init(list(sizes), seed=0), "mlp")
+    ema = {f"ema.{name}": arr for name, arr in named.items()}
+    save_checkpoint(path, {**named, **ema}, {"mlp_sizes": list(sizes)})
     return path
 
 
@@ -238,10 +246,15 @@ def test_boundary_raw_flag_changes_grid(tmp_path):
 
 def test_boundary_bad_bounds(tmp_path, capsys):
     ckpt = _train_checkpoint(tmp_path)
-    code = main(["boundary", "--checkpoint", str(ckpt), "--bounds", "1,2,3",
-                 "--out", str(tmp_path / "g.csv")])
-    assert code == 2
-    assert "--bounds" in capsys.readouterr().err
+    out = tmp_path / "g.csv"
+    for bounds, message in [("1,2,3", "--bounds"), ("-inf,inf,0,1", "non-finite bounds"),
+                            ("0,inf,0,1", "non-finite bounds")]:
+        # the = form keeps argparse from reading the leading dash as a flag
+        code = main(["boundary", "--checkpoint", str(ckpt), f"--bounds={bounds}",
+                     "--out", str(out)])
+        assert code == 2, bounds
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_boundary_rejects_non_planar_model(tmp_path, capsys):
@@ -398,3 +411,54 @@ def test_a_malformed_config_value_exits_2_and_writes_nothing(data):
         out = Path(tmp) / "results"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def _checkpoint_doc():
+    with tempfile.TemporaryDirectory() as tmp:
+        return json.loads(_untrained_checkpoint(Path(tmp) / "ckpt.json").read_text())
+
+
+_CHECKPOINT = _checkpoint_doc()
+_TENSOR_NAMES = [entry["name"] for entry in _CHECKPOINT["tensors"]]
+_CHECKPOINT_LEAVES = ["value", "shape", "name", "mlp_sizes"]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_corrupt_checkpoint_leaf_exits_0_or_2(data):
+    # Replace one leaf of a valid checkpoint; the commands that read
+    # checkpoints must fail as config errors (exit 2, no output) or
+    # succeed, and a non-finite value must never load.
+    leaf = data.draw(st.sampled_from(_CHECKPOINT_LEAVES), label="leaf")
+    doc = copy.deepcopy(_CHECKPOINT)
+    entry = doc["tensors"][data.draw(st.integers(0, len(_TENSOR_NAMES) - 1), label="tensor")]
+    if leaf == "value":
+        i = data.draw(st.integers(0, len(entry["values"]) - 1), label="index")
+        entry["values"][i] = data.draw(st.one_of(_NON_FINITE, _TEXT, _LISTS), label="value")
+    elif leaf == "shape":
+        entry["shape"] = data.draw(
+            st.one_of(st.lists(st.integers(-2, 12), max_size=3), _TEXT, st.none()), label="shape")
+    elif leaf == "name":
+        entry["name"] = data.draw(
+            st.one_of(st.sampled_from(_TENSOR_NAMES), _TEXT, st.integers(), st.none()), label="name")
+    else:
+        doc["meta"]["mlp_sizes"] = data.draw(
+            st.sampled_from([True, 0, [2, True, 3], [2, 0, 3], [2, 4], [2, 4, 4, 3]]), label="sizes")
+    command = data.draw(st.sampled_from(["boundary", "boundary_raw", "collapse"]), label="command")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ckpt = tmp / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        _write_dataset_csv(tmp / "eval.csv", per_class=5)
+        out = tmp / "out"
+        argv = {
+            "boundary": ["boundary", "--resolution", "3"],
+            "boundary_raw": ["boundary", "--resolution", "3", "--raw"],
+            "collapse": ["collapse", "--data", str(tmp / "eval.csv")],
+        }[command] + ["--checkpoint", str(ckpt), "--out", str(out)]
+        code = main(argv)
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
+        value = entry["values"][i] if leaf == "value" else None
+        if isinstance(value, float) and not np.isfinite(value):
+            assert code == 2

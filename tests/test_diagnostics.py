@@ -306,6 +306,9 @@ def test_boundary_grid_validation():
         boundary_grid(model, (1, -1, -1, 1), 3)
     with pytest.raises(ValueError, match="resolution"):
         boundary_grid(model, (-1, 1, -1, 1), 1)
+    for bounds in [(-np.inf, np.inf, 0, 1), (0, 1, 0, np.inf), (np.nan, 1, 0, 1)]:
+        with pytest.raises(ValueError, match="non-finite bounds"):
+            boundary_grid(model, bounds, 3)
 
 
 # ---------------------------------------------------------------------------

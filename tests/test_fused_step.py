@@ -32,7 +32,14 @@ from skewtrain.losses import (
     reweight_class_weights,
     vicreg_loss,
 )
-from skewtrain.models import MLPParams, forward_stack, mlp_init, mlp_predict, params_to_named
+from skewtrain.models import (
+    MLPParams,
+    forward_stack,
+    mlp_init,
+    mlp_predict,
+    named_views,
+    params_to_named,
+)
 from skewtrain.optim import SamSpec, rho_per_class
 
 
@@ -58,6 +65,15 @@ def _tape_loss_and_grads(
         total = joint_loss(tape, total, ssl, method.joint)
     grads = backward(tape, total)
     return float(total.value), {name: grads[leaves[name].idx] for name in leaves}
+
+
+def _fused(params_named, example_weights, **kwargs):
+    """batch_loss_and_grads on the parameters packed into one vector, gradient named back."""
+    shapes = {name: arr.shape for name, arr in params_named.items()}
+    theta = np.concatenate([arr.reshape(-1) for arr in params_named.values()])
+    loss, grad = batch_loss_and_grads(theta, example_weights, shapes=shapes, **kwargs)
+    assert grad.dtype == np.float64 and grad.shape == theta.shape
+    return loss, named_views(grad, shapes)
 
 
 _SAM = SamSpec(rho=0.05, mode="sam_a_paper")
@@ -118,7 +134,7 @@ def _instance(shape: str, method: MethodSpec, ascent: bool, epoch: int, seed: in
 def test_fused_step_is_bitwise_the_tape(name, shape, ascent, epoch):
     params, weights, kwargs = _instance(shape, METHODS[name], ascent, epoch)
     want_loss, want = _tape_loss_and_grads(params, weights, **kwargs)
-    got_loss, got = batch_loss_and_grads(params, weights, **kwargs)
+    got_loss, got = _fused(params, weights, **kwargs)
     assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
     assert list(got) == list(want) == list(params)
     for key in want:
@@ -130,7 +146,7 @@ def test_fused_step_is_bitwise_the_tape(name, shape, ascent, epoch):
 def test_fused_step_fills_zeros_for_unused_parameters():
     params, weights, kwargs = _instance("one_hidden", METHODS["erm"], False, 0)
     params["proj.w0"] = np.ones((16, 4))
-    _, grads = batch_loss_and_grads(params, weights, **kwargs)
+    _, grads = _fused(params, weights, **kwargs)
     _, want = _tape_loss_and_grads(params, weights, **kwargs)
     assert list(grads) == list(params)
     assert grads["proj.w0"].tobytes() == want["proj.w0"].tobytes() == np.zeros((16, 4)).tobytes()
@@ -140,7 +156,7 @@ def test_fused_step_fills_zeros_for_unused_parameters():
 @pytest.mark.parametrize("name", ["erm", "reweighted", "smoothed_paper", "focal_2", "joint_0.7"])
 def test_fused_gradients_match_finite_differences(name, ascent):
     params, weights, kwargs = _instance("one_hidden", METHODS[name], ascent, epoch=1, seed=3)
-    loss, grads = batch_loss_and_grads(params, weights, **kwargs)
+    loss, grads = _fused(params, weights, **kwargs)
     # VICReg ignores a common shift of both views' embeddings, so the
     # projector's output bias has a zero gradient that only rounding
     # moves; finite differences cannot resolve it relatively.
@@ -150,7 +166,7 @@ def test_fused_gradients_match_finite_differences(name, ascent):
     names = [n for n in params if n not in shift_invariant]
 
     def f(point):
-        return batch_loss_and_grads({**params, **dict(zip(names, point))}, weights, **kwargs)[0]
+        return _fused({**params, **dict(zip(names, point))}, weights, **kwargs)[0]
 
     assert f([params[n] for n in names]) == loss
     report = finite_diff_check(f, [params[n] for n in names], [grads[n] for n in names],
@@ -179,14 +195,14 @@ def test_focal_at_p_t_one_is_finite_and_bitwise_the_tape():
         method = MethodSpec(loss="focal", focal=FocalSpec(gamma=gamma))
         params, kwargs = _one_layer([[40.0, 0.0], [0.0, 1.0]], [0, 1], method)
         want_loss, want = _tape_loss_and_grads(params, None, **kwargs)
-        got_loss, got = batch_loss_and_grads(params, None, **kwargs)
+        got_loss, got = _fused(params, None, **kwargs)
         assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
         for key in want:
             assert np.isfinite(got[key]).all(), (gamma, key)
             assert got[key].tobytes() == want[key].tobytes(), (gamma, key)
         # the first example adds nothing: the gradient is the second one's alone
         params_2, kwargs_2 = _one_layer([[0.0, 1.0]], [1], method)
-        _, alone = batch_loss_and_grads(params_2, None, **kwargs_2)
+        _, alone = _fused(params_2, None, **kwargs_2)
         np.testing.assert_array_equal(got["mlp.b0"], alone["mlp.b0"] / 2)
 
 
@@ -199,7 +215,7 @@ def test_overflowing_pre_activation_is_named():
         warnings.simplefilter("error")
         match = r"non-finite pre-activation in layer 0 of a \[2, 2\] stack"
         with pytest.raises(NumericalError, match=match):
-            batch_loss_and_grads(params, None, **kwargs)
+            _fused(params, None, **kwargs)
 
 
 def test_joint_ssl_divergence_is_reported_at_the_tape_step():

@@ -124,6 +124,9 @@ def test_config_validation():
         _tiny_config(majority_size=0)
     with pytest.raises(ConfigError, match="n_minority must be >= 1"):
         config_from_dict({"majority_size": 10, "n_minority": 0})
+    # ema_update trusts its state's decay; the config and init_state reject a bad one
+    with pytest.raises(ValueError, match="ema_decay"):
+        _tiny_config(ema_decay=1.5)
 
 
 def test_resample_plus_reweight_warns():

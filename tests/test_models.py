@@ -11,6 +11,7 @@ from skewtrain.models import (
     mlp_init,
     mlp_predict,
     named_to_mlp,
+    named_views,
     params_to_named,
     save_checkpoint,
 )
@@ -121,6 +122,21 @@ def test_named_round_trip():
     assert np.array_equal(named_to_mlp(named_both, [2, 6, 3]).weights[0], p.weights[0])
 
 
+def test_named_views_read_one_vector_in_layout_order():
+    named = params_to_named(mlp_init([2, 3, 2], seed=0), "mlp")
+    shapes = {name: arr.shape for name, arr in named.items()}
+    vec = np.concatenate([arr.reshape(-1) for arr in named.values()])
+    views = named_views(vec, shapes)
+    assert list(views) == list(named)
+    for name, arr in named.items():
+        assert views[name].shape == arr.shape
+        assert views[name].tobytes() == arr.tobytes()
+        assert np.shares_memory(views[name], vec)
+    for wrong_length in (vec[:-1], np.append(vec, 0.0)):
+        with pytest.raises(ValueError):
+            named_views(wrong_length, shapes)
+
+
 def test_forward_stack_separate_prefixes_share_one_tape():
     mlp = mlp_init([2, 4, 3], seed=0)
     proj = mlp_init([4, 2], seed=1)
@@ -204,6 +220,12 @@ def test_checkpoint_preserves_exact_float_bits(tmp_path):
     ('{"format_version": 1, "tensors": [{"name": "w", "values": [1.0]}]}', "entry 0"),
     ('{"format_version": 1, "tensors": [{"name": "w", "shape": [2], "values": [1.0]}]}',
      "entry 0"),
+    ('{"format_version": 1, "tensors": [{"name": 3, "shape": [1], "values": [1.0]}]}',
+     "entry 0"),
+    ('{"format_version": 1, "tensors": [{"name": "ema.mlp.w0", "shape": [2], "values": [1.0, NaN]}]}',
+     "tensor ema.mlp.w0 holds non-finite"),
+    ('{"format_version": 1, "tensors": [{"name": "w", "shape": [1], "values": [-Infinity]}]}',
+     "tensor w holds non-finite"),
 ])
 def test_checkpoint_rejects_malformed_documents(tmp_path, doc, match):
     path = tmp_path / "bad.json"

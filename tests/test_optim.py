@@ -6,7 +6,6 @@ import pytest
 
 from skewtrain.data import ClassProfile
 from skewtrain.optim import (
-    OptimState,
     SamSpec,
     TrainConfig,
     cosine_lr,
@@ -31,17 +30,22 @@ def _quadratic_problem(seed=0, n=4, d=3):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     y = rng.normal(size=n)
-    params = {"w": rng.normal(size=d)}
+    theta = rng.normal(size=d)
 
-    def loss_and_grads(p, example_weights):
-        r = X @ p["w"] - y
+    def loss_and_grads(w, example_weights):
+        r = X @ w - y
         losses = 0.5 * r**2
         if example_weights is None:
-            return losses.mean(), {"w": X.T @ r / n}
+            return losses.mean(), X.T @ r / n
         s = np.asarray(example_weights)
-        return (s * losses).sum() / s.sum(), {"w": X.T @ (s * r) / s.sum()}
+        return (s * losses).sum() / s.sum(), X.T @ (s * r) / s.sum()
 
-    return params, loss_and_grads
+    return theta, loss_and_grads
+
+
+def _whole(theta):
+    """bounds for a vector that holds a single tensor."""
+    return [(0, theta.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -52,37 +56,31 @@ def _quadratic_problem(seed=0, n=4, d=3):
 def test_sgd_two_step_hand_case():
     # theta0=0, g=1 both steps, lr=0.1, momentum=0.9:
     # v=1, theta=-0.1; v=1.9, theta=-0.1-0.19 = -0.29
-    params = {"w": np.array([0.0])}
-    state = init_state(params)
+    theta = np.array([0.0])
+    state = init_state(theta)
     cfg = _cfg()
     for _ in range(2):
-        params, state = sgd_update(params, {"w": np.array([1.0])}, 0.1, cfg, state)
-    assert params["w"][0] == -0.29000000000000004
-    assert state.velocity["w"][0] == 1.9
+        theta, state = sgd_update(theta, np.array([1.0]), 0.1, cfg, state)
+    assert theta[0] == -0.29000000000000004
+    assert state.velocity[0] == 1.9
 
 
 def test_sgd_weight_decay_is_coupled():
     # zero gradient, no momentum: theta <- theta (1 - lr * wd)
-    params = {"w": np.array([2.0])}
+    theta = np.array([2.0])
     cfg = _cfg(momentum=0.0, weight_decay=0.01)
-    params, _ = sgd_update(params, {"w": np.array([0.0])}, 0.5, cfg, init_state(params))
-    assert params["w"][0] == 2.0 * (1.0 - 0.5 * 0.01)
+    theta, _ = sgd_update(theta, np.array([0.0]), 0.5, cfg, init_state(theta))
+    assert theta[0] == 2.0 * (1.0 - 0.5 * 0.01)
 
 
 def test_sgd_is_functional():
-    params = {"w": np.array([1.0, 2.0])}
-    grads = {"w": np.array([0.5, 0.5])}
-    state = init_state(params)
-    new_params, new_state = sgd_update(params, grads, 0.1, _cfg(), state)
-    npt.assert_array_equal(params["w"], [1.0, 2.0])
-    npt.assert_array_equal(state.velocity["w"], [0.0, 0.0])
-    assert new_params is not params and new_state is not state
-
-
-def test_sgd_key_mismatch():
-    params = {"w": np.zeros(2)}
-    with pytest.raises(ValueError, match="gradient keys"):
-        sgd_update(params, {"b": np.zeros(2)}, 0.1, _cfg(), init_state(params))
+    theta = np.array([1.0, 2.0])
+    grad = np.array([0.5, 0.5])
+    state = init_state(theta)
+    new_theta, new_state = sgd_update(theta, grad, 0.1, _cfg(), state)
+    npt.assert_array_equal(theta, [1.0, 2.0])
+    npt.assert_array_equal(state.velocity, [0.0, 0.0])
+    assert new_theta is not theta and new_state is not state
 
 
 def test_train_config_validation():
@@ -126,28 +124,19 @@ def test_cosine_lr_range_errors():
 
 
 def test_init_state_contents():
-    params = {"w": np.array([1.0, -2.0]), "b": np.array([3.0])}
-    state = init_state(params)
-    npt.assert_array_equal(state.velocity["w"], [0.0, 0.0])
-    npt.assert_array_equal(state.ema["w"], params["w"])
-    assert state.ema["w"] is not params["w"]
+    theta = np.array([1.0, -2.0, 3.0])
+    state = init_state(theta)
+    npt.assert_array_equal(state.velocity, [0.0, 0.0, 0.0])
+    npt.assert_array_equal(state.ema, theta)
+    assert state.ema is not theta
     with pytest.raises(ValueError, match="ema_decay"):
-        init_state(params, ema_decay=1.5)
+        init_state(theta, ema_decay=1.5)
 
 
 def test_ema_update_hand_case():
-    params = {"w": np.array([1.0])}
-    state = init_state({"w": np.array([0.0])}, ema_decay=0.5)
-    state = ema_update(state, params)
-    assert state.ema["w"][0] == 0.5
-
-
-def test_ema_update_validation():
-    state = init_state({"w": np.zeros(1)})
-    with pytest.raises(ValueError, match="ema keys"):
-        ema_update(state, {"v": np.ones(1)})
-    with pytest.raises(ValueError, match="ema_decay"):
-        ema_update(OptimState(state.velocity, state.ema, -0.1), {"w": np.ones(1)})
+    state = init_state(np.array([0.0]), ema_decay=0.5)
+    state = ema_update(state, np.array([1.0]))
+    assert state.ema[0] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +185,9 @@ def test_rho_per_class_mode_errors():
 
 def _recording_objective(calls):
     """A loss_and_grads that records the example weights it is given."""
-    def loss_and_grads(p, weights):
+    def loss_and_grads(theta, weights):
         calls.append(weights)
-        return 0.0, {"w": np.ones(1)}
+        return 0.0, np.ones(1)
 
     return loss_and_grads
 
@@ -208,7 +197,7 @@ def test_sam_ascent_weights():
     # and for a zero radius
     profile = ClassProfile(np.array([900, 100]))
     labels = np.array([0, 1, 1])
-    params = {"w": np.zeros(1)}
+    theta = np.zeros(1)
     for spec, want in [
         (SamSpec(rho=0.1, mode="sam"), None),
         (SamSpec(rho=0.0, mode="sam_a_paper"), None),
@@ -216,8 +205,8 @@ def test_sam_ascent_weights():
          rho_per_class(profile, SamSpec(rho=0.1, mode="sam_a_paper"))[labels] / 0.1),
     ]:
         calls = []
-        sam_step(params, init_state(params), 0.1, _cfg(), spec, _recording_objective(calls),
-                 batch_labels=labels, profile=profile)
+        sam_step(theta, init_state(theta), 0.1, _cfg(), spec, _recording_objective(calls),
+                 _whole(theta), batch_labels=labels, profile=profile)
         assert calls[1] is None
         if want is None:
             assert calls[0] is None
@@ -238,33 +227,41 @@ def test_sam_spec_validation():
 
 
 def test_sam_perturb_norm_equals_rho_eff():
+    # a 4x3 weight and a 4-vector bias, back to back
     rng = np.random.default_rng(3)
-    params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)}
-    grads = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)}
-    pert, skipped = sam_perturb(params, grads, 0.35)
+    theta = rng.normal(size=16)
+    grad = rng.normal(size=16)
+    bounds = [(0, 12), (12, 16)]
+    pert, skipped = sam_perturb(theta, grad, 0.35, bounds)
     assert not skipped
-    delta_sq = sum(float(np.square(pert[k] - params[k]).sum()) for k in params)
+    delta_sq = sum(float(np.square(pert[a:b] - theta[a:b]).sum()) for a, b in bounds)
     assert abs(math.sqrt(delta_sq) - 0.35) < 1e-12
 
 
-def test_sam_perturb_rho_zero_returns_copy():
-    params = {"w": np.array([1.0, 2.0])}
-    pert, skipped = sam_perturb(params, {"w": np.ones(2)}, 0.0)
+def test_sam_perturb_norm_is_summed_per_tensor():
+    # the squared norm adds one sum per tensor, in bounds order; for
+    # this gradient one sum over the whole vector rounds differently
+    grad = np.random.default_rng(0).normal(size=301)
+    bounds = [(0, 200), (200, 201), (201, 301)]
+    pert, _ = sam_perturb(np.zeros(301), grad, 1.0, bounds)
+    norm = math.sqrt(sum(float(np.square(grad[a:b]).sum()) for a, b in bounds))
+    assert norm != math.sqrt(float(np.square(grad).sum()))
+    assert pert.tobytes() == ((1.0 / norm) * grad).tobytes()
+
+
+def test_sam_perturb_rho_zero_returns_theta():
+    theta = np.array([1.0, 2.0])
+    pert, skipped = sam_perturb(theta, np.ones(2), 0.0, _whole(theta))
     assert not skipped
-    assert pert is not params
-    assert pert["w"] is params["w"]  # untouched arrays, fresh dict
+    assert pert is theta  # untouched: the update makes a new vector
+    npt.assert_array_equal(theta, [1.0, 2.0])
 
 
 def test_sam_perturb_zero_grad_skips():
-    params = {"w": np.array([1.0])}
-    pert, skipped = sam_perturb(params, {"w": np.zeros(1)}, 0.1)
+    theta = np.array([1.0])
+    pert, skipped = sam_perturb(theta, np.zeros(1), 0.1, _whole(theta))
     assert skipped
-    npt.assert_array_equal(pert["w"], params["w"])
-
-
-def test_sam_perturb_errors():
-    with pytest.raises(ValueError, match="gradient keys"):
-        sam_perturb({"w": np.zeros(1)}, {"v": np.ones(1)}, 0.1)
+    npt.assert_array_equal(pert, theta)
 
 
 def test_sam_step_class_conditional_rho_eff():
@@ -273,9 +270,9 @@ def test_sam_step_class_conditional_rho_eff():
     spec = SamSpec(rho=0.1, mode="sam_a_paper")
     rho = rho_per_class(profile, spec)
     labels = np.array([0, 0, 1, 1])
-    params = {"w": np.array([0.0])}
-    _, _, info = sam_step(params, init_state(params), 0.1, _cfg(), spec,
-                          _recording_objective([]), batch_labels=labels, profile=profile)
+    theta = np.array([0.0])
+    _, _, info = sam_step(theta, init_state(theta), 0.1, _cfg(), spec, _recording_objective([]),
+                          _whole(theta), batch_labels=labels, profile=profile)
     assert info.rho_eff == float(rho[labels].mean())
 
 
@@ -287,59 +284,60 @@ def test_sam_step_class_conditional_rho_eff():
 def test_sam_step_one_dim_hand_case():
     # f(theta) = theta^2 / 2 at theta=1, rho=0.1, lr=0.1, no momentum:
     # ascent grad 1 -> perturbed 1.1 -> descent grad 1.1 -> theta = 0.89
-    params = {"w": np.array([1.0])}
+    theta = np.array([1.0])
 
-    def loss_and_grads(p, weights):
-        return 0.5 * float(p["w"][0]) ** 2, {"w": p["w"].copy()}
+    def loss_and_grads(w, weights):
+        return 0.5 * float(w[0]) ** 2, w.copy()
 
     cfg = _cfg(momentum=0.0)
-    new_params, _, info = sam_step(params, init_state(params), 0.1, cfg,
-                                   SamSpec(rho=0.1, mode="sam"), loss_and_grads)
-    assert new_params["w"][0] == 0.89
+    new_theta, _, info = sam_step(theta, init_state(theta), 0.1, cfg,
+                                  SamSpec(rho=0.1, mode="sam"), loss_and_grads, _whole(theta))
+    assert new_theta[0] == 0.89
     assert info.ascent_loss == 0.5
     assert info.descent_loss == 0.5 * 1.1**2
     assert info.rho_eff == 0.1 and not info.ascent_skipped
 
 
 def test_sam_step_mode_off_raises():
-    params = {"w": np.zeros(1)}
+    theta = np.zeros(1)
     with pytest.raises(ValueError, match="use sgd_update"):
-        sam_step(params, init_state(params), 0.1, _cfg(), SamSpec(mode="off"),
-                 lambda p, w: (0.0, {"w": np.zeros(1)}))
+        sam_step(theta, init_state(theta), 0.1, _cfg(), SamSpec(mode="off"),
+                 lambda t, w: (0.0, np.zeros(1)), _whole(theta))
 
 
 def test_sam_step_class_conditional_needs_labels():
-    params = {"w": np.zeros(1)}
+    theta = np.zeros(1)
     spec = SamSpec(rho=0.1, mode="sam_a_paper")
     with pytest.raises(ValueError, match="labels and a profile"):
-        sam_step(params, init_state(params), 0.1, _cfg(), spec,
-                 lambda p, w: (0.0, {"w": np.ones(1)}))
+        sam_step(theta, init_state(theta), 0.1, _cfg(), spec,
+                 lambda t, w: (0.0, np.ones(1)), _whole(theta))
     with pytest.raises(ValueError, match="labels and a profile"):
-        sam_step(params, init_state(params), 0.1, _cfg(), spec, _recording_objective([]),
-                 batch_labels=np.array([0, 1]))
+        sam_step(theta, init_state(theta), 0.1, _cfg(), spec, _recording_objective([]),
+                 _whole(theta), batch_labels=np.array([0, 1]))
     with pytest.raises(ValueError, match="empty batch"):
-        sam_step(params, init_state(params), 0.1, _cfg(), spec, _recording_objective([]),
-                 batch_labels=np.array([], dtype=np.int64), profile=ClassProfile(np.array([5, 5])))
+        sam_step(theta, init_state(theta), 0.1, _cfg(), spec, _recording_objective([]),
+                 _whole(theta), batch_labels=np.array([], dtype=np.int64),
+                 profile=ClassProfile(np.array([5, 5])))
 
 
 def test_sam_step_rho_zero_matches_sgd_bitwise():
     # with rho=0 the perturbation is skipped entirely, so a long
     # trajectory must agree with plain SGD bit for bit
-    params_a, loss_and_grads = _quadratic_problem(seed=7)
-    params_b = {k: v.copy() for k, v in params_a.items()}
-    state_a = init_state(params_a)
-    state_b = init_state(params_b)
+    theta_a, loss_and_grads = _quadratic_problem(seed=7)
+    theta_b = theta_a.copy()
+    state_a = init_state(theta_a)
+    state_b = init_state(theta_b)
     cfg = _cfg()
     for step in range(100):
         lr = 0.05
-        params_a, state_a, _ = sam_step(params_a, state_a, lr, cfg,
-                                        SamSpec(rho=0.0, mode="sam"), loss_and_grads)
-        _, grads = loss_and_grads(params_b, None)
-        params_b, state_b = sgd_update(params_b, grads, lr, cfg, state_b)
-        state_b = ema_update(state_b, params_b)
-    npt.assert_array_equal(params_a["w"], params_b["w"])
-    npt.assert_array_equal(state_a.velocity["w"], state_b.velocity["w"])
-    npt.assert_array_equal(state_a.ema["w"], state_b.ema["w"])
+        theta_a, state_a, _ = sam_step(theta_a, state_a, lr, cfg, SamSpec(rho=0.0, mode="sam"),
+                                       loss_and_grads, _whole(theta_a))
+        _, grad = loss_and_grads(theta_b, None)
+        theta_b, state_b = sgd_update(theta_b, grad, lr, cfg, state_b)
+        state_b = ema_update(state_b, theta_b)
+    npt.assert_array_equal(theta_a, theta_b)
+    npt.assert_array_equal(state_a.velocity, state_b.velocity)
+    npt.assert_array_equal(state_a.ema, state_b.ema)
 
 
 def test_sam_a_inverse_uniform_matches_sam_bitwise():
@@ -348,20 +346,21 @@ def test_sam_a_inverse_uniform_matches_sam_bitwise():
     # must reproduce plain sam bit for bit
     profile = ClassProfile(np.array([10, 10, 10, 10]))
     labels = np.array([0, 1, 2, 3])
-    params_a, loss_and_grads = _quadratic_problem(seed=11, n=4)
-    params_b = {k: v.copy() for k, v in params_a.items()}
-    state_a = init_state(params_a)
-    state_b = init_state(params_b)
+    theta_a, loss_and_grads = _quadratic_problem(seed=11, n=4)
+    theta_b = theta_a.copy()
+    bounds = _whole(theta_a)
+    state_a = init_state(theta_a)
+    state_b = init_state(theta_b)
     cfg = _cfg()
     for _ in range(20):
-        params_a, state_a, info_a = sam_step(
-            params_a, state_a, 0.05, cfg, SamSpec(rho=0.1, mode="sam_a_inverse"),
-            loss_and_grads, batch_labels=labels, profile=profile)
-        params_b, state_b, info_b = sam_step(
-            params_b, state_b, 0.05, cfg, SamSpec(rho=0.1, mode="sam"), loss_and_grads)
+        theta_a, state_a, info_a = sam_step(
+            theta_a, state_a, 0.05, cfg, SamSpec(rho=0.1, mode="sam_a_inverse"),
+            loss_and_grads, bounds, batch_labels=labels, profile=profile)
+        theta_b, state_b, info_b = sam_step(
+            theta_b, state_b, 0.05, cfg, SamSpec(rho=0.1, mode="sam"), loss_and_grads, bounds)
         assert info_a.rho_eff == info_b.rho_eff == 0.1
-    npt.assert_array_equal(params_a["w"], params_b["w"])
-    npt.assert_array_equal(state_a.ema["w"], state_b.ema["w"])
+    npt.assert_array_equal(theta_a, theta_b)
+    npt.assert_array_equal(state_a.ema, state_b.ema)
 
 
 def test_sam_a_paper_uniform_matches_rescaled_sam():
@@ -370,16 +369,17 @@ def test_sam_a_paper_uniform_matches_rescaled_sam():
     # match plain sam at the rescaled radius to rounding error
     profile = ClassProfile(np.array([25, 25, 25, 25]))
     labels = np.array([0, 1, 2, 3])
-    params_a, loss_and_grads = _quadratic_problem(seed=13, n=4)
-    params_b = {k: v.copy() for k, v in params_a.items()}
+    theta_a, loss_and_grads = _quadratic_problem(seed=13, n=4)
+    theta_b = theta_a.copy()
+    bounds = _whole(theta_a)
     cfg = _cfg()
-    params_a, _, info_a = sam_step(params_a, init_state(params_a), 0.05, cfg,
-                                   SamSpec(rho=0.1, mode="sam_a_paper"),
-                                   loss_and_grads, batch_labels=labels, profile=profile)
-    params_b, _, info_b = sam_step(params_b, init_state(params_b), 0.05, cfg,
-                                   SamSpec(rho=0.1 / 0.75, mode="sam"), loss_and_grads)
+    theta_a, _, info_a = sam_step(theta_a, init_state(theta_a), 0.05, cfg,
+                                  SamSpec(rho=0.1, mode="sam_a_paper"),
+                                  loss_and_grads, bounds, batch_labels=labels, profile=profile)
+    theta_b, _, info_b = sam_step(theta_b, init_state(theta_b), 0.05, cfg,
+                                  SamSpec(rho=0.1 / 0.75, mode="sam"), loss_and_grads, bounds)
     assert abs(info_a.rho_eff - info_b.rho_eff) < 1e-15
-    npt.assert_allclose(params_a["w"], params_b["w"], rtol=0, atol=1e-12)
+    npt.assert_allclose(theta_a, theta_b, rtol=0, atol=1e-12)
 
 
 def test_sam_step_converges_on_quadratic():
@@ -388,19 +388,19 @@ def test_sam_step_converges_on_quadratic():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(8, 2))
     y = rng.normal(size=8)
-    params = {"w": rng.normal(size=2)}
+    theta = rng.normal(size=2)
 
-    def loss_and_grads(p, weights):
-        r = X @ p["w"] - y
-        return 0.5 * float(np.mean(r**2)), {"w": X.T @ r / 8}
+    def loss_and_grads(w, weights):
+        r = X @ w - y
+        return 0.5 * float(np.mean(r**2)), X.T @ r / 8
 
     w_star, *_ = np.linalg.lstsq(X, y, rcond=None)
     floor = 0.5 * float(np.mean((X @ w_star - y) ** 2))
-    first = loss_and_grads(params, None)[0]
-    state = init_state(params)
+    first = loss_and_grads(theta, None)[0]
+    state = init_state(theta)
     cfg = _cfg(momentum=0.0)
     for _ in range(200):
-        params, state, _ = sam_step(params, state, 0.1, cfg,
-                                    SamSpec(rho=0.05, mode="sam"), loss_and_grads)
-    final = loss_and_grads(params, None)[0]
+        theta, state, _ = sam_step(theta, state, 0.1, cfg, SamSpec(rho=0.05, mode="sam"),
+                                   loss_and_grads, _whole(theta))
+    final = loss_and_grads(theta, None)[0]
     assert final - floor < 0.05 * (first - floor)
