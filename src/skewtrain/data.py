@@ -257,23 +257,25 @@ def make_balanced_sampler(dataset: Dataset, batch_size: int, seed: int):
 
     Each draw picks a class uniformly, then a sample uniformly within
     it, so expected class frequencies are 1/K regardless of imbalance.
+    A batch takes its classes in one draw and then its in-class
+    positions in one more, which gives the same stream as drawing each
+    position on its own.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    members = [np.flatnonzero(dataset.y == k) for k in range(dataset.num_classes)]
-    if any(m.size == 0 for m in members):
+    k = dataset.num_classes
+    sizes = np.bincount(dataset.y, minlength=k)
+    if np.any(sizes == 0):
         raise ValueError("balanced sampling needs every class non-empty")
+    # the members of class 0 in ascending order, then those of class 1, ...
+    members = np.argsort(dataset.y, kind="stable")
+    starts = np.cumsum(sizes) - sizes
     rng = np.random.default_rng(seed)
 
     def gen():
-        k = dataset.num_classes
         while True:
             classes = rng.integers(0, k, size=batch_size)
-            batch = np.array(
-                [members[c][rng.integers(0, members[c].size)] for c in classes],
-                dtype=np.int64,
-            )
-            yield batch
+            yield members[starts[classes] + rng.integers(0, sizes[classes])]
 
     return gen()
 

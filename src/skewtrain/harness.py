@@ -78,6 +78,7 @@ from .models import (
     named_to_mlp,
     named_views,
     params_to_named,
+    stack_views,
 )
 from .optim import SamSpec, TrainConfig, cosine_lr, ema_update, init_state, sam_step, sgd_update
 from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
@@ -542,23 +543,33 @@ def supervised_loss(
     return reduce_sum(vec * tape.constant(w * example_weights)) * (1.0 / float(example_weights.sum()))
 
 
+def supervised_targets(labels: np.ndarray, method: MethodSpec, profile: ClassProfile) -> np.ndarray:
+    """Target rows of the supervised loss for labels: smoothed for the smoothed loss, else one-hot.
+
+    Each row depends on its own label alone, so train_model builds the
+    rows of its whole split once and every step indexes them.
+    """
+    if method.loss == "smoothed":
+        return smoothed_targets(labels, profile, method.smoothing)
+    return one_hot(labels, profile.num_classes)
+
+
 def supervised_loss_and_grad(
-    logits: np.ndarray, labels: np.ndarray, method: MethodSpec, profile: ClassProfile,
+    logits: np.ndarray, labels: np.ndarray, targets: np.ndarray, method: MethodSpec,
     class_w: np.ndarray, epoch: int, example_weights: np.ndarray | None = None,
     adjoint: float = 1.0,
 ):
     """supervised_loss in closed form: (value, gradient at the logits).
 
-    adjoint is the gradient of the objective at this term (lam in the
-    joint objective). Value and gradient match the tape bit for bit.
+    targets are the batch's rows of supervised_targets; focal loss reads
+    them as its one-hot rows. adjoint is the gradient of the objective
+    at this term (lam in the joint objective). Value and gradient match
+    the tape bit for bit.
     """
-    if method.loss == "smoothed":
-        targets = smoothed_targets(labels, profile, method.smoothing)
-        vec, vec_grad = cross_entropy_and_grad(logits, targets)
-    elif method.loss == "focal":
-        vec, vec_grad = focal_and_grad(logits, labels, method.focal)
+    if method.loss == "focal":
+        vec, vec_grad = focal_and_grad(logits, targets, method.focal)
     else:
-        vec, vec_grad = cross_entropy_and_grad(logits, one_hot(labels, logits.shape[1]))
+        vec, vec_grad = cross_entropy_and_grad(logits, targets)
     reweight = method.loss == "reweighted" and epoch >= method.reweight.defer_epoch
     w = class_w[labels] if reweight else np.ones(labels.size)
     if example_weights is None:
@@ -576,35 +587,42 @@ def _require_finite(stage: str, value) -> None:
 
 
 def batch_loss_and_grads(
-    theta, example_weights, *, xb, yb, views, epoch, method, profile, class_w,
+    theta, example_weights, *, xb, yb, targets, views, epoch, method, class_w,
     mlp_sizes, proj_sizes, shapes,
 ):
     """(loss, gradient) of the training objective on one batch.
 
     theta and the gradient are vectors holding the tensors of shapes back
     to back; a tensor the objective does not use gets a zero gradient.
-    sam_step calls it as f(theta, example_weights); train_model binds
-    the rest with functools.partial. Forward and backward are closed-form
-    numpy (models.mlp_forward/mlp_backward, the losses' *_and_grad
-    forms) and repeat the tape's operations in its order, so the result
-    is bit-identical to backward() over supervised_loss and, for the
-    joint objective, forward_stack, vicreg_loss and joint_loss. A
-    non-finite pre-activation, loss or gradient raises NumericalError
+    targets are the batch's rows of supervised_targets. sam_step calls
+    it as f(theta, example_weights); train_model binds the rest with
+    functools.partial. The stacks are views of theta, and mlp_backward
+    writes into views of one zeroed gradient vector. Forward and backward
+    are closed-form numpy (models.mlp_forward/mlp_backward, the losses'
+    *_and_grad forms) and repeat the tape's operations in its order, so
+    the result is bit-identical to backward() over supervised_loss and,
+    for the joint objective, forward_stack, vicreg_loss and joint_loss.
+    A non-finite pre-activation, loss or gradient raises NumericalError
     naming the stage.
     """
     named = named_views(theta, shapes)
-    mlp = named_to_mlp(named, mlp_sizes)
+    grad = np.zeros(theta.size)
+    grad_named = named_views(grad, shapes)
+    mlp = stack_views(named, mlp_sizes, "mlp")
+    mlp_grads = stack_views(grad_named, mlp_sizes, "mlp")
+    mlp_written = 0
     lam = float(method.joint.lam) if method.joint_ssl else 1.0
-    grads: dict[str, np.ndarray] = {}
     # Overflow surfaces as NumericalError below, as it does on the tape.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         logits, inputs = mlp_forward(mlp, np.ascontiguousarray(xb, dtype=np.float64), check=True)
         loss, g_logits = supervised_loss_and_grad(
-            logits, yb, method, profile, class_w, epoch, example_weights, lam,
+            logits, yb, targets, method, class_w, epoch, example_weights, lam,
         )
         _require_finite("supervised loss", loss)
         if method.joint_ssl:
-            proj = named_to_mlp(named, proj_sizes, "proj")
+            proj = stack_views(named, proj_sizes, "proj")
+            proj_grads = stack_views(grad_named, proj_sizes, "proj")
+            proj_written = 0
             branches = []
             for view in views:
                 view = np.ascontiguousarray(view, dtype=np.float64)
@@ -616,12 +634,11 @@ def batch_loss_and_grads(
             _require_finite("joint objective", loss)
             # The tape walks the second view's branch back before the first.
             for (view_inputs, _, proj_inputs), g in zip(branches[::-1], (g_emb_prime, g_emb)):
-                g_pen = mlp_backward(proj, proj_inputs, g, "proj", grads, input_grad=True)
-                mlp_backward(mlp, view_inputs[:-1], g_pen * (view_inputs[-1] > 0.0), "mlp", grads)
-        mlp_backward(mlp, inputs, g_logits, "mlp", grads)
-        # Adding into a zeroed buffer instead would turn -0.0 into +0.0.
-        grad = np.concatenate([grads[name].reshape(-1) if name in grads else np.zeros(arr.size)
-                               for name, arr in named.items()])
+                g_pen = mlp_backward(proj, proj_inputs, g, proj_grads, proj_written, input_grad=True)
+                mlp_backward(mlp, view_inputs[:-1], g_pen * (view_inputs[-1] > 0.0), mlp_grads,
+                             mlp_written)
+                proj_written, mlp_written = len(proj_inputs), len(view_inputs) - 1
+        mlp_backward(mlp, inputs, g_logits, mlp_grads, mlp_written)
         _require_finite("gradient", grad)
     return float(loss), grad
 
@@ -630,6 +647,9 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     """Train one (config, seed) trial on the caller's curated train_split.
 
     Callers build it with build_pools and curate_train_split, once per seed.
+    What stays fixed over the trial is built here once: the parameter
+    layout, whose shapes mlp_init fixes so the step does not check them,
+    and the target rows of the whole split, which each step indexes.
     """
     ss = _seed_children(seed)
     profile = class_profile(train_split)
@@ -651,6 +671,7 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     batch_rng = np.random.default_rng(ss["batches"])
     augment_rng = np.random.default_rng(ss["augment"])
     class_w = reweight_class_weights(profile)
+    targets = supervised_targets(train_split.y, method, profile)
     steps_per_epoch = math.ceil(train_split.n / tc.batch_size)
     sampler = (
         make_balanced_sampler(train_split, tc.batch_size, seed=ss["batches"])
@@ -674,9 +695,9 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
             if method.joint_ssl:
                 views = augment_two_views(xb, method.augment, augment_rng)
             loss_and_grads = functools.partial(
-                batch_loss_and_grads, xb=xb, yb=yb, views=views, epoch=epoch, method=method,
-                profile=profile, class_w=class_w, mlp_sizes=mlp_sizes, proj_sizes=proj_sizes,
-                shapes=shapes,
+                batch_loss_and_grads, xb=xb, yb=yb, targets=targets[batch_idx], views=views,
+                epoch=epoch, method=method, class_w=class_w, mlp_sizes=mlp_sizes,
+                proj_sizes=proj_sizes, shapes=shapes,
             )
             try:
                 if method.sam.mode != "off":
@@ -692,7 +713,8 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, step {step} (seed {seed}): {exc}"
                 ) from exc
-        preds, _, _ = mlp_predict(named_to_mlp(named_views(theta, shapes), mlp_sizes), train_split.X)
+        preds, _, _ = mlp_predict(stack_views(named_views(theta, shapes), mlp_sizes, "mlp"),
+                                  train_split.X)
         acc = float((preds == train_split.y).mean())
         trajectory.append(acc)
         logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)

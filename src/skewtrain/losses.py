@@ -152,15 +152,15 @@ def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray):
     return vec, grad
 
 
-def focal_and_grad(logits: np.ndarray, labels: np.ndarray, spec: FocalSpec):
+def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec):
     """Numpy focal_vec: (per-example losses, grad), as cross_entropy_and_grad.
 
-    The power-rule term g * -log p_t * gamma * (1 - p_t)^(gamma - 1) is
-    0 where g * -log p_t is 0, as on the tape: with gamma < 1 the power
-    is infinite once p_t rounds to 1, where -log p_t is 0 and the term's
-    limit is 0. Any other non-finite term raises NumericalError.
+    hot holds the one-hot rows of the labels. The power-rule term
+    g * -log p_t * gamma * (1 - p_t)^(gamma - 1) is 0 where g * -log p_t
+    is 0, as on the tape: with gamma < 1 the power is infinite once p_t
+    rounds to 1, where -log p_t is 0 and the term's limit is 0. Any
+    other non-finite term raises NumericalError.
     """
-    hot = one_hot(labels, logits.shape[1])
     lsm = _log_softmax(logits)
     log_pt = (lsm * hot).sum(axis=1)
     pt = np.exp(log_pt)

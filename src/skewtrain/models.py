@@ -9,10 +9,15 @@ construction, so one type (MLPParams) and one initializer (mlp_init)
 serve both.
 
 Parameters live as named float64 arrays ({prefix.w0, prefix.b0, ...}).
+Training keeps them back to back in one vector: named_views cuts it
+into named views at running offsets and stack_views makes a stack of
+them without copying. named_to_mlp builds a stack from outside input,
+such as a checkpoint, and checks every tensor's shape first.
 There is one forward, the numpy mlp_forward, which training and
-mlp_predict share; mlp_backward is its closed-form backward and adds
-gradients per name. forward_stack runs the same stack on a tape: it is
-the reference the numpy pair is tested against, bit for bit.
+mlp_predict share; mlp_backward is its closed-form backward and writes
+the gradients into views of the caller's gradient vector. forward_stack
+runs the same stack on a tape: it is the reference the numpy pair is
+tested against, bit for bit.
 Checkpoints are JSON documents written atomically.
 """
 
@@ -71,10 +76,29 @@ def params_to_named(params, prefix: str) -> dict[str, np.ndarray]:
 def named_views(vec: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
     """{name: view of vec} for the tensors of shapes, laid back to back in its order.
 
-    The views share vec's memory; a length mismatch raises ValueError.
+    The views are slices at running offsets and share vec's memory; a
+    vec whose length is not the tensors' total raises ValueError.
     """
-    parts = np.split(vec, np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
-    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+    sizes = [math.prod(s) for s in shapes.values()]
+    if vec.shape != (sum(sizes),):
+        raise ValueError(f"vector of shape {vec.shape} does not hold {sum(sizes)} values")
+    views, start = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        views[name] = vec[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+def stack_views(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: str) -> MLPParams:
+    """The stack {prefix.w0, prefix.b0, ...} of named, over named's own arrays.
+
+    Nothing is copied or checked. Training calls it on views of a
+    parameter or gradient vector whose layout mlp_init fixed;
+    named_to_mlp checks outside input and then calls it.
+    """
+    n = len(layer_sizes) - 1
+    return MLPParams(list(layer_sizes), [named[f"{prefix}.w{i}"] for i in range(n)],
+                     [named[f"{prefix}.b{i}"] for i in range(n)])
 
 
 def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: str = "mlp") -> MLPParams:
@@ -85,19 +109,18 @@ def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: s
     """
     if len(layer_sizes) < 2:
         raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
-
-    def tensor(name, shape):
+    pairs = list(enumerate(zip(layer_sizes[:-1], layer_sizes[1:])))
+    wanted = [(f"{prefix}.w{i}", (fan_in, fan_out)) for i, (fan_in, fan_out) in pairs]
+    wanted += [(f"{prefix}.b{i}", (fan_out,)) for i, (_, fan_out) in pairs]
+    checked = {}
+    for name, shape in wanted:
         if name not in named:
             raise ValueError(f"missing tensor {name} for layer sizes {list(layer_sizes)}")
         arr = np.asarray(named[name], dtype=np.float64)
         if arr.shape != shape:
             raise ValueError(f"tensor {name} has shape {arr.shape}, layer sizes need {shape}")
-        return arr
-
-    pairs = list(enumerate(zip(layer_sizes[:-1], layer_sizes[1:])))
-    weights = [tensor(f"{prefix}.w{i}", (fan_in, fan_out)) for i, (fan_in, fan_out) in pairs]
-    biases = [tensor(f"{prefix}.b{i}", (fan_out,)) for i, (_, fan_out) in pairs]
-    return MLPParams(list(layer_sizes), weights, biases)
+        checked[name] = arr
+    return stack_views(checked, layer_sizes, prefix)
 
 
 def forward_stack(x: Var, leaves: dict[str, Var], n_layers: int, prefix: str):
@@ -143,19 +166,23 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check
     return None, inputs
 
 
-def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, prefix: str, grads: dict,
+def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, grads: MLPParams, written: int,
                  input_grad: bool = False):
     """Backpropagate g, the gradient at the pre-activation of layer len(inputs) - 1.
 
     inputs are the layer inputs that mlp_forward returned, cut to the
-    layers to run back through. Each weight and bias gradient is added
-    to grads[{prefix}.w{i}] / [{prefix}.b{i}] as existing + new, the
-    order in which the tape accumulates fan-out. Returns the gradient
-    at the stack input when input_grad, else None.
+    layers to run back through. grads holds views of the caller's
+    gradient buffer, shaped like params, and each weight and bias
+    gradient is written into them. Layers below written already hold a
+    gradient from an earlier call and are assigned existing + new, the
+    order in which the tape accumulates fan-out. The other layers are
+    assigned the new gradient, which keeps a -0.0 that adding it into
+    the buffer's zeros would turn into +0.0. Returns the gradient at the
+    stack input when input_grad, else None.
     """
     for i in reversed(range(len(inputs))):
-        _accumulate(grads, f"{prefix}.b{i}", g.sum(axis=0))
-        _accumulate(grads, f"{prefix}.w{i}", inputs[i].T @ g)
+        _write(grads.biases[i], g.sum(axis=0), i < written)
+        _write(grads.weights[i], inputs[i].T @ g, i < written)
         if i == 0 and not input_grad:
             return None
         g = g @ params.weights[i].T
@@ -166,8 +193,11 @@ def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, prefix: str, gr
     return g
 
 
-def _accumulate(grads: dict, name: str, g: np.ndarray) -> None:
-    grads[name] = grads[name] + g if name in grads else g
+def _write(out: np.ndarray, g: np.ndarray, accumulate: bool) -> None:
+    if accumulate:
+        np.add(out, g, out=out)
+    else:
+        out[...] = g
 
 
 def mlp_predict(params: MLPParams, x: np.ndarray):
@@ -223,7 +253,9 @@ def save_checkpoint(path, named: dict[str, np.ndarray], meta: dict | None = None
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint back.
 
-    Unknown format versions, malformed documents and non-finite values raise ValueError.
+    Unknown format versions, malformed documents, tensor values other
+    than a flat list of JSON numbers, and non-finite values raise
+    ValueError.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -238,11 +270,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     named = {}
     for i, entry in enumerate(doc["tensors"]):
         try:
-            arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
             if not isinstance(entry["name"], str):
                 raise TypeError(f"name {entry['name']!r} is not a string")
+            values = entry["values"]
+            # JSON numbers only: numpy would parse " 2e0 " and true as floats.
+            if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+                raise ValueError(f"tensor {entry['name']} values must be a flat list of numbers")
+            arr = np.array(values, dtype=np.float64).reshape(entry["shape"])
             named[entry["name"]] = arr
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: malformed tensor entry {i}: {exc!r}") from None
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: tensor {entry['name']} holds non-finite values")

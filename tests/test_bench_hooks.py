@@ -83,3 +83,12 @@ def test_benchmark_hooks_trace_the_plain_step():
     assert calls["optim.ema_update"] == steps
     for layer in ("optim.sam_step", "optim.sam_perturb"):
         assert layer not in calls, layer
+
+
+def test_benchmark_hooks_trace_the_balanced_sampler():
+    # resample draws every batch through the benchmark's iterator wrapper
+    # around make_balanced_sampler: one data.balanced_batch span per step
+    tracer, clock, calls = _trace_one_trial("resample")
+    steps = tracer.counts["harness.steps"]
+    assert steps > 0 and clock.steps == steps
+    assert calls["data.balanced_batch"] == steps

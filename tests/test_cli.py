@@ -421,6 +421,7 @@ def _checkpoint_doc():
 _CHECKPOINT = _checkpoint_doc()
 _TENSOR_NAMES = [entry["name"] for entry in _CHECKPOINT["tensors"]]
 _CHECKPOINT_LEAVES = ["value", "shape", "name", "mlp_sizes"]
+_NUMERIC_TEXT = st.sampled_from(["1.5", " 2e0 ", "0", "-inf"])
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -434,7 +435,8 @@ def test_a_corrupt_checkpoint_leaf_exits_0_or_2(data):
     entry = doc["tensors"][data.draw(st.integers(0, len(_TENSOR_NAMES) - 1), label="tensor")]
     if leaf == "value":
         i = data.draw(st.integers(0, len(entry["values"]) - 1), label="index")
-        entry["values"][i] = data.draw(st.one_of(_NON_FINITE, _TEXT, _LISTS), label="value")
+        entry["values"][i] = data.draw(
+            st.one_of(_NON_FINITE, _TEXT, _LISTS, _NUMERIC_TEXT, st.booleans()), label="value")
     elif leaf == "shape":
         entry["shape"] = data.draw(
             st.one_of(st.lists(st.integers(-2, 12), max_size=3), _TEXT, st.none()), label="shape")
@@ -459,6 +461,89 @@ def test_a_corrupt_checkpoint_leaf_exits_0_or_2(data):
         code = main(argv)
         assert code in (0, 2)
         assert out.exists() == (code == 0)
-        value = entry["values"][i] if leaf == "value" else None
-        if isinstance(value, float) and not np.isfinite(value):
+        if leaf == "value":
+            # every drawn value is non-finite or not a JSON number
             assert code == 2
+
+
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["", "nan", "NaN", "inf", "-Infinity", "1e400", "abc", " 1.5 ", "1_0", "0x1"]),
+    st.text(max_size=3),
+)
+_CSV_COMMANDS = ["curate", "collapse", "train"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_mutated_csv_exits_0_2_or_3(data):
+    # Change one row of a small valid CSV: one cell (a non-number, NaN,
+    # an empty field, a new label, ...), an extra field or a missing one.
+    # Every command that reads it returns an exit code, never raises, and
+    # writes nothing when it reports a config error.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        clean = tmp / "clean.csv"
+        _write_dataset_csv(clean, classes=3, per_class=8)
+        with open(clean, newline="") as fh:
+            rows = list(csv.reader(fh))
+        row = rows[data.draw(st.integers(0, len(rows) - 1), label="row")]
+        change = data.draw(st.sampled_from(["cell", "extra", "missing"]), label="change")
+        if change == "cell":
+            row[data.draw(st.integers(0, len(row) - 1), label="column")] = data.draw(
+                _CELL_TEXT, label="text")
+        elif change == "extra":
+            row.append(data.draw(_CELL_TEXT, label="text"))
+        else:
+            row.pop()
+        path = tmp / "data.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        command = data.draw(st.sampled_from(_CSV_COMMANDS), label="command")
+        out = tmp / "out"
+        if command == "curate":
+            argv = ["curate", "--in", str(path), "--out", str(out), "--ratio", "0.5"]
+        elif command == "collapse":
+            ckpt = _untrained_checkpoint(tmp / "ckpt.json")
+            argv = ["collapse", "--checkpoint", str(ckpt), "--data", str(path), "--out", str(out)]
+        else:
+            cfg = _write_config(tmp / "cfg.json", dict(
+                TINY_CONFIG, data={"kind": "csv", "train_path": str(path), "test_frac": 0.25}))
+            argv = ["train", "--config", str(cfg), "--out", str(out)]
+        code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
+
+
+_SWEEP_VALUES = {
+    "batch_size": ["8", "16"],
+    "r_train": ["0.5", "1.0"],
+    "r_test": ["1.0", "0.5"],
+    "n_majority": ["10", "20"],
+    "method": ["erm", "focal"],
+}
+_VALUE_TEXT = st.one_of(
+    st.sampled_from(["", "0", "-1", "2.5", "nan", "inf", "1e400", "true", "None", "erm", " 8 "]),
+    st.text(max_size=3),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_mutated_sweep_value_exits_0_2_or_3(data):
+    axis = data.draw(st.sampled_from(sorted(_SWEEP_VALUES)), label="axis")
+    values = list(_SWEEP_VALUES[axis])
+    values[data.draw(st.integers(0, len(values) - 1), label="index")] = data.draw(
+        _VALUE_TEXT, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = _write_config(tmp / "cfg.json", dict(
+            TINY_CONFIG, n_minority=5,
+            train={**TINY_CONFIG["train"], "epochs": 1, "warmup_epochs": 0}))
+        out = tmp / "sweep"
+        # --values=... so that a leading "-1" is not read as a flag
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", axis, "--values=" + ",".join(values)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()

@@ -250,6 +250,36 @@ def test_balanced_sampler_batches_index_into_dataset():
     assert batch.min() >= 0 and batch.max() < ds.n
 
 
+def _per_element_sampler(dataset, batch_size, seed):
+    """The balanced sampler as first written: one scalar draw per batch position."""
+    members = [np.flatnonzero(dataset.y == k) for k in range(dataset.num_classes)]
+    rng = np.random.default_rng(seed)
+    while True:
+        classes = rng.integers(0, dataset.num_classes, size=batch_size)
+        yield np.array([members[c][rng.integers(0, members[c].size)] for c in classes],
+                       dtype=np.int64)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 128])
+@pytest.mark.parametrize("counts", [[1, 40], [30, 1, 7], [5, 5, 5, 1, 300]],
+                         ids=["one_member_first", "one_member_middle", "five_classes"])
+def test_balanced_sampler_draws_the_per_element_stream(counts, batch_size):
+    # One draw of all in-class positions gives the same stream as a
+    # draw per position, including for one-member classes, whose draw
+    # takes no random bits.
+    ds = _toy(counts)
+    # shuffled rows, so that class members are not contiguous
+    perm = np.random.default_rng(9).permutation(ds.n)
+    ds = Dataset(ds.X[perm], ds.y[perm], ds.class_names)
+    for seed in (0, 1, 17, 2024):
+        got = make_balanced_sampler(ds, batch_size, seed=seed)
+        want = _per_element_sampler(ds, batch_size, seed)
+        for _ in range(5):
+            batch = next(got)
+            assert batch.dtype == np.int64
+            npt.assert_array_equal(batch, next(want))
+
+
 def test_balanced_sampler_seed_determinism():
     ds = _toy([50, 5])
     a = next(make_balanced_sampler(ds, 32, seed=1))

@@ -21,6 +21,7 @@ from skewtrain.harness import (
     build_pools,
     config_from_dict,
     supervised_loss,
+    supervised_targets,
     train_model,
 )
 from skewtrain.losses import (
@@ -67,11 +68,17 @@ def _tape_loss_and_grads(
     return float(total.value), {name: grads[leaves[name].idx] for name in leaves}
 
 
-def _fused(params_named, example_weights, **kwargs):
-    """batch_loss_and_grads on the parameters packed into one vector, gradient named back."""
+def _fused(params_named, example_weights, *, profile, **kwargs):
+    """batch_loss_and_grads on the parameters packed into one vector, gradient named back.
+
+    The target rows come from supervised_targets, as in training; the
+    tape reference builds its own from the labels.
+    """
     shapes = {name: arr.shape for name, arr in params_named.items()}
     theta = np.concatenate([arr.reshape(-1) for arr in params_named.values()])
-    loss, grad = batch_loss_and_grads(theta, example_weights, shapes=shapes, **kwargs)
+    targets = supervised_targets(kwargs["yb"], kwargs["method"], profile)
+    loss, grad = batch_loss_and_grads(theta, example_weights, targets=targets, shapes=shapes,
+                                      **kwargs)
     assert grad.dtype == np.float64 and grad.shape == theta.shape
     return loss, named_views(grad, shapes)
 

@@ -226,6 +226,14 @@ def test_checkpoint_preserves_exact_float_bits(tmp_path):
      "tensor ema.mlp.w0 holds non-finite"),
     ('{"format_version": 1, "tensors": [{"name": "w", "shape": [1], "values": [-Infinity]}]}',
      "tensor w holds non-finite"),
+    # numpy alone would load these as [2.0] and [1.0]
+    ('{"format_version": 1, "tensors": [{"name": "w", "shape": [1], "values": [" 2e0 "]}]}',
+     "tensor w values must be a flat list of numbers"),
+    ('{"format_version": 1, "tensors": [{"name": "w", "shape": [1], "values": [true]}]}',
+     "tensor w values must be a flat list of numbers"),
+    pytest.param(
+        '{"format_version": 1, "tensors": [{"name": "w", "shape": [1], "values": [1%s]}]}'
+        % ("0" * 400), "entry 0: OverflowError", id="int_too_large_for_float64"),
 ])
 def test_checkpoint_rejects_malformed_documents(tmp_path, doc, match):
     path = tmp_path / "bad.json"
