@@ -166,7 +166,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad flag and 0 after --help
+        return exc.code
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
     try:
         return _COMMANDS[args.command](args)

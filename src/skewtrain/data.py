@@ -108,7 +108,8 @@ def load_csv(path, label_col: str) -> Dataset:
 
     Distinct label strings are sorted lexicographically and mapped to
     0..K-1; all other columns are parsed as float features in file
-    order. Malformed rows are reported with their line number.
+    order. Each row's label cell is popped and the rest become one tuple
+    of floats. Malformed rows are reported with their line number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -119,20 +120,20 @@ def load_csv(path, label_col: str) -> Dataset:
         if label_col not in header:
             raise ValueError(f"{path}: no column named {label_col!r} in header {header}")
         label_idx = header.index(label_col)
-        feature_cols = [i for i in range(len(header)) if i != label_idx]
-        if not feature_cols:
+        width = len(header)
+        if width < 2:
             raise ValueError(f"{path}: no feature columns besides {label_col!r}")
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            labels.append(row.pop(label_idx))
             try:
-                rows.append([float(row[i]) for i in feature_cols])
+                rows.append(tuple(map(float, row)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
-            labels.append(row[label_idx])
     if not rows:
         raise ValueError(f"{path}: no data rows")
     names = sorted(set(labels))
@@ -142,12 +143,18 @@ def load_csv(path, label_col: str) -> Dataset:
 
 
 def save_csv(path, dataset: Dataset, label_col: str = "label") -> None:
-    """Inverse of load_csv, with features named f0..f{d-1}."""
+    """Inverse of load_csv, with features named f0..f{d-1}.
+
+    Rows are converted one at a time to Python floats, which the csv
+    writer formats with repr, so each value reads back exactly.
+    """
+    names = dataset.class_names
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(dataset.d)] + [label_col])
-        for x, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in x] + [dataset.class_names[label]])
+        writer.writerows(
+            x.tolist() + [names[label]] for x, label in zip(dataset.X, dataset.y.tolist())
+        )
 
 
 def gen_gaussian_mixture(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -241,17 +242,18 @@ class BoundaryGrid:
     max_prob: np.ndarray  # (R, R) float64
 
     def to_csv(self, path) -> None:
+        """One row per cell, x0 outer: x0, x1, pred_label, max_prob.
+
+        Coordinates are formatted once each and a grid row's labels and
+        probabilities are written as Python values, whose floats the csv
+        writer formats with repr.
+        """
+        ys = [repr(y) for y in self.ys.tolist()]
         with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["x0", "x1", "pred_label", "max_prob"])
-            for i in range(self.resolution):
-                for j in range(self.resolution):
-                    writer.writerow([
-                        repr(float(self.xs[i])),
-                        repr(float(self.ys[j])),
-                        int(self.labels[i, j]),
-                        repr(float(self.max_prob[i, j])),
-                    ])
+            for x, labels, probs in zip(self.xs.tolist(), self.labels, self.max_prob):
+                writer.writerows(zip(repeat(repr(x)), ys, labels.tolist(), probs.tolist()))
 
 
 def boundary_grid(

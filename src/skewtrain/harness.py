@@ -26,6 +26,7 @@ single seed yields stderr 0 flagged as single_trial.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -950,12 +951,10 @@ class SweepResult:
         }
 
     def to_csv(self, path) -> None:
-        import csv as _csv
-
         cols = ["value", "overall_mean", "overall_stderr", "minority_mean", "minority_stderr",
                 "majority_mean", "majority_stderr", "percent_improvement"]
         with atomic_write(path) as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(cols)
             for row in self.rows:
                 writer.writerow([

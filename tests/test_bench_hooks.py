@@ -2,10 +2,11 @@
 
 bench/tracing.py wraps names such as harness.Tape, harness.backward and
 models.op_apply from outside. These tests install its hooks on the real
-modules, run one tiny trial through them and close them again, so a
-refactor that renames a hooked name fails here and not only in the
-benchmark's own, slower smoke tests. Training builds no tape, so the
-tape's layers must stay silent during a trial.
+modules, run one tiny trial or the probe workload's CLI commands
+through them and close them again, so a refactor that renames a hooked
+name fails here and not only in the benchmark's own, slower smoke
+tests. Training builds no tape, so the tape's layers must stay silent
+during a trial.
 """
 
 import importlib.util
@@ -92,3 +93,32 @@ def test_benchmark_hooks_trace_the_balanced_sampler():
     steps = tracer.counts["harness.steps"]
     assert steps > 0 and clock.steps == steps
     assert calls["data.balanced_batch"] == steps
+
+
+def test_benchmark_hooks_trace_the_probe_commands(tmp_path):
+    # the probe workload's CSV and grid layers: curate, boundary, collapse
+    tracing = _load_tracing()
+    sk = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
+    full = tmp_path / "full.csv"
+    data.save_csv(full, data.gen_gaussian_mixture(3, 20, seed=0))
+    ckpt = tmp_path / "ckpt.json"
+    named = models.params_to_named(models.mlp_init([2, 4, 3], seed=0), "mlp")
+    models.save_checkpoint(ckpt, {**named, **{f"ema.{k}": v for k, v in named.items()}},
+                           {"mlp_sizes": [2, 4, 3]})
+    grid = tmp_path / "grid.csv"
+    before = _bindings()
+    tracer = tracing.Tracer()
+    with ExitStack() as stack:
+        tracing.install_tracing(stack, tracer, sk)
+        assert cli.main(["curate", "--in", str(full), "--out", str(tmp_path / "curated.csv"),
+                         "--ratio", "0.5"]) == 0
+        assert cli.main(["boundary", "--checkpoint", str(ckpt), "--resolution", "5",
+                         "--out", str(grid)]) == 0
+        assert cli.main(["collapse", "--checkpoint", str(ckpt), "--data", str(full),
+                         "--out", str(tmp_path / "collapse.json")]) == 0
+    assert _bindings() == before
+    assert tracer.top() is None
+    calls = {layer: st[0] for layer, st in tracer.stats.items()}
+    for layer in ("diagnostics.BoundaryGrid.to_csv", "data.load_csv", "data.save_csv"):
+        assert calls.get(layer, 0) >= 1, layer
+    assert tracer.counts["diagnostics.BoundaryGrid.to_csv.bytes"] == grid.stat().st_size

@@ -180,6 +180,23 @@ def test_sweep_bad_value_exits_2_before_training(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code, stream, text", [
+    # the leading minus reads as a flag, so --values has no argument
+    (["sweep", "--axis", "batch_size", "--values", "-1,16"], 2, "err",
+     "argument --values: expected one argument"),
+    (["bogus"], 2, "err", "invalid choice: 'bogus'"),
+    (["--help"], 0, "out", "usage: skewtrain"),
+])
+def test_argparse_exits_become_return_codes(tmp_path, capsys, argv, code, stream, text):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "sweep"
+    if argv[0] == "sweep":
+        argv = argv[:1] + ["--config", str(cfg), "--out", str(out)] + argv[1:]
+    assert main(argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
+    assert not out.exists()
+
+
 def test_sweep_bad_baseline_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),

@@ -97,6 +97,44 @@ def test_load_csv_reports_bad_line_number(tmp_path):
         load_csv(path, "label")
 
 
+def test_load_csv_single_feature(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("label,f0\nb,1.5\na,-2.25\n")
+    ds = load_csv(path, "label")
+    assert ds.X.shape == (2, 1)
+    npt.assert_array_equal(ds.X[:, 0], [1.5, -2.25])
+    npt.assert_array_equal(ds.y, [1, 0])
+
+
+def test_load_csv_parses_what_float_accepts(tmp_path):
+    cells = [[" 2e0 ", "1_0"], ["-0.0", "1e16"], ["5e-324", "0.1"]]
+    path = tmp_path / "t.csv"
+    path.write_text("f0,label,f1\n" + "".join(f"{a},x,{b}\n" for a, b in cells))
+    ds = load_csv(path, "label")
+    want = np.array([[float(c) for c in row] for row in cells], dtype=np.float64)
+    assert ds.X.dtype == np.float64
+    assert ds.X.tobytes() == want.tobytes()
+
+
+def test_load_csv_parses_inf_and_the_dataset_rejects_it(tmp_path):
+    # "inf" is a number to float(), so the error is the Dataset's, not a parse error
+    path = tmp_path / "t.csv"
+    path.write_text("f0,label,f1\n1.0,x,2.0\ninf,x,2.0\n")
+    with pytest.raises(ValueError, match="non-finite feature values"):
+        load_csv(path, "label")
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("1.0,y,two", r"t\.csv:3: non-numeric feature value \(could not convert string to float: 'two'\)"),
+    ("1.0,y", r"t\.csv:3: expected 3 fields, got 2"),
+])
+def test_load_csv_names_the_bad_line_with_the_label_inside(tmp_path, bad_row, message):
+    path = tmp_path / "t.csv"
+    path.write_text(f"f0,label,f1\n1.0,x,2.0\n{bad_row}\n")
+    with pytest.raises(ValueError, match=message):
+        load_csv(path, "label")
+
+
 def test_load_csv_missing_label_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,f1\n1.0,2.0\n")
