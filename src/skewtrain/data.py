@@ -9,6 +9,7 @@ imbalance ratio r = min(n_c) / max(n_c) is controlled in experiments.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,8 @@ def load_csv(path, label_col: str) -> Dataset:
     Distinct label strings are sorted lexicographically and mapped to
     0..K-1; all other columns are parsed as float features in file
     order. Each row's label cell is popped and the rest become one tuple
-    of floats. Malformed rows are reported with their line number.
+    of floats. Malformed rows and non-finite values (inf, nan, 1e400)
+    are reported with their line number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -136,10 +138,22 @@ def load_csv(path, label_col: str) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    X = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        index, col = bad[0]
+        # Found again only now, so the loop above keeps no line numbers; blank
+        # lines are not rows, so the data row index is not the line.
+        with open(path, newline="") as fh:
+            numbered = ((n, r) for n, r in enumerate(csv.reader(fh), start=1) if r)
+            lineno, row = next(itertools.islice(numbered, index + 1, None))
+        del row[label_idx], header[label_idx]
+        raise ValueError(f"{path}:{lineno}: non-finite feature value "
+                         f"({row[col]!r} in column {header[col]!r})")
     names = sorted(set(labels))
     mapping = {name: i for i, name in enumerate(names)}
     y = np.array([mapping[s] for s in labels], dtype=np.int64)
-    return Dataset(np.array(rows, dtype=np.float64), y, names)
+    return Dataset(X, y, names)
 
 
 def save_csv(path, dataset: Dataset, label_col: str = "label") -> None:

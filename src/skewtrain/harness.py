@@ -77,15 +77,16 @@ from .models import (
     mlp_init,
     mlp_predict,
     named_to_mlp,
-    named_views,
+    pack,
     params_to_named,
-    stack_views,
+    tensor_bounds,
+    unpack,
 )
 from .optim import SamSpec, TrainConfig, cosine_lr, ema_update, init_state, sam_step, sgd_update
 from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
 
-# Training builds no tape, so backward, forward_stack and vicreg_loss
-# have no caller here; bench/tracing.py rebinds them on this module.
+# Training builds no tape and names no tensors, so backward, forward_stack, vicreg_loss
+# and named_to_mlp have no caller here; bench/tracing.py rebinds them on this module.
 
 logger = logging.getLogger(__name__)
 
@@ -442,12 +443,15 @@ def curate_test_split(config: ExperimentConfig, pool: Dataset, seed: int) -> Dat
 
 @dataclass
 class TrainedModel:
-    """Everything needed to evaluate or probe a finished run."""
+    """Everything needed to evaluate or probe a finished run.
 
-    mlp_sizes: list[int]
-    proj_sizes: list[int] | None
-    raw: dict[str, np.ndarray]
-    ema: dict[str, np.ndarray]
+    raw and ema are vectors in models.pack's layout of the stacks of sizes:
+    the classifier and, for joint_ssl, the projector.
+    """
+
+    sizes: list[list[int]]
+    raw: np.ndarray
+    ema: np.ndarray
     use_ema_eval: bool
     train_split: Dataset
     profile: ClassProfile
@@ -455,20 +459,17 @@ class TrainedModel:
     epochs_to_full_fit: int | None
 
     @property
-    def eval_named(self) -> dict[str, np.ndarray]:
-        return self.ema if self.use_ema_eval else self.raw
-
-    @property
     def final_train_accuracy(self) -> float:
         return self.train_acc_trajectory[-1]
 
     def eval_mlp(self):
-        return named_to_mlp(self.eval_named, self.mlp_sizes)
+        return unpack(self.ema if self.use_ema_eval else self.raw, self.sizes)[0]
 
     def checkpoint_named(self) -> dict[str, np.ndarray]:
-        named = dict(self.raw)
-        for k, v in self.ema.items():
-            named[f"ema.{k}"] = v
+        named = {}
+        for prefix, vec in (("", self.raw), ("ema.", self.ema)):
+            for stack, name in zip(unpack(vec, self.sizes), ("mlp", "proj")):
+                named.update(params_to_named(stack, prefix + name))
         return named
 
 
@@ -588,29 +589,28 @@ def _require_finite(stage: str, value) -> None:
 
 
 def batch_loss_and_grads(
-    theta, example_weights, *, xb, yb, targets, views, epoch, method, class_w,
-    mlp_sizes, proj_sizes, shapes,
+    theta, example_weights, *, xb, yb, targets, views, epoch, method, class_w, sizes,
 ):
     """(loss, gradient) of the training objective on one batch.
 
-    theta and the gradient are vectors holding the tensors of shapes back
-    to back; a tensor the objective does not use gets a zero gradient.
-    targets are the batch's rows of supervised_targets. sam_step calls
-    it as f(theta, example_weights); train_model binds the rest with
-    functools.partial. The stacks are views of theta, and mlp_backward
-    writes into views of one zeroed gradient vector. Forward and backward
-    are closed-form numpy (models.mlp_forward/mlp_backward, the losses'
-    *_and_grad forms) and repeat the tape's operations in its order, so
-    the result is bit-identical to backward() over supervised_loss and,
-    for the joint objective, forward_stack, vicreg_loss and joint_loss.
+    theta and the gradient are vectors in models.pack's layout of the
+    stacks of sizes; a stack the objective does not use gets a zero
+    gradient. targets are the batch's rows of supervised_targets.
+    sam_step calls it as f(theta, example_weights); train_model binds the
+    rest with functools.partial. The stacks are views of theta, and
+    mlp_backward writes into views of one zeroed gradient vector.
+    Forward and backward are closed-form numpy (models.mlp_forward/
+    mlp_backward, the losses' *_and_grad forms) and repeat the tape's
+    operations in its order, so the result is bit-identical to backward()
+    over supervised_loss and, for the joint objective, forward_stack,
+    vicreg_loss and joint_loss.
     A non-finite pre-activation, loss or gradient raises NumericalError
     naming the stage.
     """
-    named = named_views(theta, shapes)
+    stacks = unpack(theta, sizes)
     grad = np.zeros(theta.size)
-    grad_named = named_views(grad, shapes)
-    mlp = stack_views(named, mlp_sizes, "mlp")
-    mlp_grads = stack_views(grad_named, mlp_sizes, "mlp")
+    stack_grads = unpack(grad, sizes)
+    mlp, mlp_grads = stacks[0], stack_grads[0]
     mlp_written = 0
     lam = float(method.joint.lam) if method.joint_ssl else 1.0
     # Overflow surfaces as NumericalError below, as it does on the tape.
@@ -621,8 +621,7 @@ def batch_loss_and_grads(
         )
         _require_finite("supervised loss", loss)
         if method.joint_ssl:
-            proj = stack_views(named, proj_sizes, "proj")
-            proj_grads = stack_views(grad_named, proj_sizes, "proj")
+            proj, proj_grads = stacks[1], stack_grads[1]
             proj_written = 0
             branches = []
             for view in views:
@@ -648,23 +647,20 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     """Train one (config, seed) trial on the caller's curated train_split.
 
     Callers build it with build_pools and curate_train_split, once per seed.
-    What stays fixed over the trial is built here once: the parameter
-    layout, whose shapes mlp_init fixes so the step does not check them,
-    and the target rows of the whole split, which each step indexes.
+    What stays fixed over the trial is built here once: sizes, the layer
+    sizes of the classifier and the projector, which fix theta's layout
+    and SAM's tensor bounds, and the target rows that each step indexes.
     """
     ss = _seed_children(seed)
     profile = class_profile(train_split)
     k = train_split.num_classes
-    mlp_sizes = [train_split.d] + list(config.hidden) + [k]
-    init_rng = np.random.default_rng(ss["init"])
-    named = params_to_named(mlp_init(mlp_sizes, seed=init_rng.integers(2**32)), "mlp")
+    sizes = [[train_split.d] + list(config.hidden) + [k]]
     proj_sizes = _projector_sizes(config)
     if proj_sizes is not None:
-        named.update(params_to_named(mlp_init(proj_sizes, seed=init_rng.integers(2**32)), "proj"))
-    shapes = {name: arr.shape for name, arr in named.items()}
-    stops = np.cumsum([arr.size for arr in named.values()]).tolist()
-    bounds = list(zip([0] + stops[:-1], stops))
-    theta = np.concatenate([arr.reshape(-1) for arr in named.values()])
+        sizes.append(proj_sizes)
+    init_rng = np.random.default_rng(ss["init"])
+    theta = pack([mlp_init(s, seed=init_rng.integers(2**32)) for s in sizes])
+    bounds = tensor_bounds(sizes)
     state = init_state(theta, config.ema_decay)
 
     method = config.method
@@ -697,8 +693,7 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
                 views = augment_two_views(xb, method.augment, augment_rng)
             loss_and_grads = functools.partial(
                 batch_loss_and_grads, xb=xb, yb=yb, targets=targets[batch_idx], views=views,
-                epoch=epoch, method=method, class_w=class_w, mlp_sizes=mlp_sizes,
-                proj_sizes=proj_sizes, shapes=shapes,
+                epoch=epoch, method=method, class_w=class_w, sizes=sizes,
             )
             try:
                 if method.sam.mode != "off":
@@ -714,8 +709,7 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, step {step} (seed {seed}): {exc}"
                 ) from exc
-        preds, _, _ = mlp_predict(stack_views(named_views(theta, shapes), mlp_sizes, "mlp"),
-                                  train_split.X)
+        preds, _, _ = mlp_predict(unpack(theta, sizes)[0], train_split.X)
         acc = float((preds == train_split.y).mean())
         trajectory.append(acc)
         logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)
@@ -725,10 +719,9 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
             break
 
     return TrainedModel(
-        mlp_sizes=mlp_sizes,
-        proj_sizes=proj_sizes,
-        raw=named_views(theta, shapes),
-        ema=named_views(state.ema, shapes),
+        sizes=sizes,
+        raw=theta,
+        ema=state.ema,
         use_ema_eval=config.use_ema_eval,
         train_split=train_split,
         profile=profile,
@@ -886,9 +879,10 @@ def _write_trial(result: TrialResult, run_dir: Path) -> None:
 
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_json(run_dir / f"seed_{result.seed}.json", result.to_dict())
+    sizes = result.model.sizes
     meta = {
-        "mlp_sizes": result.model.mlp_sizes,
-        "proj_sizes": result.model.proj_sizes,
+        "mlp_sizes": sizes[0],
+        "proj_sizes": sizes[1] if len(sizes) > 1 else None,
         "config_hash": result.config_hash,
         "seed": result.seed,
     }

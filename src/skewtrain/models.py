@@ -8,11 +8,11 @@ embedding space for self-supervised objectives is a stack of the same
 construction, so one type (MLPParams) and one initializer (mlp_init)
 serve both.
 
-Parameters live as named float64 arrays ({prefix.w0, prefix.b0, ...}).
-Training keeps them back to back in one vector: named_views cuts it
-into named views at running offsets and stack_views makes a stack of
-them without copying. named_to_mlp builds a stack from outside input,
-such as a checkpoint, and checks every tensor's shape first.
+Training keeps the parameters in one float64 vector whose layout this
+module alone owns (pack, unpack, tensor_bounds). Names ({prefix.w0,
+prefix.b0, ...}) exist only at the edges: params_to_named names a stack
+for a checkpoint, and named_to_mlp builds one from outside input, such
+as a checkpoint, and checks every tensor's shape first.
 There is one forward, the numpy mlp_forward, which training and
 mlp_predict share; mlp_backward is its closed-form backward and writes
 the gradients into views of the caller's gradient vector. forward_stack
@@ -24,7 +24,6 @@ Checkpoints are JSON documents written atomically.
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -73,32 +72,34 @@ def params_to_named(params, prefix: str) -> dict[str, np.ndarray]:
     return named
 
 
-def named_views(vec: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """{name: view of vec} for the tensors of shapes, laid back to back in its order.
+def pack(stacks) -> np.ndarray:
+    """One vector holding each stack's w0, b0, w1, b1, ... in turn, the stacks in order."""
+    return np.concatenate([a.reshape(-1) for p in stacks for w, b in zip(p.weights, p.biases)
+                           for a in (w, b)])
 
-    The views are slices at running offsets and share vec's memory; a
-    vec whose length is not the tensors' total raises ValueError.
+
+def unpack(vec: np.ndarray, sizes) -> list[MLPParams]:
+    """The inverse of pack: the stacks of layer sizes in sizes, as views of vec.
+
+    Nothing is copied or checked, as mlp_init fixed the layout of training's vectors.
     """
-    sizes = [math.prod(s) for s in shapes.values()]
-    if vec.shape != (sum(sizes),):
-        raise ValueError(f"vector of shape {vec.shape} does not hold {sum(sizes)} values")
-    views, start = {}, 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        views[name] = vec[start:start + size].reshape(shape)
-        start += size
-    return views
+    stacks, start = [], 0
+    for layer_sizes in sizes:
+        weights, biases = [], []
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            stop = start + fan_in * fan_out
+            weights.append(vec[start:stop].reshape(fan_in, fan_out))
+            start = stop + fan_out
+            biases.append(vec[stop:start])
+        stacks.append(MLPParams(layer_sizes, weights, biases))
+    return stacks
 
 
-def stack_views(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: str) -> MLPParams:
-    """The stack {prefix.w0, prefix.b0, ...} of named, over named's own arrays.
-
-    Nothing is copied or checked. Training calls it on views of a
-    parameter or gradient vector whose layout mlp_init fixed;
-    named_to_mlp checks outside input and then calls it.
-    """
-    n = len(layer_sizes) - 1
-    return MLPParams(list(layer_sizes), [named[f"{prefix}.w{i}"] for i in range(n)],
-                     [named[f"{prefix}.b{i}"] for i in range(n)])
+def tensor_bounds(sizes) -> list[tuple[int, int]]:
+    """(start, stop) of each tensor in pack's layout of the stacks of sizes."""
+    stops = np.cumsum([n for s in sizes for fan_in, fan_out in zip(s[:-1], s[1:])
+                       for n in (fan_in * fan_out, fan_out)]).tolist()
+    return list(zip([0] + stops[:-1], stops))
 
 
 def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: str = "mlp") -> MLPParams:
@@ -112,15 +113,15 @@ def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: s
     pairs = list(enumerate(zip(layer_sizes[:-1], layer_sizes[1:])))
     wanted = [(f"{prefix}.w{i}", (fan_in, fan_out)) for i, (fan_in, fan_out) in pairs]
     wanted += [(f"{prefix}.b{i}", (fan_out,)) for i, (_, fan_out) in pairs]
-    checked = {}
+    checked = []
     for name, shape in wanted:
         if name not in named:
             raise ValueError(f"missing tensor {name} for layer sizes {list(layer_sizes)}")
         arr = np.asarray(named[name], dtype=np.float64)
         if arr.shape != shape:
             raise ValueError(f"tensor {name} has shape {arr.shape}, layer sizes need {shape}")
-        checked[name] = arr
-    return stack_views(checked, layer_sizes, prefix)
+        checked.append(arr)
+    return MLPParams(list(layer_sizes), checked[:len(pairs)], checked[len(pairs):])
 
 
 def forward_stack(x: Var, leaves: dict[str, Var], n_layers: int, prefix: str):

@@ -1,7 +1,7 @@
 """SGD with momentum, cosine schedule, EMA, and sharpness-aware steps.
 
 The parameters are one 1-D float64 vector, theta, and the velocity and
-EMA share its layout; names are the caller's. Every update is functional
+EMA share its layout, which models owns. Every update is functional
 (new vectors, inputs untouched) so trajectories are bit-reproducible.
 
 The sharpness-aware step is two-phase: compute the ascent-loss gradient
@@ -134,8 +134,8 @@ def sam_perturb(theta: np.ndarray, grad: np.ndarray, rho_eff: float, bounds):
     """Move rho_eff along the normalized ascent gradient.
 
     Returns (perturbed_theta, ascent_skipped). The norm sums squares per
-    tensor over bounds, the tensors' (start, stop) offsets, as one sum
-    over theta rounds differently; a zero norm skips the move and flags it.
+    tensor over bounds (models.tensor_bounds), as one sum over theta
+    rounds differently; a zero norm skips the move and flags it.
     """
     if rho_eff == 0.0:
         return theta, False
@@ -161,7 +161,7 @@ def sam_step(
     loss_and_grads(theta, example_weights) -> (loss_value, grad), grad in
     theta's layout; example_weights is None except for the class-conditional
     ascent pass, where the callee should average s_i * l_i / sum(s_i).
-    bounds, the tensors' offsets in theta, go to sam_perturb.
+    bounds, the tensors' offsets in theta (models.tensor_bounds), go to sam_perturb.
     """
     if spec.mode == "off":
         raise ValueError("sam_step called with mode 'off'; use sgd_update")

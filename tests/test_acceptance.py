@@ -354,11 +354,7 @@ def test_optimizer_degeneracies_are_bitwise(verdict):
         return cfg
 
     def same_weights(m1, m2):
-        return all(
-            np.array_equal(m1.raw[name], m2.raw[name])
-            and np.array_equal(m1.ema[name], m2.ema[name])
-            for name in m1.raw
-        )
+        return m1.raw.tobytes() == m2.raw.tobytes() and m1.ema.tobytes() == m2.ema.tobytes()
 
     zero_rho = _train(uniform_config("sam", 0.0), seed=0)
     plain = _train(uniform_config("off", 0.0), seed=0)

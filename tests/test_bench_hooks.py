@@ -6,9 +6,13 @@ modules, run one tiny trial or the probe workload's CLI commands
 through them and close them again, so a refactor that renames a hooked
 name fails here and not only in the benchmark's own, slower smoke
 tests. Training builds no tape, so the tape's layers must stay silent
-during a trial.
+during a trial. bench/run.py and bench/workloads.py read further names
+through a namespace of the modules (sk.harness.run_ratio_grid and the
+like); the last test checks that each of them still resolves.
 """
 
+import ast
+import importlib
 import importlib.util
 import types
 from contextlib import ExitStack
@@ -18,10 +22,11 @@ from skewtrain import autodiff, cli, data, diagnostics, harness, losses, models,
 from skewtrain.harness import DataSpec, ExperimentConfig, TrainConfig, apply_method
 
 MODULES = (autodiff, cli, data, diagnostics, harness, losses, models, optim)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = BENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("skewtrain_bench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -35,14 +40,14 @@ def _bindings():
     return names
 
 
-def _trace_one_trial(preset):
+def _trace_one_trial(preset, lr0=0.05):
     """Install the benchmark's hooks, run one tiny trial of preset and restore them."""
     tracing = _load_tracing()
     sk = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
     before = _bindings()
     cfg = apply_method(ExperimentConfig(
         data=DataSpec(classes=3, train_per_class=20, test_per_class=10, sigma=0.5),
-        train=TrainConfig(lr0=0.05, epochs=2, warmup_epochs=1, batch_size=32),
+        train=TrainConfig(lr0=lr0, epochs=2, warmup_epochs=1, batch_size=32),
         hidden=[8],
         r_train=0.5,
         seeds=[0],
@@ -122,3 +127,70 @@ def test_benchmark_hooks_trace_the_probe_commands(tmp_path):
     for layer in ("diagnostics.BoundaryGrid.to_csv", "data.load_csv", "data.save_csv"):
         assert calls.get(layer, 0) >= 1, layer
     assert tracer.counts["diagnostics.BoundaryGrid.to_csv.bytes"] == grid.stat().st_size
+
+
+def test_benchmark_hooks_trace_the_joint_ssl_step():
+    # joint_ssl is the fourth step shape toy_sweep runs: two augmented
+    # views per batch, each through the classifier trunk and the projector.
+    # It runs at the benchmark's joint_ssl lr0; at 0.05 its VICReg term diverges.
+    tracer, clock, calls = _trace_one_trial("joint_ssl", lr0=5e-4)
+    steps = tracer.counts["harness.steps"]
+    assert steps > 0 and clock.steps == steps
+    assert calls["data.augment_two_views"] == steps
+    for layer in ("optim.sam_step", "losses.vicreg_loss"):
+        assert layer not in calls, layer
+
+
+def _skewtrain_reads(path: Path):
+    """(module, attribute) for each sk.<module>.<attribute> that path reads.
+
+    A local alias of a module (h = self.sk.harness) counts as sk.harness
+    within its function.
+    """
+
+    def sk_module(node):
+        # sk.<module> or <anything>.sk.<module>
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id == "sk") or (
+                    isinstance(base, ast.Attribute) and base.attr == "sk"):
+                return node.attr
+        return None
+
+    reads = set()
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        aliases = {
+            node.targets[0].id: sk_module(node.value)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name) and sk_module(node.value)
+        }
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Attribute):
+                continue
+            module = sk_module(node.value)
+            if module is None and isinstance(node.value, ast.Name):
+                module = aliases.get(node.value.id)
+            if module is not None and module != "np":
+                reads.add((module, node.attr))
+    return reads
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    rule = "bench/ changes only in benchmark changes: keep this name in skewtrain"
+    imported = set()
+    for node in ast.walk(ast.parse((BENCH / "run.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "skewtrain":
+            imported.update(alias.name for alias in node.names)
+    assert imported >= {"cli", "data", "diagnostics", "harness", "models"}
+    for name in sorted(imported):
+        assert importlib.util.find_spec(f"skewtrain.{name}") is not None, (
+            f"bench/run.py imports skewtrain.{name}, which is gone; {rule}")
+    reads = _skewtrain_reads(BENCH / "run.py") | _skewtrain_reads(BENCH / "workloads.py")
+    assert ("harness", "apply_method") in reads and ("models", "named_to_mlp") in reads
+    for module, attr in sorted(reads):
+        assert module in imported, f"bench reads sk.{module}, which bench/run.py does not import"
+        assert hasattr(importlib.import_module(f"skewtrain.{module}"), attr), (
+            f"bench reads skewtrain.{module}.{attr}, which is gone; {rule}")

@@ -78,6 +78,16 @@ def test_curate_bad_ratio(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_curate_names_the_line_of_a_non_finite_value(tmp_path, capsys):
+    src = tmp_path / "full.csv"
+    src.write_text("f0,f1,label\n1.0,2.0,a\n\n1e400,0.5,b\n")
+    code = main(["curate", "--in", str(src), "--out", str(tmp_path / "o.csv"), "--ratio", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {src}:4: non-finite feature value ('1e400' in column 'f0')" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_curate_missing_input(tmp_path, capsys):
     code = main(["curate", "--in", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path / "o.csv"), "--ratio", "0.5"])

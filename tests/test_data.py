@@ -117,10 +117,21 @@ def test_load_csv_parses_what_float_accepts(tmp_path):
 
 
 def test_load_csv_parses_inf_and_the_dataset_rejects_it(tmp_path):
-    # "inf" is a number to float(), so the error is the Dataset's, not a parse error
+    # "inf" is a number to float(); load_csv rejects it with its line and column
     path = tmp_path / "t.csv"
     path.write_text("f0,label,f1\n1.0,x,2.0\ninf,x,2.0\n")
-    with pytest.raises(ValueError, match="non-finite feature values"):
+    message = r"t\.csv:3: non-finite feature value \('inf' in column 'f0'\)$"
+    with pytest.raises(ValueError, match=message):
+        load_csv(path, "label")
+
+
+@pytest.mark.parametrize("cell", ["-inf", "nan", "1e400"])
+def test_load_csv_names_the_line_of_a_non_finite_value_after_a_blank_line(tmp_path, cell):
+    # blank lines are not rows: the bad value is in data row 2 but on line 5
+    path = tmp_path / "t.csv"
+    path.write_text(f"f0,label,f1\n1.0,x,2.0\n\n\n3.0,y,{cell}\n4.0,y,inf\n")
+    message = rf"t\.csv:5: non-finite feature value \('{cell}' in column 'f1'\)$"
+    with pytest.raises(ValueError, match=message):
         load_csv(path, "label")
 
 

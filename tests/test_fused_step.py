@@ -38,8 +38,10 @@ from skewtrain.models import (
     forward_stack,
     mlp_init,
     mlp_predict,
-    named_views,
+    named_to_mlp,
+    pack,
     params_to_named,
+    unpack,
 )
 from skewtrain.optim import SamSpec, rho_per_class
 
@@ -68,19 +70,24 @@ def _tape_loss_and_grads(
     return float(total.value), {name: grads[leaves[name].idx] for name in leaves}
 
 
-def _fused(params_named, example_weights, *, profile, **kwargs):
+def _fused(params_named, example_weights, *, profile, mlp_sizes, proj_sizes, **kwargs):
     """batch_loss_and_grads on the parameters packed into one vector, gradient named back.
 
-    The target rows come from supervised_targets, as in training; the
-    tape reference builds its own from the labels.
+    The stacks are the classifier and, when proj_sizes is given, the
+    projector. The target rows come from supervised_targets, as in
+    training; the tape reference builds its own from the labels.
     """
-    shapes = {name: arr.shape for name, arr in params_named.items()}
-    theta = np.concatenate([arr.reshape(-1) for arr in params_named.values()])
+    sizes = [mlp_sizes] if proj_sizes is None else [mlp_sizes, proj_sizes]
+    prefixes = ("mlp", "proj")[:len(sizes)]
+    theta = pack([named_to_mlp(params_named, s, p) for s, p in zip(sizes, prefixes)])
     targets = supervised_targets(kwargs["yb"], kwargs["method"], profile)
-    loss, grad = batch_loss_and_grads(theta, example_weights, targets=targets, shapes=shapes,
+    loss, grad = batch_loss_and_grads(theta, example_weights, targets=targets, sizes=sizes,
                                       **kwargs)
     assert grad.dtype == np.float64 and grad.shape == theta.shape
-    return loss, named_views(grad, shapes)
+    named = {}
+    for stack, prefix in zip(unpack(grad, sizes), prefixes):
+        named.update(params_to_named(stack, prefix))
+    return loss, named
 
 
 _SAM = SamSpec(rho=0.05, mode="sam_a_paper")
@@ -151,12 +158,16 @@ def test_fused_step_is_bitwise_the_tape(name, shape, ascent, epoch):
 
 
 def test_fused_step_fills_zeros_for_unused_parameters():
+    # a whole projector stack that a non-joint method never reads
     params, weights, kwargs = _instance("one_hidden", METHODS["erm"], False, 0)
-    params["proj.w0"] = np.ones((16, 4))
+    kwargs["proj_sizes"] = [16, 6, 5]
+    params.update(params_to_named(mlp_init(kwargs["proj_sizes"], seed=1), "proj"))
     _, grads = _fused(params, weights, **kwargs)
     _, want = _tape_loss_and_grads(params, weights, **kwargs)
     assert list(grads) == list(params)
-    assert grads["proj.w0"].tobytes() == want["proj.w0"].tobytes() == np.zeros((16, 4)).tobytes()
+    for name in ("proj.w0", "proj.b0", "proj.w1", "proj.b1"):
+        zeros = np.zeros(params[name].shape).tobytes()
+        assert grads[name].tobytes() == want[name].tobytes() == zeros, name
 
 
 @pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])

@@ -44,7 +44,7 @@ from skewtrain.harness import (
     supervised_loss,
 )
 from skewtrain.losses import ReweightSpec, cross_entropy_vec, one_hot, reweight_class_weights
-from skewtrain.models import load_checkpoint
+from skewtrain.models import load_checkpoint, named_to_mlp, pack
 from skewtrain.optim import SamSpec, rho_per_class
 
 
@@ -621,13 +621,12 @@ def test_run_training_is_deterministic():
     cfg = _tiny_config()
     a = run_training(cfg, seed=0)
     b = run_training(cfg, seed=0)
-    for name in a.model.raw:
-        npt.assert_array_equal(a.model.raw[name], b.model.raw[name])
-        npt.assert_array_equal(a.model.ema[name], b.model.ema[name])
+    assert a.model.raw.tobytes() == b.model.raw.tobytes()
+    assert a.model.ema.tobytes() == b.model.ema.tobytes()
     assert a.metrics.overall == b.metrics.overall
     assert a.model.train_acc_trajectory == b.model.train_acc_trajectory
     c = run_training(cfg, seed=1)
-    assert any(not np.array_equal(a.model.raw[n], c.model.raw[n]) for n in a.model.raw)
+    assert not np.array_equal(a.model.raw, c.model.raw)
 
 
 def test_run_training_fits_separable_data():
@@ -666,9 +665,24 @@ def test_run_training_joint_ssl_smoke():
     )
     cfg.method.joint_ssl = True
     res = run_training(cfg, seed=0)
-    assert res.model.proj_sizes == [8, 32, 32]
-    assert any(n.startswith("proj.") for n in res.model.raw)
+    assert res.model.sizes == [[2, 8, 3], [8, 32, 32]]
+    # the classifier's 51 values, then the projector's 1344
+    assert res.model.raw.shape == res.model.ema.shape == (51 + 1344,)
     assert np.isfinite(res.model.final_train_accuracy)
+
+
+def test_joint_ssl_checkpoint_names_every_tensor_of_raw_and_ema():
+    cfg = _tiny_config(train=TrainConfig(lr0=0.002, epochs=2, warmup_epochs=1, batch_size=32))
+    cfg.method.joint_ssl = True
+    model = run_training(cfg, seed=0).model
+    named = model.checkpoint_named()
+    want = [f"{stack}.{kind}{i}" for stack in ("mlp", "proj") for i in (0, 1) for kind in "wb"]
+    assert list(named) == want + [f"ema.{name}" for name in want]
+    for prefix, vec in (("", model.raw), ("ema.", model.ema)):
+        values = [named[prefix + name] for name in want]
+        assert all(np.shares_memory(v, vec) for v in values)
+        assert np.concatenate([v.reshape(-1) for v in values]).tobytes() == vec.tobytes()
+    assert not np.array_equal(model.raw, model.ema)
 
 
 def test_run_training_divergence_is_reported():
@@ -703,8 +717,10 @@ def test_run_all_seeds_files_and_aggregates(tmp_path):
         named, meta = load_checkpoint(run_dir / f"checkpoint_seed_{seed}.json")
         assert meta["seed"] == seed
         result = agg.results[0] if seed == 0 else agg.results[1]
-        npt.assert_array_equal(named["mlp.w0"], result.model.raw["mlp.w0"])
-        npt.assert_array_equal(named["ema.mlp.w0"], result.model.ema["mlp.w0"])
+        sizes = meta["mlp_sizes"]
+        assert [sizes] == result.model.sizes and meta["proj_sizes"] is None
+        assert pack([named_to_mlp(named, sizes)]).tobytes() == result.model.raw.tobytes()
+        assert pack([named_to_mlp(named, sizes, "ema.mlp")]).tobytes() == result.model.ema.tobytes()
     doc = json.loads((run_dir / "aggregate.json").read_text())
     assert doc["aggregates"]["overall"]["mean"] == overall.mean
     assert doc["seeds"] == [0, 1]

@@ -11,9 +11,11 @@ from skewtrain.models import (
     mlp_init,
     mlp_predict,
     named_to_mlp,
-    named_views,
+    pack,
     params_to_named,
     save_checkpoint,
+    tensor_bounds,
+    unpack,
 )
 
 
@@ -122,19 +124,26 @@ def test_named_round_trip():
     assert np.array_equal(named_to_mlp(named_both, [2, 6, 3]).weights[0], p.weights[0])
 
 
-def test_named_views_read_one_vector_in_layout_order():
-    named = params_to_named(mlp_init([2, 3, 2], seed=0), "mlp")
-    shapes = {name: arr.shape for name, arr in named.items()}
-    vec = np.concatenate([arr.reshape(-1) for arr in named.values()])
-    views = named_views(vec, shapes)
+def test_pack_and_unpack_lay_the_stacks_out_in_checkpoint_order():
+    sizes = [[2, 3, 4, 2], [4, 5, 3]]
+    mlp, proj = mlp_init(sizes[0], seed=0), mlp_init(sizes[1], seed=1)
+    proj.biases = [np.arange(b.size, dtype=np.float64) - 1.5 for b in proj.biases]
+    named = {**params_to_named(mlp, "mlp"), **params_to_named(proj, "proj")}
+    vec = pack([mlp, proj])
+    assert vec.dtype == np.float64
+    assert vec.tobytes() == np.concatenate([a.reshape(-1) for a in named.values()]).tobytes()
+    stacks = unpack(vec, sizes)
+    assert [s.layer_sizes for s in stacks] == sizes
+    views = {**params_to_named(stacks[0], "mlp"), **params_to_named(stacks[1], "proj")}
     assert list(views) == list(named)
     for name, arr in named.items():
-        assert views[name].shape == arr.shape
-        assert views[name].tobytes() == arr.tobytes()
-        assert np.shares_memory(views[name], vec)
-    for wrong_length in (vec[:-1], np.append(vec, 0.0)):
-        with pytest.raises(ValueError):
-            named_views(wrong_length, shapes)
+        assert views[name].shape == arr.shape, name
+        assert views[name].tobytes() == arr.tobytes(), name
+        assert np.shares_memory(views[name], vec), name
+    bounds = tensor_bounds(sizes)
+    assert len(bounds) == len(named) and bounds[-1][1] == vec.size
+    for (start, stop), arr in zip(bounds, named.values()):
+        assert vec[start:stop].tobytes() == arr.tobytes()
 
 
 def test_forward_stack_separate_prefixes_share_one_tape():
