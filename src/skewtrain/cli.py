@@ -120,7 +120,7 @@ def _cmd_sweep(args) -> int:
         print(
             f"  {row.value:>12}  overall {overall.mean:.4f} +/- {overall.stderr:.4f}"
             f"  minority {minority.mean:.4f} +/- {minority.stderr:.4f}"
-            f"  improvement {row.improvement:+.4f}"
+            f"  improvement {row.percent_improvement:+.4f}"
         )
     print(f"improvement variance {result.improvement_variance:.6g}")
     print(f"tables in {args.out}")
@@ -149,10 +149,10 @@ def _cmd_collapse(args) -> int:
     preds, _, feats = mlp_predict(mlp, dataset.X)
     report = collapse_report(feats, dataset.y, preds, profile)
     if args.out:
-        _write_json(args.out, report.to_dict())
+        _write_json(args.out, report)
         print(f"wrote collapse report to {args.out}")
     else:
-        print(json.dumps(_jsonify(report.to_dict()), indent=2))
+        print(json.dumps(_jsonify(report), indent=2))
     return 0
 
 

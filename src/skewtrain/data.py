@@ -111,7 +111,7 @@ def load_csv(path, label_col: str) -> Dataset:
     0..K-1; all other columns are parsed as float features in file
     order. Each row's label cell is popped and the rest become one tuple
     of floats. Malformed rows and non-finite values (inf, nan, 1e400)
-    are reported with their line number.
+    are reported with the line their record starts on.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -125,31 +125,41 @@ def load_csv(path, label_col: str) -> Dataset:
         width = len(header)
         if width < 2:
             raise ValueError(f"{path}: no feature columns besides {label_col!r}")
-        rows, labels = [], []
+        rows, labels, error = [], [], None
+        # lineno counts records: a quoted cell may span lines, so it is not
+        # the line; the error path below finds that.
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                error = f"expected {width} fields, got {len(row)}"
+                break
             labels.append(row.pop(label_idx))
             try:
                 rows.append(tuple(map(float, row)))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric feature value ({exc})") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    X = np.array(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        index, col = bad[0]
-        # Found again only now, so the loop above keeps no line numbers; blank
-        # lines are not rows, so the data row index is not the line.
+                error = f"non-numeric feature value ({exc})"
+                break
+    if error is None:
+        if not rows:
+            raise ValueError(f"{path}: no data rows")
+        X = np.array(rows, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:
+            index, col = bad[0]
+            # Blank lines are records but not rows, so the data row index is
+            # not the record number.
+            with open(path, newline="") as fh:
+                numbered = ((n, r) for n, r in enumerate(csv.reader(fh), start=1) if r)
+                lineno, row = next(itertools.islice(numbered, index + 1, None))
+            del row[label_idx], header[label_idx]
+            error = f"non-finite feature value ({row[col]!r} in column {header[col]!r})"
+    if error is not None:
+        # The bad record starts on the line after the one its predecessor ends on.
         with open(path, newline="") as fh:
-            numbered = ((n, r) for n, r in enumerate(csv.reader(fh), start=1) if r)
-            lineno, row = next(itertools.islice(numbered, index + 1, None))
-        del row[label_idx], header[label_idx]
-        raise ValueError(f"{path}:{lineno}: non-finite feature value "
-                         f"({row[col]!r} in column {header[col]!r})")
+            reader = csv.reader(fh)
+            next(itertools.islice(reader, lineno - 2, None))
+            raise ValueError(f"{path}:{reader.line_num + 1}: {error}")
     names = sorted(set(labels))
     mapping = {name: i for i, name in enumerate(names)}
     y = np.array([mapping[s] for s in labels], dtype=np.int64)

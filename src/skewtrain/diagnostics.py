@@ -51,19 +51,6 @@ class MetricsReport:
     minority_classes: list[int]
     majority_classes: list[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "per_class": list(self.per_class),
-            "minority": self.minority,
-            "majority": self.majority,
-            "few": self.few,
-            "medium": self.medium,
-            "many": self.many,
-            "minority_classes": list(self.minority_classes),
-            "majority_classes": list(self.majority_classes),
-        }
-
 
 def _group_accuracy(correct: np.ndarray, labels: np.ndarray, classes) -> float:
     mask = np.isin(labels, list(classes))
@@ -173,18 +160,6 @@ class CollapseReport:
     ncc_accuracy: float
     ncc_accuracy_minority: float
     minority_classes: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "cdnv_pairs": [list(row) for row in self.cdnv_pairs],
-            "mean_cdnv": self.mean_cdnv,
-            "minority_mean_cdnv": self.minority_mean_cdnv,
-            "ncc_agreement": self.ncc_agreement,
-            "ncc_agreement_minority": self.ncc_agreement_minority,
-            "ncc_accuracy": self.ncc_accuracy,
-            "ncc_accuracy_minority": self.ncc_accuracy_minority,
-            "minority_classes": list(self.minority_classes),
-        }
 
 
 def collapse_report(

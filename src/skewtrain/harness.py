@@ -19,9 +19,12 @@ is the same supervised term on the tape; it is the reference that the
 numpy step and acceptance criterion 1 check against.
 
 Results land as JSON: one file per (config hash, seed), one aggregate
-per config, and per-sweep tables. Aggregates report per-seed values,
-their mean, and the standard error (sample std / sqrt(n_seeds)); a
-single seed yields stderr 0 flagged as single_trial.
+per config, and per-sweep tables. _jsonify writes every one of them,
+and a report's document is its dataclass fields; only a document that
+adds or drops values (a trial, an aggregate, a ratio grid) is built by
+a to_dict. Aggregates report per-seed values, their mean, and the
+standard error (sample std / sqrt(n_seeds)); a single seed yields
+stderr 0 flagged as single_trial.
 """
 
 from __future__ import annotations
@@ -485,8 +488,8 @@ class TrialResult:
         return {
             "seed": self.seed,
             "config_hash": self.config_hash,
-            "metrics": self.metrics.to_dict(),
-            "collapse": self.collapse.to_dict(),
+            "metrics": self.metrics,
+            "collapse": self.collapse,
             "train_acc_trajectory": list(self.model.train_acc_trajectory),
             "final_train_accuracy": self.model.final_train_accuracy,
             "epochs_to_full_fit": self.model.epochs_to_full_fit,
@@ -764,14 +767,6 @@ class TrialAggregate:
     stderr: float
     single_trial: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "single_trial": self.single_trial,
-        }
-
 
 def aggregate(values) -> TrialAggregate:
     vals = [float(v) for v in values]
@@ -819,12 +814,20 @@ class AggregateResult:
             "config_hash": self.config_hash,
             "config": config_to_dict(self.config),
             "seeds": [r.seed for r in self.results],
-            "aggregates": {k: v.to_dict() for k, v in self.aggregates.items()},
+            "aggregates": self.aggregates,
         }
 
 
 def _jsonify(obj):
-    """Make a document strictly JSON-serializable; NaN becomes null."""
+    """Make a document strictly JSON-serializable; NaN becomes null.
+
+    A report's document is its fields: a dataclass becomes a dict of its
+    fields in declaration order, and an array becomes nested lists.
+    """
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return _jsonify(obj.tolist())
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, (np.floating,)):
@@ -915,14 +918,7 @@ def percent_improvement(acc: float, baseline_acc: float, mode: str = "paper_a1")
 class SweepRow:
     value: object
     aggregates: dict[str, TrialAggregate]
-    improvement: float
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "aggregates": {k: v.to_dict() for k, v in self.aggregates.items()},
-            "percent_improvement": self.improvement,
-        }
+    percent_improvement: float
 
 
 @dataclass
@@ -933,16 +929,6 @@ class SweepResult:
     improvement_mode: str
     rows: list[SweepRow]
     improvement_variance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "values": list(self.values),
-            "baseline": self.baseline,
-            "improvement_mode": self.improvement_mode,
-            "rows": [r.to_dict() for r in self.rows],
-            "improvement_variance": self.improvement_variance,
-        }
 
     def to_csv(self, path) -> None:
         cols = ["value", "overall_mean", "overall_stderr", "minority_mean", "minority_stderr",
@@ -959,7 +945,7 @@ class SweepResult:
                     repr(row.aggregates["minority"].stderr),
                     repr(row.aggregates["majority"].mean),
                     repr(row.aggregates["majority"].stderr),
-                    repr(row.improvement),
+                    repr(row.percent_improvement),
                 ])
 
 
@@ -1016,8 +1002,8 @@ def run_sweep(
             imp = 0.0
         else:
             imp = percent_improvement(acc, base_acc, improvement_mode)
-        rows.append(SweepRow(value=value, aggregates=agg.aggregates, improvement=imp))
-    imps = [r.improvement for r in rows]
+        rows.append(SweepRow(value=value, aggregates=agg.aggregates, percent_improvement=imp))
+    imps = [r.percent_improvement for r in rows]
     variance = float(np.var(imps, ddof=1)) if len(imps) > 1 else 0.0
     result = SweepResult(
         axis=axis,
@@ -1030,7 +1016,7 @@ def run_sweep(
     if out_dir is not None:
         sweep_dir = Path(out_dir)
         sweep_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(sweep_dir / f"sweep_{axis}.json", result.to_dict())
+        _write_json(sweep_dir / f"sweep_{axis}.json", result)
         result.to_csv(sweep_dir / f"sweep_{axis}.csv")
     return result
 

@@ -35,6 +35,7 @@ from skewtrain.harness import (
     ExperimentConfig,
     MethodSpec,
     TrainConfig,
+    _jsonify,
     aggregate,
     apply_method,
     build_pools,
@@ -621,12 +622,9 @@ def test_report_arithmetic_and_collapse_summaries(verdict):
             and rep.minority_mean_cdnv >= 0.0
             and 0.0 <= rep.ncc_agreement <= 1.0
         )
-        # The serialized form must survive a strict JSON round trip
-        # once the nan diagonal is mapped to null.
-        doc = rep.to_dict()
-        doc["cdnv_pairs"] = [
-            [None if not math.isfinite(v) else v for v in row] for row in doc["cdnv_pairs"]
-        ]
+        # The serialized form must survive a strict JSON round trip: the
+        # writer maps the nan diagonal to null.
+        doc = _jsonify(rep)
         json.loads(json.dumps(doc, allow_nan=False))
 
     verdict(

@@ -8,15 +8,22 @@ name fails here and not only in the benchmark's own, slower smoke
 tests. Training builds no tape, so the tape's layers must stay silent
 during a trial. bench/run.py and bench/workloads.py read further names
 through a namespace of the modules (sk.harness.run_ratio_grid and the
-like); the last test checks that each of them still resolves.
+like); a test checks that each of them still resolves. The last tests
+run every workload of bench/workloads.py at its smoke size, set-up,
+warm-up and one checked round, because the benchmark stops when
+anything outside a timed operation raises.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 import types
 from contextlib import ExitStack
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from skewtrain import autodiff, cli, data, diagnostics, harness, losses, models, optim
 from skewtrain.harness import DataSpec, ExperimentConfig, TrainConfig, apply_method
@@ -25,10 +32,12 @@ MODULES = (autodiff, cli, data, diagnostics, harness, losses, models, optim)
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    path = BENCH / "tracing.py"
-    spec = importlib.util.spec_from_file_location("skewtrain_bench_tracing", path)
+def _load_bench(name):
+    path = BENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"skewtrain_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -42,7 +51,7 @@ def _bindings():
 
 def _trace_one_trial(preset, lr0=0.05):
     """Install the benchmark's hooks, run one tiny trial of preset and restore them."""
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     sk = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
     before = _bindings()
     cfg = apply_method(ExperimentConfig(
@@ -102,7 +111,7 @@ def test_benchmark_hooks_trace_the_balanced_sampler():
 
 def test_benchmark_hooks_trace_the_probe_commands(tmp_path):
     # the probe workload's CSV and grid layers: curate, boundary, collapse
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     sk = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
     full = tmp_path / "full.csv"
     data.save_csv(full, data.gen_gaussian_mixture(3, 20, seed=0))
@@ -194,3 +203,41 @@ def test_every_name_the_benchmark_reads_resolves():
         assert module in imported, f"bench reads sk.{module}, which bench/run.py does not import"
         assert hasattr(importlib.import_module(f"skewtrain.{module}"), attr), (
             f"bench reads skewtrain.{module}.{attr}, which is gone; {rule}")
+
+
+workloads = _load_bench("workloads")
+
+
+def _workload(name, tmp_path, smoke=True):
+    sk = types.SimpleNamespace(np=np, **{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
+    workload = workloads.WORKLOADS[name](sk, 0, smoke)
+    work = tmp_path / name
+    workload.setup(work)
+    workload.warmup(work)
+    return workload, sk, work
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_sets_up_warms_up_and_passes_its_checks(tmp_path, name):
+    # bench/run.py counts a failed operation, but set-up, warm-up or the
+    # step clock raising ends the whole run
+    workload, sk, work = _workload(name, tmp_path)
+    tracing = _load_bench("tracing")
+    before = _bindings()
+    clock = tracing.StepClock(types.SimpleNamespace(cutting=False))
+    with ExitStack() as stack:
+        clock.install(stack, sk)
+        for op in workload.ops(work):
+            out = workloads.fresh_dir(work / "round" / op.name)
+            op.run(out)
+            assert op.check(out) == [], op.name
+    assert _bindings() == before
+    assert (clock.steps > 0) == (name != "probe")
+
+
+def test_the_full_size_toy_sweep_sets_up_and_warms_up(tmp_path):
+    # the warm-up runs skewtrain sweep and train through cli.main and
+    # raises on a non-zero exit, such as a joint_ssl trial that diverges
+    workload, _, work = _workload("toy_sweep", tmp_path, smoke=False)
+    assert sorted(p.name for p in (work / "warmup").iterdir()) == [
+        "joint_ssl", "joint_ssl.json", "sweep", "toy.json"]

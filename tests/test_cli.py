@@ -227,6 +227,21 @@ def test_sweep_r_test_command(tmp_path, capsys):
     assert doc["rows"][1]["percent_improvement"] == 0.0
 
 
+def test_sweep_improvement_mode_flag(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "r_test",
+                 "--values", "1,0.1", "--improvement-mode", "paper_a1"])
+    assert code == 0
+    assert "baseline 1.0 (paper_a1)" in capsys.readouterr().out
+    doc = json.loads((out / "sweep_r_test.json").read_text())
+    assert doc["improvement_mode"] == "paper_a1"
+    base, other = (row["aggregates"]["overall"]["mean"] for row in doc["rows"])
+    assert base != other
+    # paper_a1 normalizes by the candidate, not by the baseline
+    assert [row["percent_improvement"] for row in doc["rows"]] == [0.0, (other - base) / other]
+
+
 def test_sweep_n_majority_command(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", dict(TINY_CONFIG, n_minority=5))
     out = tmp_path / "sweep"

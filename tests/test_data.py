@@ -146,6 +146,37 @@ def test_load_csv_names_the_bad_line_with_the_label_inside(tmp_path, bad_row, me
         load_csv(path, "label")
 
 
+_BAD_RECORDS = [
+    ("x,b", r"non-numeric feature value \(could not convert string to float: 'x'\)"),
+    ("inf,b", r"non-finite feature value \('inf' in column 'f0'\)"),
+    ("3.0,b,c", r"expected 2 fields, got 3"),
+]
+
+
+@pytest.mark.parametrize("bad_row, message", _BAD_RECORDS)
+def test_load_csv_names_the_physical_line_after_a_two_line_label(tmp_path, bad_row, message):
+    # the quoted label spans lines 2 and 3, so the bad record is on line 5
+    path = tmp_path / "t.csv"
+    path.write_text(f'f0,label\n1.0,"two\nline"\n2.0,a\n{bad_row}\n')
+    with pytest.raises(ValueError, match=rf"t\.csv:5: {message}$"):
+        load_csv(path, "label")
+
+
+@pytest.mark.parametrize("bad_row, message", _BAD_RECORDS)
+def test_load_csv_names_the_physical_line_after_blank_lines(tmp_path, bad_row, message):
+    path = tmp_path / "t.csv"
+    path.write_text(f"f0,label\n\n1.0,a\n\n\n{bad_row}\n2.0,a\n")
+    with pytest.raises(ValueError, match=rf"t\.csv:6: {message}$"):
+        load_csv(path, "label")
+
+
+def test_load_csv_names_the_first_line_of_a_bad_record_that_spans_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('f0,label\r\n1.0,a\r\nx,"b\r\nc"\r\n')
+    with pytest.raises(ValueError, match=r"t\.csv:3: non-numeric"):
+        load_csv(path, "label")
+
+
 def test_load_csv_missing_label_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,f1\n1.0,2.0\n")

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from skewtrain.diagnostics import (
     minority_margin,
     ncc_report,
 )
+from skewtrain.harness import _jsonify
 from skewtrain.models import named_to_mlp
 
 
@@ -249,10 +251,13 @@ def test_collapse_report_to_dict_roundtrips():
     features = np.concatenate([rng.normal(size=(5, 2)), rng.normal(size=(5, 2)) + 4])
     labels = np.repeat([0, 1], 5)
     rep = collapse_report(features, labels, labels, ClassProfile(np.array([50, 10])))
-    d = rep.to_dict()
+    d = _jsonify(rep)
     assert d["minority_classes"] == [1]
     assert len(d["cdnv_pairs"]) == 2 and len(d["cdnv_pairs"][0]) == 2
     assert d["mean_cdnv"] == rep.mean_cdnv
+    # the nan diagonal becomes null, so a strict encoder round-trips it
+    assert d["cdnv_pairs"][0][0] is None and d["cdnv_pairs"][0][1] == rep.cdnv_pairs[0, 1]
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from skewtrain.autodiff import NumericalError, Tape, check_gradients
 from skewtrain import harness
 from skewtrain.data import ClassProfile, Dataset, gen_gaussian_mixture, save_csv
+from skewtrain.diagnostics import CollapseReport, MetricsReport, metrics_report
 from skewtrain.harness import (
     AGGREGATED_METRICS,
     METHOD_PRESETS,
@@ -20,10 +22,12 @@ from skewtrain.harness import (
     SweepResult,
     SweepRow,
     TrainConfig,
+    TrialAggregate,
     _iter_batches,
     _projector_sizes,
     _seed_children,
     _stratified_split,
+    _jsonify,
     _write_json,
     aggregate,
     apply_method,
@@ -32,6 +36,7 @@ from skewtrain.harness import (
     config_from_dict,
     config_hash,
     config_to_dict,
+    curate_test_split,
     derive_config,
     load_config,
     misalignment,
@@ -44,7 +49,7 @@ from skewtrain.harness import (
     supervised_loss,
 )
 from skewtrain.losses import ReweightSpec, cross_entropy_vec, one_hot, reweight_class_weights
-from skewtrain.models import load_checkpoint, named_to_mlp, pack
+from skewtrain.models import load_checkpoint, mlp_predict, named_to_mlp, pack, unpack
 from skewtrain.optim import SamSpec, rho_per_class
 
 
@@ -685,6 +690,22 @@ def test_joint_ssl_checkpoint_names_every_tensor_of_raw_and_ema():
     assert not np.array_equal(model.raw, model.ema)
 
 
+def test_use_ema_eval_false_evaluates_the_raw_weights(tmp_path):
+    cfg = _tiny_config(use_ema_eval=False)
+    result = run_all_seeds(cfg, out_dir=tmp_path).results[0]
+    model = result.model
+    assert not np.array_equal(model.raw, model.ema)
+    raw_mlp = unpack(model.raw, model.sizes)[0]
+    assert pack([model.eval_mlp()]).tobytes() == pack([raw_mlp]).tobytes()
+    # the seed file's metrics are those of the raw weights on the test split
+    _, test_pool = build_pools(cfg, 0)
+    test_split = curate_test_split(cfg, test_pool, 0)
+    preds, _, _ = mlp_predict(raw_mlp, test_split.X)
+    want = _jsonify(metrics_report(preds, test_split.y, model.profile))
+    doc = json.loads((tmp_path / result.config_hash / "seed_0.json").read_text())
+    assert doc["metrics"] == want
+
+
 def test_run_training_divergence_is_reported():
     cfg = _tiny_config(
         train=TrainConfig(lr0=5000.0, epochs=3, warmup_epochs=1, batch_size=32),
@@ -761,7 +782,7 @@ def test_run_sweep_method_axis(tmp_path):
     assert sweep.baseline == "erm"
     assert sweep.improvement_mode == "relative_to_baseline"
     assert sweep.rows[0].value == "erm"
-    assert sweep.rows[0].improvement == 0.0
+    assert sweep.rows[0].percent_improvement == 0.0
     # per-seed values are seed-ordered and two long
     assert len(sweep.rows[1].aggregates["minority"].values) == 2
     assert (tmp_path / "sweep_method.json").exists()
@@ -776,7 +797,7 @@ def test_run_sweep_batch_default_baseline(tmp_path):
     assert sweep.baseline == 128
     assert sweep.improvement_mode == "paper_a1"
     base_row = [r for r in sweep.rows if r.value == 128][0]
-    assert base_row.improvement == 0.0
+    assert base_row.percent_improvement == 0.0
 
 
 def _record_trained_profiles(monkeypatch):
@@ -805,7 +826,7 @@ def test_run_sweep_n_majority_axis(monkeypatch, tmp_path):
     cfg = _tiny_config(r_train=0.2, n_minority=5)
     sweep = run_sweep(cfg, "n_majority", [10, 25], out_dir=tmp_path)
     assert seen == [[5, 10, 10], [5, 25, 25]]
-    assert sweep.baseline == 10 and sweep.rows[0].improvement == 0.0
+    assert sweep.baseline == 10 and sweep.rows[0].percent_improvement == 0.0
     assert (tmp_path / "sweep_n_majority.csv").exists()
 
 
@@ -818,6 +839,25 @@ def test_run_sweep_r_test_axis():
     balanced, skewed = (row.aggregates for row in sweep.rows)
     assert balanced["final_train_accuracy"].values == skewed["final_train_accuracy"].values
     assert balanced["overall"].values != skewed["overall"].values
+
+
+def test_result_documents_are_their_fields(tmp_path):
+    # every report type is written as its fields, in declaration order
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    cfg = _tiny_config(seeds=[0])
+    run_sweep(cfg, "r_test", [1.0, 0.1], out_dir=tmp_path)
+    doc = json.loads((tmp_path / "sweep_r_test.json").read_text())
+    assert list(doc) == names(SweepResult)
+    for row in doc["rows"]:
+        assert list(row) == names(SweepRow)
+        for agg in row["aggregates"].values():
+            assert list(agg) == names(TrialAggregate)
+    for path in tmp_path.glob("*/seed_0.json"):
+        seed_doc = json.loads(path.read_text())
+        assert list(seed_doc["metrics"]) == names(MetricsReport)
+        assert list(seed_doc["collapse"]) == names(CollapseReport)
 
 
 def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
