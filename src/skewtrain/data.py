@@ -110,8 +110,9 @@ def load_csv(path, label_col: str) -> Dataset:
     Distinct label strings are sorted lexicographically and mapped to
     0..K-1; all other columns are parsed as float features in file
     order. Each row's label cell is popped and the rest become one tuple
-    of floats. Malformed rows and non-finite values (inf, nan, 1e400)
-    are reported with the line their record starts on.
+    of floats. Malformed rows, non-finite values (inf, nan, 1e400) and
+    records the csv module rejects (a cell over its field_size_limit) are
+    reported with the line their record starts on.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -119,27 +120,33 @@ def load_csv(path, label_col: str) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
         if label_col not in header:
             raise ValueError(f"{path}: no column named {label_col!r} in header {header}")
         label_idx = header.index(label_col)
         width = len(header)
         if width < 2:
             raise ValueError(f"{path}: no feature columns besides {label_col!r}")
-        rows, labels, error = [], [], None
+        rows, labels, error, lineno = [], [], None, 1
         # lineno counts records: a quoted cell may span lines, so it is not
         # the line; the error path below finds that.
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                error = f"expected {width} fields, got {len(row)}"
-                break
-            labels.append(row.pop(label_idx))
-            try:
-                rows.append(tuple(map(float, row)))
-            except ValueError as exc:
-                error = f"non-numeric feature value ({exc})"
-                break
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width:
+                    error = f"expected {width} fields, got {len(row)}"
+                    break
+                labels.append(row.pop(label_idx))
+                try:
+                    rows.append(tuple(map(float, row)))
+                except ValueError as exc:
+                    error = f"non-numeric feature value ({exc})"
+                    break
+        except csv.Error as exc:
+            # The record after the last one read is the bad one.
+            error, lineno = str(exc), lineno + 1
     if error is None:
         if not rows:
             raise ValueError(f"{path}: no data rows")

@@ -107,18 +107,24 @@ def _class_stats(features: np.ndarray, labels: np.ndarray, c: int):
     return mu, var
 
 
+def _cdnv(stats_a, stats_b) -> float:
+    """CDNV from two _class_stats; coinciding means raise ZeroDivisionError."""
+    (mu_a, var_a), (mu_b, var_b) = stats_a, stats_b
+    return (var_a + var_b) / (2.0 * float(np.square(mu_a - mu_b).sum()))
+
+
 def cdnv(features: np.ndarray, labels: np.ndarray, class_a: int, class_b: int) -> float:
     """Class-distance normalized variance between two classes."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if class_a == class_b:
         raise ValueError("cdnv needs two distinct classes")
-    mu_a, var_a = _class_stats(features, labels, class_a)
-    mu_b, var_b = _class_stats(features, labels, class_b)
-    dist_sq = float(np.square(mu_a - mu_b).sum())
-    if dist_sq == 0.0:
-        raise ValueError(f"classes {class_a} and {class_b} have identical feature means")
-    return (var_a + var_b) / (2.0 * dist_sq)
+    stats_a = _class_stats(features, labels, class_a)
+    stats_b = _class_stats(features, labels, class_b)
+    try:
+        return _cdnv(stats_a, stats_b)
+    except ZeroDivisionError:
+        raise ValueError(f"classes {class_a} and {class_b} have identical feature means") from None
 
 
 def ncc_report(features: np.ndarray, labels: np.ndarray, model_predictions: np.ndarray):
@@ -168,14 +174,21 @@ def collapse_report(
     model_predictions: np.ndarray,
     profile: ClassProfile,
 ) -> CollapseReport:
-    """Pairwise CDNV matrix plus nearest-class-mean summaries."""
+    """Pairwise CDNV matrix plus nearest-class-mean summaries.
+
+    A pair whose class means coincide (dead units, say) stays NaN, as do the means over it.
+    """
+    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     k = profile.num_classes
+    stats = [_class_stats(features, labels, c) for c in range(k)]
     pairs = np.full((k, k), np.nan)
     for a in range(k):
         for b in range(a + 1, k):
-            v = cdnv(features, labels, a, b)
-            pairs[a, b] = pairs[b, a] = v
+            try:
+                pairs[a, b] = pairs[b, a] = _cdnv(stats[a], stats[b])
+            except ZeroDivisionError:
+                pass
     upper = [pairs[a, b] for a in range(k) for b in range(a + 1, k)]
     minority, _ = minority_majority_split(profile)
     minority_set = set(minority)

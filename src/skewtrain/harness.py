@@ -85,7 +85,7 @@ from .models import (
     tensor_bounds,
     unpack,
 )
-from .optim import SamSpec, TrainConfig, cosine_lr, ema_update, init_state, sam_step, sgd_update
+from .optim import SamSpec, TrainConfig, cosine_lr, ema_update, rho_per_class, sam_step, sgd_update
 from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
 
 # Training builds no tape and names no tensors, so backward, forward_stack, vicreg_loss
@@ -266,7 +266,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(doc)
 
@@ -652,7 +652,10 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     Callers build it with build_pools and curate_train_split, once per seed.
     What stays fixed over the trial is built here once: sizes, the layer
     sizes of the classifier and the projector, which fix theta's layout
-    and SAM's tensor bounds, and the target rows that each step indexes.
+    and SAM's tensor bounds, the target rows and, for a class-conditional
+    SAM mode with rho > 0, the per-class radii that each step indexes.
+    Every step ends with one sgd_update and one ema_update; SAM only
+    picks the gradient they apply.
     """
     ss = _seed_children(seed)
     profile = class_profile(train_split)
@@ -664,9 +667,14 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     init_rng = np.random.default_rng(ss["init"])
     theta = pack([mlp_init(s, seed=init_rng.integers(2**32)) for s in sizes])
     bounds = tensor_bounds(sizes)
-    state = init_state(theta, config.ema_decay)
+    velocity = np.zeros_like(theta)
+    ema = theta.copy()
 
     method = config.method
+    sam = method.sam
+    class_radii = (
+        rho_per_class(profile, sam) if sam.mode not in ("off", "sam") and sam.rho > 0.0 else None
+    )
     tc = config.train
     batch_rng = np.random.default_rng(ss["batches"])
     augment_rng = np.random.default_rng(ss["augment"])
@@ -699,19 +707,17 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
                 epoch=epoch, method=method, class_w=class_w, sizes=sizes,
             )
             try:
-                if method.sam.mode != "off":
-                    theta, state, _ = sam_step(
-                        theta, state, lr, tc, method.sam, loss_and_grads, bounds,
-                        batch_labels=yb, profile=profile,
-                    )
-                else:
+                if sam.mode == "off":
                     _, grad = loss_and_grads(theta, None)
-                    theta, state = sgd_update(theta, grad, lr, tc, state)
-                    state = ema_update(state, theta)
+                else:
+                    radii = None if class_radii is None else class_radii[yb]
+                    _, grad, _ = sam_step(theta, loss_and_grads, sam.rho, radii, bounds)
             except NumericalError as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, step {step} (seed {seed}): {exc}"
                 ) from exc
+            theta, velocity = sgd_update(theta, grad, lr, tc, velocity)
+            ema = ema_update(ema, theta, config.ema_decay)
         preds, _, _ = mlp_predict(unpack(theta, sizes)[0], train_split.X)
         acc = float((preds == train_split.y).mean())
         trajectory.append(acc)
@@ -724,7 +730,7 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     return TrainedModel(
         sizes=sizes,
         raw=theta,
-        ema=state.ema,
+        ema=ema,
         use_ema_eval=config.use_ema_eval,
         train_split=train_split,
         profile=profile,
@@ -870,7 +876,7 @@ def run_all_seeds(config: ExperimentConfig, out_dir=None) -> AggregateResult:
     for key in AGGREGATED_METRICS:
         vals = [_metric_value(r, key) for r in results]
         aggregates[key] = aggregate(vals)
-    out =AggregateResult(chash, config, results, aggregates)
+    out = AggregateResult(chash, config, results, aggregates)
     if run_dir is not None:
         _write_json(run_dir / "aggregate.json", out.to_dict())
     return out

@@ -254,12 +254,15 @@ def save_checkpoint(path, named: dict[str, np.ndarray], meta: dict | None = None
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint back.
 
-    Unknown format versions, malformed documents, tensor values other
-    than a flat list of JSON numbers, and non-finite values raise
-    ValueError.
+    Unknown format versions, malformed documents (JSON nested past the
+    recursion limit included), tensor values other than a flat list of
+    JSON numbers, and non-finite values raise ValueError.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: checkpoint must be a JSON object")
     version = doc.get("format_version")

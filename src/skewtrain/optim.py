@@ -1,17 +1,18 @@
-"""SGD with momentum, cosine schedule, EMA, and sharpness-aware steps.
+"""SGD with momentum, cosine schedule, EMA, and sharpness-aware gradients.
 
 The parameters are one 1-D float64 vector, theta, and the velocity and
-EMA share its layout, which models owns. Every update is functional
-(new vectors, inputs untouched) so trajectories are bit-reproducible.
+EMA are plain vectors in its layout, which models owns. Every function
+returns new vectors and leaves its inputs untouched, so trajectories are
+bit-reproducible.
 
-The sharpness-aware step is two-phase: compute the ascent-loss gradient
-at the current point, move rho_eff along its normalized direction,
-compute the descent-loss gradient there, then apply a plain SGD update
-at the original point. The class-conditional variant (sam_a_*) scales
-per-example ascent losses by a per-class radius and uses the batch mean
-radius as rho_eff. sam_step looks the batch radii up once and derives
-both the ascent weights and rho_eff from them; sam_perturb only moves
-the parameters.
+Every training step ends the same way: one sgd_update with the step's
+gradient, then one ema_update. Sharpness-aware minimization only changes
+which gradient that is. sam_step computes the ascent-loss gradient at
+theta, moves rho_eff along its normalized direction (sam_perturb), and
+returns the descent-loss gradient at the moved point. The
+class-conditional modes (sam_a_*) weight the per-example ascent losses by
+per-class radii (rho_per_class, fixed over a trial) and use the batch
+mean radius as rho_eff.
 """
 
 from __future__ import annotations
@@ -63,13 +64,6 @@ class SamSpec:
 
 
 @dataclass
-class OptimState:
-    velocity: np.ndarray
-    ema: np.ndarray
-    ema_decay: float
-
-
-@dataclass
 class StepInfo:
     ascent_loss: float
     descent_loss: float
@@ -77,23 +71,17 @@ class StepInfo:
     ascent_skipped: bool
 
 
-def init_state(theta: np.ndarray, ema_decay: float = 0.999) -> OptimState:
-    """Zero velocity; EMA starts as a copy of the initial parameters."""
-    if not 0.0 <= ema_decay <= 1.0:
-        raise ValueError("ema_decay must be in [0, 1]")
-    return OptimState(velocity=np.zeros_like(theta), ema=theta.copy(), ema_decay=ema_decay)
-
-
-def sgd_update(theta: np.ndarray, grad: np.ndarray, lr: float, config: TrainConfig, state: OptimState):
-    """One momentum step with coupled weight decay.
+def sgd_update(theta: np.ndarray, grad: np.ndarray, lr: float, config: TrainConfig,
+               velocity: np.ndarray):
+    """One momentum step with coupled weight decay; returns (theta, velocity).
 
     g <- grad + weight_decay * theta
     v <- momentum * v + g
     theta <- theta - lr * v
     """
     g = grad + config.weight_decay * theta
-    v = config.momentum * state.velocity + g
-    return theta - lr * v, OptimState(v, state.ema, state.ema_decay)
+    v = config.momentum * velocity + g
+    return theta - lr * v, v
 
 
 def cosine_lr(epoch: int, config: TrainConfig) -> float:
@@ -106,10 +94,9 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
     return config.lr0 * 0.5 * (1.0 + math.cos(math.pi * (epoch - config.warmup_epochs) / span))
 
 
-def ema_update(state: OptimState, theta: np.ndarray) -> OptimState:
-    """ema <- d * ema + (1 - d) * theta, with d the stored state.ema_decay."""
-    d = state.ema_decay
-    return OptimState(state.velocity, d * state.ema + (1.0 - d) * theta, d)
+def ema_update(ema: np.ndarray, theta: np.ndarray, decay: float) -> np.ndarray:
+    """The new EMA vector, decay * ema + (1 - decay) * theta."""
+    return decay * ema + (1.0 - decay) * theta
 
 
 def rho_per_class(profile: ClassProfile, spec: SamSpec) -> np.ndarray:
@@ -145,50 +132,27 @@ def sam_perturb(theta: np.ndarray, grad: np.ndarray, rho_eff: float, bounds):
     return theta + (rho_eff / norm) * grad, False
 
 
-def sam_step(
-    theta: np.ndarray,
-    state: OptimState,
-    lr: float,
-    config: TrainConfig,
-    spec: SamSpec,
-    loss_and_grads,
-    bounds,
-    batch_labels: np.ndarray | None = None,
-    profile: ClassProfile | None = None,
-):
-    """Two forward/backward passes, one SGD update, one EMA update.
+def sam_step(theta: np.ndarray, loss_and_grads, rho: float, radii: np.ndarray | None, bounds):
+    """The sharpness-aware gradient at theta: (descent_loss, descent_grad, StepInfo).
 
     loss_and_grads(theta, example_weights) -> (loss_value, grad), grad in
-    theta's layout; example_weights is None except for the class-conditional
-    ascent pass, where the callee should average s_i * l_i / sum(s_i).
-    bounds, the tensors' offsets in theta (models.tensor_bounds), go to sam_perturb.
+    theta's layout. radii holds the batch examples' per-class radii for a
+    class-conditional mode with rho > 0, and is None otherwise. The ascent
+    pass then weights example i by radii[i] / rho (the callee averages
+    s_i * l_i / sum(s_i)), and rho_eff is the batch mean radius; without
+    radii the ascent is unweighted and rho_eff is rho. bounds, the
+    tensors' offsets in theta (models.tensor_bounds), go to sam_perturb.
+    The caller applies the returned gradient with sgd_update.
     """
-    if spec.mode == "off":
-        raise ValueError("sam_step called with mode 'off'; use sgd_update")
-    weights, rho_eff = None, float(spec.rho)
-    if spec.mode != "sam":
-        if batch_labels is None or profile is None:
-            raise ValueError("class-conditional modes need batch labels and a profile")
-        labels = np.asarray(batch_labels, dtype=np.int64)
-        if labels.size == 0:
-            raise ValueError("empty batch")
-        if spec.rho > 0.0:
-            radii = rho_per_class(profile, spec)[labels]
-            weights = radii / spec.rho
-            # The mean of an all-equal vector is that value; summing
-            # would round it (128 copies of 0.1 average to 0.1 plus an
-            # ulp), which matters when this path must degenerate to
-            # plain sam exactly.
-            rho_eff = float(radii[0]) if np.all(radii == radii[0]) else float(radii.mean())
+    weights, rho_eff = None, float(rho)
+    if radii is not None:
+        weights = radii / rho
+        # The mean of an all-equal vector is that value; summing would
+        # round it (128 copies of 0.1 average to 0.1 plus an ulp), which
+        # matters when this path must degenerate to plain sam exactly.
+        rho_eff = float(radii[0]) if np.all(radii == radii[0]) else float(radii.mean())
     ascent_loss, ascent_grad = loss_and_grads(theta, weights)
     perturbed, skipped = sam_perturb(theta, ascent_grad, rho_eff, bounds)
     descent_loss, descent_grad = loss_and_grads(perturbed, None)
-    new_theta, new_state = sgd_update(theta, descent_grad, lr, config, state)
-    new_state = ema_update(new_state, new_theta)
-    info = StepInfo(
-        ascent_loss=float(ascent_loss),
-        descent_loss=float(descent_loss),
-        rho_eff=rho_eff,
-        ascent_skipped=skipped,
-    )
-    return new_theta, new_state, info
+    info = StepInfo(float(ascent_loss), float(descent_loss), rho_eff, skipped)
+    return descent_loss, descent_grad, info

@@ -17,6 +17,7 @@ anything outside a timed operation raises.
 import ast
 import importlib
 import importlib.util
+import math
 import sys
 import types
 from contextlib import ExitStack
@@ -49,6 +50,9 @@ def _bindings():
     return names
 
 
+TRIAL_BATCH = 32
+
+
 def _trace_one_trial(preset, lr0=0.05):
     """Install the benchmark's hooks, run one tiny trial of preset and restore them."""
     tracing = _load_bench("tracing")
@@ -56,7 +60,7 @@ def _trace_one_trial(preset, lr0=0.05):
     before = _bindings()
     cfg = apply_method(ExperimentConfig(
         data=DataSpec(classes=3, train_per_class=20, test_per_class=10, sigma=0.5),
-        train=TrainConfig(lr0=lr0, epochs=2, warmup_epochs=1, batch_size=32),
+        train=TrainConfig(lr0=lr0, epochs=2, warmup_epochs=1, batch_size=TRIAL_BATCH),
         hidden=[8],
         r_train=0.5,
         seeds=[0],
@@ -67,7 +71,7 @@ def _trace_one_trial(preset, lr0=0.05):
         clock.install(stack, sk)
         tracing.install_tracing(stack, tracer, sk)
         assert harness.backward is not before[("skewtrain.harness", "backward")]
-        harness.run_training(cfg, 0)
+        model = harness.run_training(cfg, 0).model
     assert _bindings() == before
     assert tracer.top() is None
     assert [p for p, _, _ in clock.trials] == [preset]
@@ -76,6 +80,12 @@ def _trace_one_trial(preset, lr0=0.05):
     for layer in ("harness.loss_closure", "autodiff.backward", "autodiff.op_apply",
                   "autodiff.Tape.leaf", "models.forward_stack", "losses.cross_entropy_vec"):
         assert layer not in calls, layer
+    # StepClock divides a trial's time by its sgd_update calls, so a step
+    # counted twice would halve ms_per_step. Every step shape, SAM included,
+    # ends with one sgd_update and one ema_update.
+    batches = len(model.train_acc_trajectory) * math.ceil(model.train_split.n / TRIAL_BATCH)
+    assert tracer.counts["harness.steps"] == clock.steps == batches > 0
+    assert calls["optim.ema_update"] == batches
     return tracer, clock, calls
 
 

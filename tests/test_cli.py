@@ -408,6 +408,36 @@ def test_unusable_paths_exit_2(tmp_path, capsys, command):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["curate", "collapse", "train"])
+def test_a_cell_over_the_csv_field_size_limit_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "big.csv"
+    src.write_text(f"f0,f1,label\n1.0,2.0,a\n{'1' * (csv.field_size_limit() + 1)},2.0,b\n")
+    cfg = _write_config(tmp_path / "cfg.json",
+                        dict(TINY_CONFIG, data={"kind": "csv", "train_path": str(src)}))
+    argv = {
+        "curate": ["curate", "--in", str(src), "--out", str(tmp_path / "o.csv"), "--ratio", "0.5"],
+        "collapse": ["collapse", "--checkpoint", str(_untrained_checkpoint(tmp_path / "c.json")),
+                     "--data", str(src)],
+        "train": ["train", "--config", str(cfg), "--out", str(tmp_path / "r")],
+    }[command]
+    assert main(argv) == 2
+    assert f"config error: {src}:3: field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train_config", "boundary_checkpoint"])
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"meta": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    argv = {
+        "train_config": ["train", "--config", str(path), "--out", str(tmp_path / "r")],
+        "boundary_checkpoint": ["boundary", "--checkpoint", str(path),
+                                "--out", str(tmp_path / "g.csv")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: invalid JSON (maximum recursion depth exceeded" in err
+
+
 def _config_nodes(doc, path=()):
     """(path, value) of every object and leaf below the top level of a config document."""
     for key, value in doc.items():

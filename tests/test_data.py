@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -175,6 +177,25 @@ def test_load_csv_names_the_first_line_of_a_bad_record_that_spans_lines(tmp_path
     path.write_text('f0,label\r\n1.0,a\r\nx,"b\r\nc"\r\n')
     with pytest.raises(ValueError, match=r"t\.csv:3: non-numeric"):
         load_csv(path, "label")
+
+
+_OVERSIZED = "1" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"f0,{_OVERSIZED}\n1.0,a\n", 1),
+    (f"f0,label\n1.0,a\n{_OVERSIZED},a\n", 3),
+    # after a two-line label and a blank line, a quoted cell that spans lines
+    (f'f0,label\n1.0,"two\nline"\n\n"{_OVERSIZED}\n",a\n', 5),
+], ids=["header", "row", "quoted_row_after_a_two_line_label"])
+def test_load_csv_names_the_line_of_a_cell_over_the_field_size_limit(tmp_path, text, line):
+    # the limit is process-wide, so the reader reports it and leaves it alone
+    limit = csv.field_size_limit()
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"t\.csv:{line}: field larger than field limit"):
+        load_csv(path, "label")
+    assert csv.field_size_limit() == limit
 
 
 def test_load_csv_missing_label_column(tmp_path):

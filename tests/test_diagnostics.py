@@ -246,6 +246,24 @@ def test_collapse_report_assembly():
     assert rep.mean_cdnv >= 0.0 and np.isfinite(rep.mean_cdnv)
 
 
+def test_collapse_report_leaves_a_pair_with_coinciding_means_nan():
+    # classes 0 and 1 share their mean, as dead units make them do; cdnv
+    # raises for that pair, and the report keeps it as NaN
+    features = np.array([[0.0], [2.0], [1.0], [1.0], [5.0], [6.0]])
+    labels = np.repeat([0, 1, 2], 2)
+    rep = collapse_report(features, labels, labels, ClassProfile(np.array([50, 40, 10])))
+    with pytest.raises(ValueError, match="identical feature means"):
+        cdnv(features, labels, 0, 1)
+    assert np.isnan(rep.cdnv_pairs[0, 1]) and np.isnan(rep.cdnv_pairs[1, 0])
+    assert rep.cdnv_pairs[0, 2] == cdnv(features, labels, 0, 2)
+    assert rep.cdnv_pairs[1, 2] == cdnv(features, labels, 1, 2)
+    # the pair counts in mean_cdnv, but not among those touching minority class 2
+    assert np.isnan(rep.mean_cdnv)
+    assert rep.minority_mean_cdnv == (rep.cdnv_pairs[0, 2] + rep.cdnv_pairs[1, 2]) / 2
+    # nearest-mean ties go to class 0, so class 1 is never predicted
+    assert rep.ncc_agreement == 4 / 6
+
+
 def test_collapse_report_to_dict_roundtrips():
     rng = np.random.default_rng(9)
     features = np.concatenate([rng.normal(size=(5, 2)), rng.normal(size=(5, 2)) + 4])

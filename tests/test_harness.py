@@ -129,7 +129,7 @@ def test_config_validation():
         _tiny_config(majority_size=0)
     with pytest.raises(ConfigError, match="n_minority must be >= 1"):
         config_from_dict({"majority_size": 10, "n_minority": 0})
-    # ema_update trusts its state's decay; the config and init_state reject a bad one
+    # ema_update trusts the decay it is given; the config rejects a bad one
     with pytest.raises(ValueError, match="ema_decay"):
         _tiny_config(ema_decay=1.5)
 
@@ -634,6 +634,22 @@ def test_run_training_is_deterministic():
     assert not np.array_equal(a.model.raw, c.model.raw)
 
 
+@pytest.mark.parametrize("mode", ["sam_a_paper", "sam_a_inverse"])
+def test_class_conditional_sam_at_rho_zero_trains_like_off(mode):
+    # at rho 0 the ascent moves nothing, so each step applies the plain
+    # gradient; curated classes would give unequal radii at rho > 0
+    def model(sam):
+        cfg = _tiny_config(r_train=0.2)
+        cfg.method.sam = sam
+        return run_training(cfg, seed=0).model
+
+    off = model(SamSpec(rho=0.0, mode="off"))
+    zero = model(SamSpec(rho=0.0, mode=mode))
+    assert zero.raw.tobytes() == off.raw.tobytes()
+    assert zero.ema.tobytes() == off.ema.tobytes()
+    assert not np.array_equal(model(SamSpec(rho=0.05, mode=mode)).raw, off.raw)
+
+
 def test_run_training_fits_separable_data():
     cfg = _tiny_config(
         data=DataSpec(classes=2, train_per_class=30, test_per_class=20, sigma=0.05),
@@ -704,6 +720,22 @@ def test_use_ema_eval_false_evaluates_the_raw_weights(tmp_path):
     want = _jsonify(metrics_report(preds, test_split.y, model.profile))
     doc = json.loads((tmp_path / result.config_hash / "seed_0.json").read_text())
     assert doc["metrics"] == want
+
+
+def test_a_trial_whose_class_means_coincide_keeps_its_seed_file(tmp_path):
+    # one hidden unit: on seed 0 it is dead for classes 0 and 1, whose
+    # mean features then coincide and have no CDNV
+    cfg = _tiny_config(
+        data=DataSpec(classes=3, train_per_class=40, test_per_class=20, sigma=0.5),
+        train=TrainConfig(lr0=0.1, epochs=3, warmup_epochs=1, batch_size=32),
+        hidden=[1],
+    )
+    result = run_all_seeds(cfg, out_dir=tmp_path).results[0]
+    assert np.isnan(result.collapse.cdnv_pairs[0, 1]) and np.isnan(result.collapse.mean_cdnv)
+    doc = json.loads((tmp_path / result.config_hash / "seed_0.json").read_text())
+    assert doc["collapse"]["cdnv_pairs"][0][1] is None
+    assert doc["collapse"]["mean_cdnv"] is None
+    assert (tmp_path / result.config_hash / "checkpoint_seed_0.json").exists()
 
 
 def test_run_training_divergence_is_reported():

@@ -10,7 +10,6 @@ from skewtrain.optim import (
     TrainConfig,
     cosine_lr,
     ema_update,
-    init_state,
     rho_per_class,
     sam_perturb,
     sam_step,
@@ -48,6 +47,12 @@ def _whole(theta):
     return [(0, theta.size)]
 
 
+def _update(theta, velocity, ema, grad, lr, cfg, decay=0.999):
+    """The end of every training step: one sgd_update, then one ema_update."""
+    theta, velocity = sgd_update(theta, grad, lr, cfg, velocity)
+    return theta, velocity, ema_update(ema, theta, decay)
+
+
 # ---------------------------------------------------------------------------
 # SGD with momentum
 # ---------------------------------------------------------------------------
@@ -57,30 +62,30 @@ def test_sgd_two_step_hand_case():
     # theta0=0, g=1 both steps, lr=0.1, momentum=0.9:
     # v=1, theta=-0.1; v=1.9, theta=-0.1-0.19 = -0.29
     theta = np.array([0.0])
-    state = init_state(theta)
+    velocity = np.zeros(1)
     cfg = _cfg()
     for _ in range(2):
-        theta, state = sgd_update(theta, np.array([1.0]), 0.1, cfg, state)
+        theta, velocity = sgd_update(theta, np.array([1.0]), 0.1, cfg, velocity)
     assert theta[0] == -0.29000000000000004
-    assert state.velocity[0] == 1.9
+    assert velocity[0] == 1.9
 
 
 def test_sgd_weight_decay_is_coupled():
     # zero gradient, no momentum: theta <- theta (1 - lr * wd)
     theta = np.array([2.0])
     cfg = _cfg(momentum=0.0, weight_decay=0.01)
-    theta, _ = sgd_update(theta, np.array([0.0]), 0.5, cfg, init_state(theta))
+    theta, _ = sgd_update(theta, np.array([0.0]), 0.5, cfg, np.zeros(1))
     assert theta[0] == 2.0 * (1.0 - 0.5 * 0.01)
 
 
 def test_sgd_is_functional():
     theta = np.array([1.0, 2.0])
     grad = np.array([0.5, 0.5])
-    state = init_state(theta)
-    new_theta, new_state = sgd_update(theta, grad, 0.1, _cfg(), state)
+    velocity = np.zeros(2)
+    new_theta, new_velocity = sgd_update(theta, grad, 0.1, _cfg(), velocity)
     npt.assert_array_equal(theta, [1.0, 2.0])
-    npt.assert_array_equal(state.velocity, [0.0, 0.0])
-    assert new_theta is not theta and new_state is not state
+    npt.assert_array_equal(velocity, [0.0, 0.0])
+    assert new_theta is not theta and new_velocity is not velocity
 
 
 def test_train_config_validation():
@@ -123,20 +128,10 @@ def test_cosine_lr_range_errors():
         cosine_lr(10, cfg)
 
 
-def test_init_state_contents():
-    theta = np.array([1.0, -2.0, 3.0])
-    state = init_state(theta)
-    npt.assert_array_equal(state.velocity, [0.0, 0.0, 0.0])
-    npt.assert_array_equal(state.ema, theta)
-    assert state.ema is not theta
-    with pytest.raises(ValueError, match="ema_decay"):
-        init_state(theta, ema_decay=1.5)
-
-
 def test_ema_update_hand_case():
-    state = init_state(np.array([0.0]), ema_decay=0.5)
-    state = ema_update(state, np.array([1.0]))
-    assert state.ema[0] == 0.5
+    ema = np.array([0.0])
+    assert ema_update(ema, np.array([1.0]), 0.5)[0] == 0.5
+    assert ema[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +188,15 @@ def _recording_objective(calls):
 
 
 def test_sam_ascent_weights():
-    # s_i = rho_{y_i} / rho on the ascent pass only; None for plain sam
-    # and for a zero radius
+    # s_i = rho_{y_i} / rho on the ascent pass only; None without radii
+    # (plain sam, or a class-conditional mode at rho 0)
     profile = ClassProfile(np.array([900, 100]))
-    labels = np.array([0, 1, 1])
+    radii = rho_per_class(profile, SamSpec(rho=0.1, mode="sam_a_paper"))[np.array([0, 1, 1])]
     theta = np.zeros(1)
-    for spec, want in [
-        (SamSpec(rho=0.1, mode="sam"), None),
-        (SamSpec(rho=0.0, mode="sam_a_paper"), None),
-        (SamSpec(rho=0.1, mode="sam_a_paper"),
-         rho_per_class(profile, SamSpec(rho=0.1, mode="sam_a_paper"))[labels] / 0.1),
-    ]:
+    for rho, batch_radii, want in [(0.1, None, None), (0.0, None, None),
+                                   (0.1, radii, radii / 0.1)]:
         calls = []
-        sam_step(theta, init_state(theta), 0.1, _cfg(), spec, _recording_objective(calls),
-                 _whole(theta), batch_labels=labels, profile=profile)
+        sam_step(theta, _recording_objective(calls), rho, batch_radii, _whole(theta))
         assert calls[1] is None
         if want is None:
             assert calls[0] is None
@@ -271,8 +261,7 @@ def test_sam_step_class_conditional_rho_eff():
     rho = rho_per_class(profile, spec)
     labels = np.array([0, 0, 1, 1])
     theta = np.array([0.0])
-    _, _, info = sam_step(theta, init_state(theta), 0.1, _cfg(), spec, _recording_objective([]),
-                          _whole(theta), batch_labels=labels, profile=profile)
+    _, _, info = sam_step(theta, _recording_objective([]), spec.rho, rho[labels], _whole(theta))
     assert info.rho_eff == float(rho[labels].mean())
 
 
@@ -289,55 +278,28 @@ def test_sam_step_one_dim_hand_case():
     def loss_and_grads(w, weights):
         return 0.5 * float(w[0]) ** 2, w.copy()
 
-    cfg = _cfg(momentum=0.0)
-    new_theta, _, info = sam_step(theta, init_state(theta), 0.1, cfg,
-                                  SamSpec(rho=0.1, mode="sam"), loss_and_grads, _whole(theta))
+    loss, grad, info = sam_step(theta, loss_and_grads, 0.1, None, _whole(theta))
+    new_theta, _ = sgd_update(theta, grad, 0.1, _cfg(momentum=0.0), np.zeros(1))
     assert new_theta[0] == 0.89
     assert info.ascent_loss == 0.5
-    assert info.descent_loss == 0.5 * 1.1**2
+    assert loss == info.descent_loss == 0.5 * 1.1**2
     assert info.rho_eff == 0.1 and not info.ascent_skipped
-
-
-def test_sam_step_mode_off_raises():
-    theta = np.zeros(1)
-    with pytest.raises(ValueError, match="use sgd_update"):
-        sam_step(theta, init_state(theta), 0.1, _cfg(), SamSpec(mode="off"),
-                 lambda t, w: (0.0, np.zeros(1)), _whole(theta))
-
-
-def test_sam_step_class_conditional_needs_labels():
-    theta = np.zeros(1)
-    spec = SamSpec(rho=0.1, mode="sam_a_paper")
-    with pytest.raises(ValueError, match="labels and a profile"):
-        sam_step(theta, init_state(theta), 0.1, _cfg(), spec,
-                 lambda t, w: (0.0, np.ones(1)), _whole(theta))
-    with pytest.raises(ValueError, match="labels and a profile"):
-        sam_step(theta, init_state(theta), 0.1, _cfg(), spec, _recording_objective([]),
-                 _whole(theta), batch_labels=np.array([0, 1]))
-    with pytest.raises(ValueError, match="empty batch"):
-        sam_step(theta, init_state(theta), 0.1, _cfg(), spec, _recording_objective([]),
-                 _whole(theta), batch_labels=np.array([], dtype=np.int64),
-                 profile=ClassProfile(np.array([5, 5])))
 
 
 def test_sam_step_rho_zero_matches_sgd_bitwise():
     # with rho=0 the perturbation is skipped entirely, so a long
     # trajectory must agree with plain SGD bit for bit
     theta_a, loss_and_grads = _quadratic_problem(seed=7)
-    theta_b = theta_a.copy()
-    state_a = init_state(theta_a)
-    state_b = init_state(theta_b)
+    a = (theta_a, np.zeros_like(theta_a), theta_a.copy())
+    b = (theta_a.copy(), np.zeros_like(theta_a), theta_a.copy())
     cfg = _cfg()
-    for step in range(100):
-        lr = 0.05
-        theta_a, state_a, _ = sam_step(theta_a, state_a, lr, cfg, SamSpec(rho=0.0, mode="sam"),
-                                       loss_and_grads, _whole(theta_a))
-        _, grad = loss_and_grads(theta_b, None)
-        theta_b, state_b = sgd_update(theta_b, grad, lr, cfg, state_b)
-        state_b = ema_update(state_b, theta_b)
-    npt.assert_array_equal(theta_a, theta_b)
-    npt.assert_array_equal(state_a.velocity, state_b.velocity)
-    npt.assert_array_equal(state_a.ema, state_b.ema)
+    for _ in range(100):
+        _, grad_a, _ = sam_step(a[0], loss_and_grads, 0.0, None, _whole(theta_a))
+        a = _update(*a, grad_a, 0.05, cfg)
+        _, grad_b = loss_and_grads(b[0], None)
+        b = _update(*b, grad_b, 0.05, cfg)
+    for vec_a, vec_b in zip(a, b):  # theta, velocity, EMA
+        npt.assert_array_equal(vec_a, vec_b)
 
 
 def test_sam_a_inverse_uniform_matches_sam_bitwise():
@@ -345,22 +307,20 @@ def test_sam_a_inverse_uniform_matches_sam_bitwise():
     # 1.0 and batch radius exactly rho, so the class-conditional step
     # must reproduce plain sam bit for bit
     profile = ClassProfile(np.array([10, 10, 10, 10]))
-    labels = np.array([0, 1, 2, 3])
+    radii = rho_per_class(profile, SamSpec(rho=0.1, mode="sam_a_inverse"))[np.array([0, 1, 2, 3])]
     theta_a, loss_and_grads = _quadratic_problem(seed=11, n=4)
-    theta_b = theta_a.copy()
     bounds = _whole(theta_a)
-    state_a = init_state(theta_a)
-    state_b = init_state(theta_b)
+    a = (theta_a, np.zeros_like(theta_a), theta_a.copy())
+    b = (theta_a.copy(), np.zeros_like(theta_a), theta_a.copy())
     cfg = _cfg()
     for _ in range(20):
-        theta_a, state_a, info_a = sam_step(
-            theta_a, state_a, 0.05, cfg, SamSpec(rho=0.1, mode="sam_a_inverse"),
-            loss_and_grads, bounds, batch_labels=labels, profile=profile)
-        theta_b, state_b, info_b = sam_step(
-            theta_b, state_b, 0.05, cfg, SamSpec(rho=0.1, mode="sam"), loss_and_grads, bounds)
+        _, grad_a, info_a = sam_step(a[0], loss_and_grads, 0.1, radii, bounds)
+        a = _update(*a, grad_a, 0.05, cfg)
+        _, grad_b, info_b = sam_step(b[0], loss_and_grads, 0.1, None, bounds)
+        b = _update(*b, grad_b, 0.05, cfg)
         assert info_a.rho_eff == info_b.rho_eff == 0.1
-    npt.assert_array_equal(theta_a, theta_b)
-    npt.assert_array_equal(state_a.ema, state_b.ema)
+    npt.assert_array_equal(a[0], b[0])
+    npt.assert_array_equal(a[2], b[2])
 
 
 def test_sam_a_paper_uniform_matches_rescaled_sam():
@@ -368,16 +328,14 @@ def test_sam_a_paper_uniform_matches_rescaled_sam():
     # the constant ascent weights cancel analytically, so one step must
     # match plain sam at the rescaled radius to rounding error
     profile = ClassProfile(np.array([25, 25, 25, 25]))
-    labels = np.array([0, 1, 2, 3])
-    theta_a, loss_and_grads = _quadratic_problem(seed=13, n=4)
-    theta_b = theta_a.copy()
-    bounds = _whole(theta_a)
+    radii = rho_per_class(profile, SamSpec(rho=0.1, mode="sam_a_paper"))[np.array([0, 1, 2, 3])]
+    theta, loss_and_grads = _quadratic_problem(seed=13, n=4)
+    bounds = _whole(theta)
     cfg = _cfg()
-    theta_a, _, info_a = sam_step(theta_a, init_state(theta_a), 0.05, cfg,
-                                  SamSpec(rho=0.1, mode="sam_a_paper"),
-                                  loss_and_grads, bounds, batch_labels=labels, profile=profile)
-    theta_b, _, info_b = sam_step(theta_b, init_state(theta_b), 0.05, cfg,
-                                  SamSpec(rho=0.1 / 0.75, mode="sam"), loss_and_grads, bounds)
+    _, grad_a, info_a = sam_step(theta, loss_and_grads, 0.1, radii, bounds)
+    theta_a, _ = sgd_update(theta, grad_a, 0.05, cfg, np.zeros_like(theta))
+    _, grad_b, info_b = sam_step(theta, loss_and_grads, 0.1 / 0.75, None, bounds)
+    theta_b, _ = sgd_update(theta, grad_b, 0.05, cfg, np.zeros_like(theta))
     assert abs(info_a.rho_eff - info_b.rho_eff) < 1e-15
     npt.assert_allclose(theta_a, theta_b, rtol=0, atol=1e-12)
 
@@ -397,10 +355,10 @@ def test_sam_step_converges_on_quadratic():
     w_star, *_ = np.linalg.lstsq(X, y, rcond=None)
     floor = 0.5 * float(np.mean((X @ w_star - y) ** 2))
     first = loss_and_grads(theta, None)[0]
-    state = init_state(theta)
+    velocity = np.zeros_like(theta)
     cfg = _cfg(momentum=0.0)
     for _ in range(200):
-        theta, state, _ = sam_step(theta, state, 0.1, cfg, SamSpec(rho=0.05, mode="sam"),
-                                   loss_and_grads, _whole(theta))
+        _, grad, _ = sam_step(theta, loss_and_grads, 0.05, None, _whole(theta))
+        theta, velocity = sgd_update(theta, grad, 0.1, cfg, velocity)
     final = loss_and_grads(theta, None)[0]
     assert final - floor < 0.05 * (first - floor)
