@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import reprlib
 import sys
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def _load_model(args):
     sizes = meta.get("mlp_sizes")
     if not (isinstance(sizes, list) and sizes and all(type(s) is int and s >= 1 for s in sizes)):
         raise ConfigError(
-            f"{args.checkpoint}: mlp_sizes must be a list of positive ints, got {sizes!r}"
+            f"{args.checkpoint}: mlp_sizes must be a list of positive ints, got {reprlib.repr(sizes)}"
         )
     prefix = "" if getattr(args, "raw", False) else "ema."
     picked = {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix + "mlp.")}

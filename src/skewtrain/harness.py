@@ -36,6 +36,7 @@ import hashlib
 import json
 import logging
 import math
+import reprlib
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -73,6 +74,7 @@ from .losses import (
     vicreg_loss,
 )
 from .models import (
+    MLPParams,
     atomic_write,
     forward_stack,
     mlp_backward,
@@ -213,7 +215,10 @@ def _is_kind(value, kind) -> bool:
 
 
 def _check_value(value, hint, name: str) -> None:
-    """ConfigError unless value has the field's type; nothing is converted."""
+    """ConfigError unless value has the field's type; nothing is converted.
+
+    The message names the field in full and shortens the value (reprlib).
+    """
     args = typing.get_args(hint)
     if type(None) in args:  # every optional field is written X | None
         if value is None:
@@ -224,7 +229,7 @@ def _check_value(value, hint, name: str) -> None:
     else:
         ok = _is_kind(value, hint)
     if not ok:
-        raise ConfigError(f"{name}: expected {_KIND_NAMES[hint]}, got {value!r}")
+        raise ConfigError(f"{name}: expected {_KIND_NAMES[hint]}, got {reprlib.repr(value)}")
 
 
 def _strict_from_dict(cls, doc, path: str):
@@ -449,7 +454,10 @@ class TrainedModel:
     """Everything needed to evaluate or probe a finished run.
 
     raw and ema are vectors in models.pack's layout of the stacks of sizes:
-    the classifier and, for joint_ssl, the projector.
+    the classifier and, for joint_ssl, the projector. A model trained
+    with track_train_acc=False and no stop_at_train_acc has an empty
+    train_acc_trajectory and epochs_to_full_fit None, and no
+    final_train_accuracy.
     """
 
     sizes: list[list[int]]
@@ -576,12 +584,16 @@ def supervised_loss_and_grad(
     else:
         vec, vec_grad = cross_entropy_and_grad(logits, targets)
     reweight = method.loss == "reweighted" and epoch >= method.reweight.defer_epoch
-    w = class_w[labels] if reweight else np.ones(labels.size)
+    # The tape weights each example by 1.0 where nothing reweights; x * 1.0
+    # is x bit for bit, so here a missing weight is not multiplied in.
+    w = class_w[labels] if reweight else None
     if example_weights is None:
         inv_total = 1.0 / labels.size
     else:
-        w = w * example_weights
+        w = example_weights if w is None else w * example_weights
         inv_total = 1.0 / float(example_weights.sum())
+    if w is None:
+        return vec.sum() * inv_total, vec_grad(np.full(labels.size, adjoint * inv_total))
     loss = (vec * w).sum() * inv_total
     return loss, vec_grad(adjoint * inv_total * w)
 
@@ -591,17 +603,43 @@ def _require_finite(stage: str, value) -> None:
         raise NumericalError(f"non-finite {stage}")
 
 
+class StepPlan:
+    """A trial's parameter and gradient buffers with their stack views, built once.
+
+    theta is the trial's parameter vector, which sgd_update updates in
+    place. grad is the one gradient buffer that every batch_loss_and_grads
+    call refills, and perturbed, under SAM, the buffer that sam_perturb
+    writes the moved parameters into. Each buffer is unpacked once, here,
+    into the stacks of sizes (models.unpack); stacks(vec) looks the views
+    of one of these buffers up.
+    """
+
+    def __init__(self, theta: np.ndarray, sizes, sam: bool = False):
+        self.theta = theta
+        self.grad = np.zeros(theta.size)
+        self.perturbed = np.empty(theta.size) if sam else None
+        buffers = [b for b in (self.theta, self.grad, self.perturbed) if b is not None]
+        self._stacks = {id(b): unpack(b, sizes) for b in buffers}
+
+    def stacks(self, vec: np.ndarray) -> list[MLPParams]:
+        """The stack views of vec, which must be one of the plan's buffers."""
+        return self._stacks[id(vec)]
+
+
 def batch_loss_and_grads(
-    theta, example_weights, *, xb, yb, targets, views, epoch, method, class_w, sizes,
+    theta, example_weights, *, plan, xb, yb, targets, views, epoch, method, class_w,
 ):
     """(loss, gradient) of the training objective on one batch.
 
-    theta and the gradient are vectors in models.pack's layout of the
-    stacks of sizes; a stack the objective does not use gets a zero
-    gradient. targets are the batch's rows of supervised_targets.
-    sam_step calls it as f(theta, example_weights); train_model binds the
-    rest with functools.partial. The stacks are views of theta, and
-    mlp_backward writes into views of one zeroed gradient vector.
+    theta is plan.theta or plan.perturbed, and the gradient returned is
+    plan.grad, refilled here: both are in models.pack's layout of the
+    plan's stacks, and a stack the objective does not use gets a
+    zero gradient. The returned gradient is valid until the next call.
+    targets are the batch's rows of supervised_targets. sam_step calls it
+    as f(theta, example_weights); train_model binds the rest with
+    functools.partial. The stacks are the plan's views of theta, and
+    mlp_backward writes into its views of the gradient buffer, so no call
+    unpacks a vector or allocates a gradient.
     Forward and backward are closed-form numpy (models.mlp_forward/
     mlp_backward, the losses' *_and_grad forms) and repeat the tape's
     operations in its order, so the result is bit-identical to backward()
@@ -610,9 +648,10 @@ def batch_loss_and_grads(
     A non-finite pre-activation, loss or gradient raises NumericalError
     naming the stage.
     """
-    stacks = unpack(theta, sizes)
-    grad = np.zeros(theta.size)
-    stack_grads = unpack(grad, sizes)
+    stacks = plan.stacks(theta)
+    grad = plan.grad
+    grad.fill(0.0)
+    stack_grads = plan.stacks(grad)
     mlp, mlp_grads = stacks[0], stack_grads[0]
     mlp_written = 0
     lam = float(method.joint.lam) if method.joint_ssl else 1.0
@@ -646,16 +685,23 @@ def batch_loss_and_grads(
     return float(loss), grad
 
 
-def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> TrainedModel:
+def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
+                track_train_acc: bool = True) -> TrainedModel:
     """Train one (config, seed) trial on the caller's curated train_split.
 
     Callers build it with build_pools and curate_train_split, once per seed.
     What stays fixed over the trial is built here once: sizes, the layer
     sizes of the classifier and the projector, which fix theta's layout
-    and SAM's tensor bounds, the target rows and, for a class-conditional
-    SAM mode with rho > 0, the per-class radii that each step indexes.
-    Every step ends with one sgd_update and one ema_update; SAM only
+    and SAM's tensor bounds; the StepPlan and the velocity, EMA and
+    scratch vectors, which every step reuses; the target rows and, for a
+    class-conditional SAM mode with rho > 0, the per-class radii that
+    each step indexes. Every step ends with one sgd_update and one
+    ema_update, which write theta, velocity and EMA in place; SAM only
     picks the gradient they apply.
+
+    Each epoch ends by predicting the train split for the train accuracy
+    trajectory, unless track_train_acc is False and no stop_at_train_acc
+    reads it; the weights trained are the same bit for bit either way.
     """
     ss = _seed_children(seed)
     profile = class_profile(train_split)
@@ -665,13 +711,16 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
     if proj_sizes is not None:
         sizes.append(proj_sizes)
     init_rng = np.random.default_rng(ss["init"])
-    theta = pack([mlp_init(s, seed=init_rng.integers(2**32)) for s in sizes])
+    method = config.method
+    sam = method.sam
+    plan = StepPlan(pack([mlp_init(s, seed=init_rng.integers(2**32)) for s in sizes]), sizes,
+                    sam=sam.mode != "off")
+    theta = plan.theta
     bounds = tensor_bounds(sizes)
     velocity = np.zeros_like(theta)
     ema = theta.copy()
+    scratch = np.empty_like(theta)
 
-    method = config.method
-    sam = method.sam
     class_radii = (
         rho_per_class(profile, sam) if sam.mode not in ("off", "sam") and sam.rho > 0.0 else None
     )
@@ -687,6 +736,7 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
         else None
     )
     min_batch = 2 if method.joint_ssl else 1
+    track_train_acc = track_train_acc or config.stop_at_train_acc is not None
 
     trajectory: list[float] = []
     epochs_to_full_fit = None
@@ -703,22 +753,25 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset) -> Tr
             if method.joint_ssl:
                 views = augment_two_views(xb, method.augment, augment_rng)
             loss_and_grads = functools.partial(
-                batch_loss_and_grads, xb=xb, yb=yb, targets=targets[batch_idx], views=views,
-                epoch=epoch, method=method, class_w=class_w, sizes=sizes,
+                batch_loss_and_grads, plan=plan, xb=xb, yb=yb, targets=targets[batch_idx],
+                views=views, epoch=epoch, method=method, class_w=class_w,
             )
             try:
                 if sam.mode == "off":
                     _, grad = loss_and_grads(theta, None)
                 else:
                     radii = None if class_radii is None else class_radii[yb]
-                    _, grad, _ = sam_step(theta, loss_and_grads, sam.rho, radii, bounds)
+                    _, grad, _ = sam_step(theta, loss_and_grads, sam.rho, radii, bounds,
+                                          plan.perturbed)
             except NumericalError as exc:
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, step {step} (seed {seed}): {exc}"
                 ) from exc
-            theta, velocity = sgd_update(theta, grad, lr, tc, velocity)
-            ema = ema_update(ema, theta, config.ema_decay)
-        preds, _, _ = mlp_predict(unpack(theta, sizes)[0], train_split.X)
+            sgd_update(theta, grad, lr, tc, velocity, scratch)
+            ema_update(ema, theta, config.ema_decay, scratch)
+        if not track_train_acc:
+            continue
+        preds, _, _ = mlp_predict(plan.stacks(theta)[0], train_split.X)
         acc = float((preds == train_split.y).mean())
         trajectory.append(acc)
         logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)
@@ -1106,8 +1159,9 @@ def run_ratio_grid(
 ) -> RatioGridResult:
     """Accuracy over the full r_train x r_test grid, per seed.
 
-    Each (seed, r_train) model is trained once and evaluated against
-    every curated test split. The ratios change no data setting, so
+    Each (seed, r_train) model is trained once, without the train accuracy
+    trajectory that nothing here reads, and evaluated against every
+    curated test split. The ratios change no data setting, so
     each seed's pools are built once: every train ratio curates its
     split from the shared train pool, and the test splits are curated
     once, before the models train. The per-ratio configs come from the
@@ -1124,7 +1178,8 @@ def run_ratio_grid(
         test_splits = [curate_test_split(cfg, test_pool, seed) for cfg in test_cfgs]
         grid: dict[tuple[float, float], float] = {}
         for cfg in train_cfgs:
-            mlp = train_model(cfg, seed, curate_train_split(cfg, train_pool, seed)).eval_mlp()
+            split = curate_train_split(cfg, train_pool, seed)
+            mlp = train_model(cfg, seed, split, track_train_acc=False).eval_mlp()
             for test_cfg, test_split in zip(test_cfgs, test_splits):
                 preds, _, _ = mlp_predict(mlp, test_split.X)
                 grid[(cfg.r_train, test_cfg.r_test)] = float((preds == test_split.y).mean())

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -106,7 +107,8 @@ def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: s
     """Rebuild a stack from {prefix.w0, prefix.b0, ...}; other keys are ignored.
 
     A missing tensor, or one whose shape disagrees with layer_sizes,
-    raises ValueError naming it.
+    raises ValueError naming it in full; sizes and shapes are shortened
+    (reprlib).
     """
     if len(layer_sizes) < 2:
         raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
@@ -116,10 +118,10 @@ def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: s
     checked = []
     for name, shape in wanted:
         if name not in named:
-            raise ValueError(f"missing tensor {name} for layer sizes {list(layer_sizes)}")
+            raise ValueError(f"missing tensor {name} for layer sizes {reprlib.repr(list(layer_sizes))}")
         arr = np.asarray(named[name], dtype=np.float64)
         if arr.shape != shape:
-            raise ValueError(f"tensor {name} has shape {arr.shape}, layer sizes need {shape}")
+            raise ValueError(f"tensor {name} has shape {reprlib.repr(arr.shape)}, layer sizes need {shape}")
         checked.append(arr)
     return MLPParams(list(layer_sizes), checked[:len(pairs)], checked[len(pairs):])
 

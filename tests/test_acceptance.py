@@ -312,15 +312,16 @@ def test_optimizer_degeneracies_are_bitwise(verdict):
     )
     a_theta, a_velocity, a_ema = w0.copy(), np.zeros(3), w0.copy()
     b_theta, b_velocity, b_ema = w0.copy(), np.zeros(3), w0.copy()
+    scratch = np.empty(3)
     zero_radius_identical = True
     for step in range(100):
         lr = cosine_lr(step, tc)
-        _, grad, _ = sam_step(a_theta, loss_and_grads, 0.0, None, [(0, 3)])
-        a_theta, a_velocity = sgd_update(a_theta, grad, lr, tc, a_velocity)
-        a_ema = ema_update(a_ema, a_theta, 0.999)
+        _, grad, _ = sam_step(a_theta, loss_and_grads, 0.0, None, [(0, 3)], np.empty(3))
+        sgd_update(a_theta, grad, lr, tc, a_velocity, scratch)
+        ema_update(a_ema, a_theta, 0.999, scratch)
         _, grad = loss_and_grads(b_theta, None)
-        b_theta, b_velocity = sgd_update(b_theta, grad, lr, tc, b_velocity)
-        b_ema = ema_update(b_ema, b_theta, 0.999)
+        sgd_update(b_theta, grad, lr, tc, b_velocity, scratch)
+        ema_update(b_ema, b_theta, 0.999, scratch)
         zero_radius_identical = zero_radius_identical and (
             np.array_equal(a_theta, b_theta)
             and np.array_equal(a_velocity, b_velocity)

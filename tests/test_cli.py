@@ -424,6 +424,30 @@ def test_a_cell_over_the_csv_field_size_limit_exits_2(tmp_path, capsys, command)
     assert f"config error: {src}:3: field larger than field limit" in capsys.readouterr().err
 
 
+def test_deeply_nested_config_value_is_shortened(tmp_path, capsys):
+    # the message names the field in full but prints only the top of the value
+    doc = dict(TINY_CONFIG, hidden=json.loads("[" * 950 + "]" * 950))
+    cfg = _write_config(tmp_path / "cfg.json", doc)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "hidden: expected a list of ints, got [[[[" in err
+    assert len(err) < 200
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("sizes, field", [
+    (json.loads("[" * 950 + "]" * 950), "mlp_sizes must be a list of positive ints"),
+    ([2, 5] + [3] * 5000, "missing tensor mlp.w2 for layer sizes [2, 5, 3, 3, 3, 3, ...]"),
+], ids=["nested", "long"])
+def test_huge_checkpoint_sizes_are_shortened(tmp_path, capsys, sizes, field):
+    ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 5, 3], sizes)
+    code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert field in err
+    assert len(err) < 200 + len(str(ckpt))
+
+
 @pytest.mark.parametrize("command", ["train_config", "boundary_checkpoint"])
 def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, command):
     path = tmp_path / "deep.json"

@@ -16,6 +16,7 @@ from skewtrain.autodiff import NumericalError, Tape, backward, finite_diff_check
 from skewtrain.data import ClassProfile
 from skewtrain.harness import (
     MethodSpec,
+    StepPlan,
     apply_method,
     batch_loss_and_grads,
     build_pools,
@@ -71,7 +72,7 @@ def _tape_loss_and_grads(
 
 
 def _fused(params_named, example_weights, *, profile, mlp_sizes, proj_sizes, **kwargs):
-    """batch_loss_and_grads on the parameters packed into one vector, gradient named back.
+    """batch_loss_and_grads on the parameters packed into a plan's theta, gradient named back.
 
     The stacks are the classifier and, when proj_sizes is given, the
     projector. The target rows come from supervised_targets, as in
@@ -79,11 +80,11 @@ def _fused(params_named, example_weights, *, profile, mlp_sizes, proj_sizes, **k
     """
     sizes = [mlp_sizes] if proj_sizes is None else [mlp_sizes, proj_sizes]
     prefixes = ("mlp", "proj")[:len(sizes)]
-    theta = pack([named_to_mlp(params_named, s, p) for s, p in zip(sizes, prefixes)])
+    plan = StepPlan(pack([named_to_mlp(params_named, s, p) for s, p in zip(sizes, prefixes)]), sizes)
     targets = supervised_targets(kwargs["yb"], kwargs["method"], profile)
-    loss, grad = batch_loss_and_grads(theta, example_weights, targets=targets, sizes=sizes,
+    loss, grad = batch_loss_and_grads(plan.theta, example_weights, plan=plan, targets=targets,
                                       **kwargs)
-    assert grad.dtype == np.float64 and grad.shape == theta.shape
+    assert grad is plan.grad
     named = {}
     for stack, prefix in zip(unpack(grad, sizes), prefixes):
         named.update(params_to_named(stack, prefix))

@@ -49,7 +49,7 @@ from skewtrain.harness import (
     supervised_loss,
 )
 from skewtrain.losses import ReweightSpec, cross_entropy_vec, one_hot, reweight_class_weights
-from skewtrain.models import load_checkpoint, mlp_predict, named_to_mlp, pack, unpack
+from skewtrain.models import load_checkpoint, mlp_init, mlp_predict, named_to_mlp, pack, unpack
 from skewtrain.optim import SamSpec, rho_per_class
 
 
@@ -650,6 +650,23 @@ def test_class_conditional_sam_at_rho_zero_trains_like_off(mode):
     assert not np.array_equal(model(SamSpec(rho=0.05, mode=mode)).raw, off.raw)
 
 
+@pytest.mark.parametrize("mode", ["sam", "sam_a_paper", "sam_a_inverse"])
+def test_sam_at_rho_zero_diverges_with_offs_message(mode):
+    # the one pass a rho-0 step runs raises what mode off's pass raises;
+    # inputs this far out overflow the first layer on the first step
+    data = DataSpec(classes=3, train_per_class=30, test_per_class=20, mean_radius=1e308)
+    messages = []
+    for sam in (SamSpec(rho=0.0, mode="off"), SamSpec(rho=0.0, mode=mode)):
+        cfg = _tiny_config(data=data)
+        cfg.method.sam = sam
+        with pytest.raises(NumericalError) as info:
+            run_training(cfg, seed=0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == (
+        "training diverged at epoch 0, step 0 (seed 0): "
+        "non-finite pre-activation in layer 0 of a [2, 8, 3] stack")
+
+
 def test_run_training_fits_separable_data():
     cfg = _tiny_config(
         data=DataSpec(classes=2, train_per_class=30, test_per_class=20, sigma=0.05),
@@ -837,8 +854,8 @@ def _record_trained_profiles(monkeypatch):
     seen = []
     real = harness.train_model
 
-    def train_model(config, seed, train_split):
-        model = real(config, seed, train_split)
+    def train_model(config, seed, train_split, **kwargs):
+        model = real(config, seed, train_split, **kwargs)
         seen.append(model.profile.counts.tolist())
         return model
 
@@ -894,7 +911,8 @@ def test_result_documents_are_their_fields(tmp_path):
 
 def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
     trained = []
-    monkeypatch.setattr(harness, "train_model", lambda config, seed, train_split: trained.append(seed))
+    monkeypatch.setattr(harness, "train_model",
+                        lambda config, seed, train_split, **kwargs: trained.append(seed))
     for values in ([16, 0], [16, -4]):
         with pytest.raises(ConfigError, match=f"batch_size value {values[1]}"):
             run_sweep(_tiny_config(), "batch_size", values, out_dir=tmp_path / "out")
@@ -906,7 +924,8 @@ def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
 
 def test_run_sweep_checks_values_after_the_cast(monkeypatch, tmp_path):
     trained = []
-    monkeypatch.setattr(harness, "train_model", lambda config, seed, train_split: trained.append(seed))
+    monkeypatch.setattr(harness, "train_model",
+                        lambda config, seed, train_split, **kwargs: trained.append(seed))
     for axis, values in (("r_test", [1, 1.0]), ("batch_size", [16, 16.0])):
         with pytest.raises(ConfigError, match="duplicate sweep values"):
             run_sweep(_tiny_config(), axis, values, out_dir=tmp_path / "out")
@@ -995,10 +1014,92 @@ def test_run_ratio_grid_clears_majority_size(monkeypatch):
 
 def test_run_ratio_grid_bad_ratio_fails_before_training(monkeypatch):
     trained = []
-    monkeypatch.setattr(harness, "train_model", lambda config, seed, train_split: trained.append(seed))
+    monkeypatch.setattr(harness, "train_model",
+                        lambda config, seed, train_split, **kwargs: trained.append(seed))
     with pytest.raises(ConfigError, match="r_test value 0.0"):
         run_ratio_grid(_tiny_config(), [1.0], [1.0, 0.0])
     assert trained == []
+
+
+def test_run_ratio_grid_predicts_only_its_cells(monkeypatch):
+    # one predict per (seed, r_train, r_test) cell: no epoch-end train
+    # accuracy, which the grid never reads
+    real = harness.mlp_predict
+    calls = []
+
+    def mlp_predict(params, x):
+        calls.append(x)
+        return real(params, x)
+
+    monkeypatch.setattr(harness, "mlp_predict", mlp_predict)
+    cfg = _tiny_config(seeds=[0, 1], train=TrainConfig(lr0=0.1, epochs=3, warmup_epochs=1, batch_size=32))
+    grid = run_ratio_grid(cfg, [1.0, 0.5, 0.2], [1.0, 0.5])
+    assert len(calls) == 2 * 3 * 2
+    assert len(grid.per_seed) == 2 and all(len(g) == 6 for g in grid.per_seed)
+
+
+def _preset_config(preset):
+    """_tiny_config under a preset; joint_ssl diverges at lr0 0.1, so it trains at 5e-4."""
+    cfg = apply_method(_tiny_config(), preset)
+    if preset == "joint_ssl":
+        cfg.train.lr0 = 5e-4
+    return cfg
+
+
+@pytest.mark.parametrize("preset", ["erm", "sam_a", "joint_ssl"])
+def test_untracked_training_keeps_every_weight(preset):
+    # skipping the epoch-end predicts changes no trained byte
+    cfg = _preset_config(preset)
+    split = build_pools(cfg, 0)[0]
+    tracked = harness.train_model(cfg, 0, split)
+    untracked = harness.train_model(cfg, 0, split, track_train_acc=False)
+    assert untracked.raw.tobytes() == tracked.raw.tobytes()
+    assert untracked.ema.tobytes() == tracked.ema.tobytes()
+    assert len(tracked.train_acc_trajectory) == cfg.train.epochs
+    assert untracked.train_acc_trajectory == [] and untracked.epochs_to_full_fit is None
+
+
+def test_stop_at_train_acc_still_predicts_when_untracked():
+    # the early stop reads the train accuracy, so it is computed anyway
+    cfg = _tiny_config(stop_at_train_acc=0.0)
+    split = build_pools(cfg, 0)[0]
+    model = harness.train_model(cfg, 0, split, track_train_acc=False)
+    assert len(model.train_acc_trajectory) == 1
+
+
+@pytest.mark.parametrize("preset, buffers", [("erm", 2), ("sam_a", 3), ("joint_ssl", 2)])
+def test_a_trial_unpacks_each_buffer_once(monkeypatch, preset, buffers):
+    # theta, the gradient and, under SAM, the perturbed point: each is
+    # unpacked into its views once per trial, not once per step
+    real = harness.unpack
+    calls = []
+
+    def unpack(vec, sizes):
+        calls.append(id(vec))
+        return real(vec, sizes)
+
+    monkeypatch.setattr(harness, "unpack", unpack)
+    cfg = _preset_config(preset)
+    harness.train_model(cfg, 0, build_pools(cfg, 0)[0], track_train_acc=False)
+    assert len(calls) == len(set(calls)) == buffers
+
+
+def test_step_plan_refills_the_gradient_buffer():
+    # a dirty buffer must not leak into a stack the objective does not use
+    sizes = [[2, 4, 3], [4, 5]]
+    plan = harness.StepPlan(pack([mlp_init(s, seed=i) for i, s in enumerate(sizes)]), sizes)
+    xb = np.random.default_rng(0).normal(size=(6, 2))
+    yb = np.array([0, 1, 2, 0, 1, 2])
+    method = MethodSpec()
+    kwargs = dict(plan=plan, xb=xb, yb=yb, targets=one_hot(yb, 3), views=None, epoch=0,
+                  method=method, class_w=np.ones(3))
+    loss, grad = harness.batch_loss_and_grads(plan.theta, None, **kwargs)
+    want = grad.copy()
+    grad.fill(np.nan)
+    loss_again, grad_again = harness.batch_loss_and_grads(plan.theta, None, **kwargs)
+    assert grad_again is plan.grad and loss_again == loss
+    assert grad_again.tobytes() == want.tobytes()
+    assert not want[-(4 * 5 + 5):].any()  # the unused stack's gradient is zero
 
 
 def test_sweep_csv_failure_keeps_previous_file(tmp_path):

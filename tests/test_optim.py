@@ -7,6 +7,7 @@ import pytest
 from skewtrain.data import ClassProfile
 from skewtrain.optim import (
     SamSpec,
+    StepInfo,
     TrainConfig,
     cosine_lr,
     ema_update,
@@ -48,9 +49,35 @@ def _whole(theta):
 
 
 def _update(theta, velocity, ema, grad, lr, cfg, decay=0.999):
-    """The end of every training step: one sgd_update, then one ema_update."""
-    theta, velocity = sgd_update(theta, grad, lr, cfg, velocity)
-    return theta, velocity, ema_update(ema, theta, decay)
+    """The end of every training step: one sgd_update, then one ema_update, in place."""
+    scratch = np.empty_like(theta)
+    sgd_update(theta, grad, lr, cfg, velocity, scratch)
+    ema_update(ema, theta, decay, scratch)
+    return theta, velocity, ema
+
+
+# The pure forms that the in-place updates replaced: each returns new
+# vectors and leaves its inputs untouched. The in-place forms must match
+# them byte for byte.
+
+
+def _pure_sgd_update(theta, grad, lr, config, velocity):
+    g = grad + config.weight_decay * theta
+    v = config.momentum * velocity + g
+    return theta - lr * v, v
+
+
+def _pure_ema_update(ema, theta, decay):
+    return decay * ema + (1.0 - decay) * theta
+
+
+def _pure_sam_perturb(theta, grad, rho_eff, bounds):
+    if rho_eff == 0.0:
+        return theta, False
+    norm = math.sqrt(sum(float(np.square(grad[a:b]).sum()) for a, b in bounds))
+    if norm == 0.0:
+        return theta, True
+    return theta + (rho_eff / norm) * grad, False
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +92,7 @@ def test_sgd_two_step_hand_case():
     velocity = np.zeros(1)
     cfg = _cfg()
     for _ in range(2):
-        theta, velocity = sgd_update(theta, np.array([1.0]), 0.1, cfg, velocity)
+        sgd_update(theta, np.array([1.0]), 0.1, cfg, velocity, np.empty(1))
     assert theta[0] == -0.29000000000000004
     assert velocity[0] == 1.9
 
@@ -74,18 +101,74 @@ def test_sgd_weight_decay_is_coupled():
     # zero gradient, no momentum: theta <- theta (1 - lr * wd)
     theta = np.array([2.0])
     cfg = _cfg(momentum=0.0, weight_decay=0.01)
-    theta, _ = sgd_update(theta, np.array([0.0]), 0.5, cfg, np.zeros(1))
+    sgd_update(theta, np.array([0.0]), 0.5, cfg, np.zeros(1), np.empty(1))
     assert theta[0] == 2.0 * (1.0 - 0.5 * 0.01)
 
 
-def test_sgd_is_functional():
+def test_sgd_update_writes_in_place():
+    # theta and velocity keep their buffers; the gradient is only read
     theta = np.array([1.0, 2.0])
     grad = np.array([0.5, 0.5])
     velocity = np.zeros(2)
-    new_theta, new_velocity = sgd_update(theta, grad, 0.1, _cfg(), velocity)
-    npt.assert_array_equal(theta, [1.0, 2.0])
-    npt.assert_array_equal(velocity, [0.0, 0.0])
-    assert new_theta is not theta and new_velocity is not velocity
+    want_theta, want_velocity = _pure_sgd_update(theta, grad, 0.1, _cfg(), velocity)
+    assert sgd_update(theta, grad, 0.1, _cfg(), velocity, np.empty(2)) is None
+    assert theta.tobytes() == want_theta.tobytes()
+    assert velocity.tobytes() == want_velocity.tobytes()
+    npt.assert_array_equal(grad, [0.5, 0.5])
+
+
+def _in_place_run(theta, velocity, ema, grads, lrs, cfg, rho):
+    """One trajectory of the in-place updates over the given gradients.
+
+    With rho > 0 each step first moves to the perturbed point, as
+    sam_step does, and the perturbed point joins the trajectory.
+    """
+    bounds = [(0, 12), (12, 16)]
+    scratch, perturbed = np.empty_like(theta), np.empty_like(theta)
+    addresses = {id(theta), id(velocity), id(ema)}
+    seen = []
+    for grad, lr in zip(grads, lrs):
+        if rho:
+            point, _ = sam_perturb(theta, grad, rho, bounds, perturbed)
+            seen.append(point.copy())
+        sgd_update(theta, grad, lr, cfg, velocity, scratch)
+        ema_update(ema, theta, 0.999, scratch)
+        seen.extend(v.copy() for v in (theta, velocity, ema))
+    assert {id(theta), id(velocity), id(ema)} == addresses
+    return seen
+
+
+def _pure_run(theta, velocity, ema, grads, lrs, cfg, rho):
+    bounds = [(0, 12), (12, 16)]
+    seen = []
+    for grad, lr in zip(grads, lrs):
+        if rho:
+            seen.append(_pure_sam_perturb(theta, grad, rho, bounds)[0])
+        theta, velocity = _pure_sgd_update(theta, grad, lr, cfg, velocity)
+        ema = _pure_ema_update(ema, theta, 0.999)
+        seen.extend((theta, velocity, ema))
+    return seen
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.05], ids=["plain", "sam"])
+def test_in_place_updates_match_the_pure_forms_bytewise(rho):
+    # 100 steps on the same gradients: every theta, velocity, EMA and
+    # perturbed point is the pure forms' value byte for byte. The
+    # gradients span many magnitudes and include a zero and a -0.0 row.
+    rng = np.random.default_rng(5)
+    grads = rng.normal(size=(100, 16)) * np.exp(rng.normal(size=(100, 1)) * 4.0)
+    grads[17] = 0.0
+    grads[41] = -0.0
+    cfg = TrainConfig(lr0=0.1, momentum=0.9, weight_decay=2e-4, epochs=100, warmup_epochs=5,
+                      batch_size=32)
+    lrs = [cosine_lr(step, cfg) for step in range(100)]
+    theta = rng.normal(size=16)
+    start = (theta, np.zeros(16), theta.copy())
+    want = _pure_run(*(v.copy() for v in start), grads, lrs, cfg, rho)
+    got = _in_place_run(*(v.copy() for v in start), grads, lrs, cfg, rho)
+    assert len(got) == len(want) == (400 if rho else 300)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.tobytes() == b.tobytes(), i
 
 
 def test_train_config_validation():
@@ -130,8 +213,10 @@ def test_cosine_lr_range_errors():
 
 def test_ema_update_hand_case():
     ema = np.array([0.0])
-    assert ema_update(ema, np.array([1.0]), 0.5)[0] == 0.5
-    assert ema[0] == 0.0
+    theta = np.array([1.0])
+    ema_update(ema, theta, 0.5, np.empty(1))
+    assert ema[0] == 0.5
+    assert theta[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +274,36 @@ def _recording_objective(calls):
 
 def test_sam_ascent_weights():
     # s_i = rho_{y_i} / rho on the ascent pass only; None without radii
-    # (plain sam, or a class-conditional mode at rho 0)
+    # (plain sam, or a class-conditional mode at rho 0). At rho 0 the
+    # ascent pass is the descent pass, so the objective runs once.
     profile = ClassProfile(np.array([900, 100]))
     radii = rho_per_class(profile, SamSpec(rho=0.1, mode="sam_a_paper"))[np.array([0, 1, 1])]
     theta = np.zeros(1)
     for rho, batch_radii, want in [(0.1, None, None), (0.0, None, None),
                                    (0.1, radii, radii / 0.1)]:
         calls = []
-        sam_step(theta, _recording_objective(calls), rho, batch_radii, _whole(theta))
-        assert calls[1] is None
+        sam_step(theta, _recording_objective(calls), rho, batch_radii, _whole(theta), np.empty(1))
+        assert len(calls) == (1 if rho == 0.0 else 2)
+        assert calls[-1] is None
         if want is None:
             assert calls[0] is None
         else:
             npt.assert_array_equal(calls[0], want)
+
+
+def test_sam_step_at_rho_zero_runs_the_objective_once():
+    # the one pass's loss is both losses; no move, no skip flag
+    theta = np.array([3.0])
+    calls = []
+
+    def loss_and_grads(w, weights):
+        calls.append(w)
+        return 4.5, np.array([3.0])
+
+    loss, grad, info = sam_step(theta, loss_and_grads, 0.0, None, _whole(theta), np.empty(1))
+    assert len(calls) == 1 and calls[0] is theta
+    assert loss == 4.5 and grad[0] == 3.0
+    assert info == StepInfo(4.5, 4.5, 0.0, False)
 
 
 def test_sam_spec_validation():
@@ -222,7 +324,7 @@ def test_sam_perturb_norm_equals_rho_eff():
     theta = rng.normal(size=16)
     grad = rng.normal(size=16)
     bounds = [(0, 12), (12, 16)]
-    pert, skipped = sam_perturb(theta, grad, 0.35, bounds)
+    pert, skipped = sam_perturb(theta, grad, 0.35, bounds, np.empty(16))
     assert not skipped
     delta_sq = sum(float(np.square(pert[a:b] - theta[a:b]).sum()) for a, b in bounds)
     assert abs(math.sqrt(delta_sq) - 0.35) < 1e-12
@@ -233,7 +335,9 @@ def test_sam_perturb_norm_is_summed_per_tensor():
     # this gradient one sum over the whole vector rounds differently
     grad = np.random.default_rng(0).normal(size=301)
     bounds = [(0, 200), (200, 201), (201, 301)]
-    pert, _ = sam_perturb(np.zeros(301), grad, 1.0, bounds)
+    out = np.empty(301)
+    pert, _ = sam_perturb(np.zeros(301), grad, 1.0, bounds, out)
+    assert pert is out
     norm = math.sqrt(sum(float(np.square(grad[a:b]).sum()) for a, b in bounds))
     assert norm != math.sqrt(float(np.square(grad).sum()))
     assert pert.tobytes() == ((1.0 / norm) * grad).tobytes()
@@ -241,15 +345,17 @@ def test_sam_perturb_norm_is_summed_per_tensor():
 
 def test_sam_perturb_rho_zero_returns_theta():
     theta = np.array([1.0, 2.0])
-    pert, skipped = sam_perturb(theta, np.ones(2), 0.0, _whole(theta))
+    out = np.full(2, 7.0)
+    pert, skipped = sam_perturb(theta, np.ones(2), 0.0, _whole(theta), out)
     assert not skipped
-    assert pert is theta  # untouched: the update makes a new vector
+    assert pert is theta  # nothing moves, and out is not written
+    npt.assert_array_equal(out, [7.0, 7.0])
     npt.assert_array_equal(theta, [1.0, 2.0])
 
 
 def test_sam_perturb_zero_grad_skips():
     theta = np.array([1.0])
-    pert, skipped = sam_perturb(theta, np.zeros(1), 0.1, _whole(theta))
+    pert, skipped = sam_perturb(theta, np.zeros(1), 0.1, _whole(theta), np.empty(1))
     assert skipped
     npt.assert_array_equal(pert, theta)
 
@@ -261,7 +367,8 @@ def test_sam_step_class_conditional_rho_eff():
     rho = rho_per_class(profile, spec)
     labels = np.array([0, 0, 1, 1])
     theta = np.array([0.0])
-    _, _, info = sam_step(theta, _recording_objective([]), spec.rho, rho[labels], _whole(theta))
+    _, _, info = sam_step(theta, _recording_objective([]), spec.rho, rho[labels], _whole(theta),
+                          np.empty(1))
     assert info.rho_eff == float(rho[labels].mean())
 
 
@@ -278,9 +385,9 @@ def test_sam_step_one_dim_hand_case():
     def loss_and_grads(w, weights):
         return 0.5 * float(w[0]) ** 2, w.copy()
 
-    loss, grad, info = sam_step(theta, loss_and_grads, 0.1, None, _whole(theta))
-    new_theta, _ = sgd_update(theta, grad, 0.1, _cfg(momentum=0.0), np.zeros(1))
-    assert new_theta[0] == 0.89
+    loss, grad, info = sam_step(theta, loss_and_grads, 0.1, None, _whole(theta), np.empty(1))
+    sgd_update(theta, grad, 0.1, _cfg(momentum=0.0), np.zeros(1), np.empty(1))
+    assert theta[0] == 0.89
     assert info.ascent_loss == 0.5
     assert loss == info.descent_loss == 0.5 * 1.1**2
     assert info.rho_eff == 0.1 and not info.ascent_skipped
@@ -294,7 +401,7 @@ def test_sam_step_rho_zero_matches_sgd_bitwise():
     b = (theta_a.copy(), np.zeros_like(theta_a), theta_a.copy())
     cfg = _cfg()
     for _ in range(100):
-        _, grad_a, _ = sam_step(a[0], loss_and_grads, 0.0, None, _whole(theta_a))
+        _, grad_a, _ = sam_step(a[0], loss_and_grads, 0.0, None, _whole(theta_a), np.empty(3))
         a = _update(*a, grad_a, 0.05, cfg)
         _, grad_b = loss_and_grads(b[0], None)
         b = _update(*b, grad_b, 0.05, cfg)
@@ -314,9 +421,9 @@ def test_sam_a_inverse_uniform_matches_sam_bitwise():
     b = (theta_a.copy(), np.zeros_like(theta_a), theta_a.copy())
     cfg = _cfg()
     for _ in range(20):
-        _, grad_a, info_a = sam_step(a[0], loss_and_grads, 0.1, radii, bounds)
+        _, grad_a, info_a = sam_step(a[0], loss_and_grads, 0.1, radii, bounds, np.empty(3))
         a = _update(*a, grad_a, 0.05, cfg)
-        _, grad_b, info_b = sam_step(b[0], loss_and_grads, 0.1, None, bounds)
+        _, grad_b, info_b = sam_step(b[0], loss_and_grads, 0.1, None, bounds, np.empty(3))
         b = _update(*b, grad_b, 0.05, cfg)
         assert info_a.rho_eff == info_b.rho_eff == 0.1
     npt.assert_array_equal(a[0], b[0])
@@ -332,10 +439,12 @@ def test_sam_a_paper_uniform_matches_rescaled_sam():
     theta, loss_and_grads = _quadratic_problem(seed=13, n=4)
     bounds = _whole(theta)
     cfg = _cfg()
-    _, grad_a, info_a = sam_step(theta, loss_and_grads, 0.1, radii, bounds)
-    theta_a, _ = sgd_update(theta, grad_a, 0.05, cfg, np.zeros_like(theta))
-    _, grad_b, info_b = sam_step(theta, loss_and_grads, 0.1 / 0.75, None, bounds)
-    theta_b, _ = sgd_update(theta, grad_b, 0.05, cfg, np.zeros_like(theta))
+    _, grad_a, info_a = sam_step(theta, loss_and_grads, 0.1, radii, bounds, np.empty(3))
+    theta_a = theta.copy()
+    sgd_update(theta_a, grad_a, 0.05, cfg, np.zeros_like(theta), np.empty(3))
+    _, grad_b, info_b = sam_step(theta, loss_and_grads, 0.1 / 0.75, None, bounds, np.empty(3))
+    theta_b = theta.copy()
+    sgd_update(theta_b, grad_b, 0.05, cfg, np.zeros_like(theta), np.empty(3))
     assert abs(info_a.rho_eff - info_b.rho_eff) < 1e-15
     npt.assert_allclose(theta_a, theta_b, rtol=0, atol=1e-12)
 
@@ -358,7 +467,7 @@ def test_sam_step_converges_on_quadratic():
     velocity = np.zeros_like(theta)
     cfg = _cfg(momentum=0.0)
     for _ in range(200):
-        _, grad, _ = sam_step(theta, loss_and_grads, 0.05, None, _whole(theta))
-        theta, velocity = sgd_update(theta, grad, 0.1, cfg, velocity)
+        _, grad, _ = sam_step(theta, loss_and_grads, 0.05, None, _whole(theta), np.empty(2))
+        sgd_update(theta, grad, 0.1, cfg, velocity, np.empty(2))
     final = loss_and_grads(theta, None)[0]
     assert final - floor < 0.05 * (first - floor)
