@@ -2,8 +2,8 @@
 
 Subcommands: curate, train, sweep, boundary, collapse. Exit codes are
 0 on success, 2 for configuration problems (bad flags, bad config
-files or values, paths that cannot be read or written), 3 for runtime
-failures such as non-finite losses.
+files or values, paths that cannot be read or written, sizes too large
+to allocate), 3 for runtime failures such as non-finite losses.
 """
 
 from __future__ import annotations
@@ -177,6 +177,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: {args.command} needs more memory than it can allocate ({exc})",
+              file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

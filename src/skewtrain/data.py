@@ -9,12 +9,16 @@ imbalance ratio r = min(n_c) / max(n_c) is controlled in experiments.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import atomic_write
+
+# Rows per string that save_csv writes; bounds the text held at once.
+SAVE_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -110,9 +114,10 @@ def load_csv(path, label_col: str) -> Dataset:
     Distinct label strings are sorted lexicographically and mapped to
     0..K-1; all other columns are parsed as float features in file
     order. Each row's label cell is popped and the rest become one tuple
-    of floats. Malformed rows, non-finite values (inf, nan, 1e400) and
-    records the csv module rejects (a cell over its field_size_limit) are
-    reported with the line their record starts on.
+    of floats. A header that names label_col more than once is rejected.
+    Malformed rows, non-finite values (inf, nan, 1e400) and records the
+    csv module rejects (a cell over its field_size_limit) are reported
+    with the line their record starts on.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -124,6 +129,8 @@ def load_csv(path, label_col: str) -> Dataset:
             raise ValueError(f"{path}:1: {exc}") from None
         if label_col not in header:
             raise ValueError(f"{path}: no column named {label_col!r} in header {header}")
+        if header.count(label_col) > 1:
+            raise ValueError(f"{path}: column {label_col!r} appears more than once in header {header}")
         label_idx = header.index(label_col)
         width = len(header)
         if width < 2:
@@ -176,16 +183,35 @@ def load_csv(path, label_col: str) -> Dataset:
 def save_csv(path, dataset: Dataset, label_col: str = "label") -> None:
     """Inverse of load_csv, with features named f0..f{d-1}.
 
-    Rows are converted one at a time to Python floats, which the csv
-    writer formats with repr, so each value reads back exactly.
+    The header and the class names go through csv.writer, which quotes
+    a name or label_col that needs it; each name is quoted once, where
+    it stands in a row, after the features. The rows are written in
+    blocks of SAVE_BLOCK_ROWS, one string per block, with each feature
+    column formatted by repr from Python floats, so values read back
+    exactly. A csv.writer fed the rows one by one writes the same bytes:
+    it formats a float with repr, never quotes one (a repr holds no
+    comma, quote or line break) and ends each line with "\r\n".
+
+    A label_col that names a feature column raises ValueError before
+    the file is opened, since load_csv could not tell the two apart.
     """
-    names = dataset.class_names
+    header = [f"f{i}" for i in range(dataset.d)] + [label_col]
+    if label_col in header[:-1]:
+        raise ValueError(f"label column {label_col!r} is also a feature name (f0..f{dataset.d - 1})")
+    # a name follows a feature ("0," is cut off again), or stands alone when d is 0
+    lead = ["0"] if dataset.d else []
+    names = []
+    for name in dataset.class_names:
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerow(lead + [name])
+        names.append(buf.getvalue()[2 * len(lead):])  # keeps the "\r\n"
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.d)] + [label_col])
-        writer.writerows(
-            x.tolist() + [names[label]] for x, label in zip(dataset.X, dataset.y.tolist())
-        )
+        csv.writer(fh).writerow(header)
+        for lo in range(0, dataset.n, SAVE_BLOCK_ROWS):
+            X = dataset.X[lo:lo + SAVE_BLOCK_ROWS]
+            columns = [map(repr, X[:, j].tolist()) for j in range(dataset.d)]
+            labels = map(names.__getitem__, dataset.y[lo:lo + SAVE_BLOCK_ROWS].tolist())
+            fh.write("".join(map(",".join, zip(*columns, labels))))
 
 
 def gen_gaussian_mixture(

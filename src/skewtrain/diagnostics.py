@@ -16,10 +16,8 @@ closest feature mean, ties to the lowest class id.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -232,16 +230,23 @@ class BoundaryGrid:
     def to_csv(self, path) -> None:
         """One row per cell, x0 outer: x0, x1, pred_label, max_prob.
 
-        Coordinates are formatted once each and a grid row's labels and
-        probabilities are written as Python values, whose floats the csv
-        writer formats with repr.
+        Each grid row's lines are formatted as one string and written at
+        once: coordinates and probabilities as the repr of a Python
+        float, labels as the str of a Python int, lines ended by
+        "\r\n". A csv.writer with its default dialect writes the same
+        bytes: it formats floats with repr and ints with str, and
+        QUOTE_MINIMAL quotes neither, since neither holds a comma, a
+        quote or a line break.
         """
         ys = [repr(y) for y in self.ys.tolist()]
         with atomic_write(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x0", "x1", "pred_label", "max_prob"])
+            fh.write("x0,x1,pred_label,max_prob\r\n")
             for x, labels, probs in zip(self.xs.tolist(), self.labels, self.max_prob):
-                writer.writerows(zip(repeat(repr(x)), ys, labels.tolist(), probs.tolist()))
+                x = repr(x)
+                fh.write("".join([
+                    f"{x},{y},{label},{p!r}\r\n"
+                    for y, label, p in zip(ys, labels.tolist(), probs.tolist())
+                ]))
 
 
 def boundary_grid(

@@ -95,6 +95,18 @@ def test_curate_missing_input(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_curate_refuses_a_label_col_that_names_a_feature(tmp_path, capsys):
+    # save_csv names the one feature f0, so this label column would be read
+    # back as that feature.
+    src = tmp_path / "full.csv"
+    src.write_text("x,f0\n1.0,a\n2.0,a\n3.0,b\n4.0,b\n")
+    out = tmp_path / "o.csv"
+    code = main(["curate", "--in", str(src), "--out", str(out), "--label-col", "f0", "--ratio", "1.0"])
+    assert code == 2
+    assert "label column 'f0' is also a feature name" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -132,6 +144,20 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert code == 3
     assert "training diverged at epoch" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"hidden": [3, 10**12]},  # 21.8 TiB of weights in mlp_init
+    {"data": dict(TINY_CONFIG["data"], train_per_class=10**12)},  # 43.7 TiB of samples
+])
+def test_train_that_cannot_allocate_exits_2(tmp_path, capsys, override):
+    cfg = _write_config(tmp_path / "cfg.json", dict(TINY_CONFIG, **override))
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: train needs more memory than it can allocate")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not (tmp_path / "r").exists()
 
 
@@ -297,6 +323,20 @@ def test_boundary_bad_bounds(tmp_path, capsys):
         assert code == 2, bounds
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_boundary_that_cannot_allocate_exits_2(tmp_path, capsys):
+    # 10**12 grid coordinates are 7.28 TiB, refused at once. Smaller sizes
+    # are not safe to test: at 10**8 linspace fills about 2 GB first.
+    ckpt = tmp_path / "ckpt.json"
+    _untrained_checkpoint(ckpt)
+    out = tmp_path / "g.csv"
+    code = main(["boundary", "--checkpoint", str(ckpt), "--resolution", str(10**12), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: boundary needs more memory than it can allocate")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == [ckpt]
 
 
 def test_boundary_rejects_non_planar_model(tmp_path, capsys):

@@ -205,6 +205,22 @@ def test_load_csv_missing_label_column(tmp_path):
         load_csv(path, "label")
 
 
+def test_load_csv_rejects_a_label_column_named_twice(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("f0,f0\n1.0,a\n")
+    with pytest.raises(ValueError, match="column 'f0' appears more than once"):
+        load_csv(path, "f0")
+
+
+def test_save_csv_rejects_a_label_column_named_like_a_feature(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"label column 'f1' is also a feature name \(f0..f1\)"):
+        save_csv(path, _toy([2, 2]), label_col="f1")
+    assert not path.exists()
+    save_csv(path, _toy([2, 2]), label_col="f2")
+    assert load_csv(path, "f2").d == 2
+
+
 def test_load_csv_field_count_mismatch(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,f1,label\n1.0,2.0,a\n1.0,b\n")
