@@ -9,6 +9,7 @@ to allocate), 3 for runtime failures such as non-finite losses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import reprlib
@@ -30,7 +31,9 @@ from .harness import (
 from .models import load_checkpoint, mlp_predict, named_to_mlp
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main only reads it."""
     parser = argparse.ArgumentParser(prog="skewtrain")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,6 +149,12 @@ def _cmd_boundary(args) -> int:
 def _cmd_collapse(args) -> int:
     mlp = _load_model(args)
     dataset = load_csv(args.data, args.label_col)
+    k, width = dataset.num_classes, mlp.layer_sizes[-1]
+    if not 2 <= k <= width:
+        # One class has no CDNV pair, and a class past the output width
+        # is one the model cannot predict.
+        raise ConfigError(f"{args.data} has {k} classes; collapse needs at least 2 and at most "
+                          f"the checkpoint's {width} outputs")
     profile = class_profile(dataset)
     preds, _, feats = mlp_predict(mlp, dataset.X)
     report = collapse_report(feats, dataset.y, preds, profile)

@@ -591,15 +591,17 @@ def supervised_loss_and_grad(
         inv_total = 1.0 / labels.size
     else:
         w = example_weights if w is None else w * example_weights
-        inv_total = 1.0 / float(example_weights.sum())
+        inv_total = 1.0 / float(np.add.reduce(example_weights))
     if w is None:
-        return vec.sum() * inv_total, vec_grad(np.full(labels.size, adjoint * inv_total))
-    loss = (vec * w).sum() * inv_total
+        # One adjoint for every example: a scalar, which scales each
+        # product exactly as a vector of copies of it would.
+        return np.add.reduce(vec) * inv_total, vec_grad(adjoint * inv_total)
+    loss = np.add.reduce(vec * w) * inv_total
     return loss, vec_grad(adjoint * inv_total * w)
 
 
-def _require_finite(stage: str, value) -> None:
-    if not np.isfinite(value).all():
+def _require_finite(stage: str, value: np.ndarray) -> None:
+    if not np.logical_and.reduce(np.isfinite(value), axis=None):
         raise NumericalError(f"non-finite {stage}")
 
 
@@ -635,18 +637,36 @@ def batch_loss_and_grads(
     plan.grad, refilled here: both are in models.pack's layout of the
     plan's stacks, and a stack the objective does not use gets a
     zero gradient. The returned gradient is valid until the next call.
-    targets are the batch's rows of supervised_targets. sam_step calls it
-    as f(theta, example_weights); train_model binds the rest with
-    functools.partial. The stacks are the plan's views of theta, and
-    mlp_backward writes into its views of the gradient buffer, so no call
-    unpacks a vector or allocates a gradient.
+    targets are the batch's rows of supervised_targets. theta and
+    example_weights come first, as sam_step calls a loss_and_grads.
+    The stacks are the plan's views of theta, and mlp_backward writes into
+    its views of the gradient buffer, so no call unpacks a vector or
+    allocates a gradient.
     Forward and backward are closed-form numpy (models.mlp_forward/
     mlp_backward, the losses' *_and_grad forms) and repeat the tape's
     operations in its order, so the result is bit-identical to backward()
     over supervised_loss and, for the joint objective, forward_stack,
     vicreg_loss and joint_loss.
     A non-finite pre-activation, loss or gradient raises NumericalError
-    naming the stage.
+    naming the stage: overflow is ignored while the step runs, here in a
+    numpy errstate of its own. train_model enters that errstate once per
+    epoch and calls the step without it, with xb and the views already
+    float64 and C-contiguous.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xb = np.ascontiguousarray(xb, dtype=np.float64)
+        if views is not None:
+            views = [np.ascontiguousarray(view, dtype=np.float64) for view in views]
+        return _batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w,
+                                     theta, example_weights)
+
+
+def _batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, theta,
+                          example_weights):
+    """batch_loss_and_grads without its errstate and conversions; the caller provides both.
+
+    The batch comes first, so functools.partial(_batch_loss_and_grads,
+    *batch) is the f(theta, example_weights) that sam_step calls.
     """
     stacks = plan.stacks(theta)
     grad = plan.grad
@@ -655,33 +675,32 @@ def batch_loss_and_grads(
     mlp, mlp_grads = stacks[0], stack_grads[0]
     mlp_written = 0
     lam = float(method.joint.lam) if method.joint_ssl else 1.0
-    # Overflow surfaces as NumericalError below, as it does on the tape.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logits, inputs = mlp_forward(mlp, np.ascontiguousarray(xb, dtype=np.float64), check=True)
-        loss, g_logits = supervised_loss_and_grad(
-            logits, yb, targets, method, class_w, epoch, example_weights, lam,
-        )
-        _require_finite("supervised loss", loss)
-        if method.joint_ssl:
-            proj, proj_grads = stacks[1], stack_grads[1]
-            proj_written = 0
-            branches = []
-            for view in views:
-                view = np.ascontiguousarray(view, dtype=np.float64)
-                _, view_inputs = mlp_forward(mlp, view, skip_last=True, check=True)
-                emb, proj_inputs = mlp_forward(proj, view_inputs[-1], check=True)
-                branches.append((view_inputs, emb, proj_inputs))
-            ssl, g_emb, g_emb_prime = vicreg_and_grads(branches[0][1], branches[1][1], method.vicreg)
-            loss = ssl + loss * lam
-            _require_finite("joint objective", loss)
-            # The tape walks the second view's branch back before the first.
-            for (view_inputs, _, proj_inputs), g in zip(branches[::-1], (g_emb_prime, g_emb)):
-                g_pen = mlp_backward(proj, proj_inputs, g, proj_grads, proj_written, input_grad=True)
-                mlp_backward(mlp, view_inputs[:-1], g_pen * (view_inputs[-1] > 0.0), mlp_grads,
-                             mlp_written)
-                proj_written, mlp_written = len(proj_inputs), len(view_inputs) - 1
-        mlp_backward(mlp, inputs, g_logits, mlp_grads, mlp_written)
-        _require_finite("gradient", grad)
+    logits, inputs = mlp_forward(mlp, xb, check=True)
+    loss, g_logits = supervised_loss_and_grad(
+        logits, yb, targets, method, class_w, epoch, example_weights, lam,
+    )
+    if not math.isfinite(loss):
+        raise NumericalError("non-finite supervised loss")
+    if method.joint_ssl:
+        proj, proj_grads = stacks[1], stack_grads[1]
+        proj_written = 0
+        branches = []
+        for view in views:
+            _, view_inputs = mlp_forward(mlp, view, skip_last=True, check=True)
+            emb, proj_inputs = mlp_forward(proj, view_inputs[-1], check=True)
+            branches.append((view_inputs, emb, proj_inputs))
+        ssl, g_emb, g_emb_prime = vicreg_and_grads(branches[0][1], branches[1][1], method.vicreg)
+        loss = ssl + loss * lam
+        if not math.isfinite(loss):
+            raise NumericalError("non-finite joint objective")
+        # The tape walks the second view's branch back before the first.
+        for (view_inputs, _, proj_inputs), g in zip(branches[::-1], (g_emb_prime, g_emb)):
+            g_pen = mlp_backward(proj, proj_inputs, g, proj_grads, proj_written, input_grad=True)
+            mlp_backward(mlp, view_inputs[:-1], g_pen * (view_inputs[-1] > 0.0), mlp_grads,
+                         mlp_written)
+            proj_written, mlp_written = len(proj_inputs), len(view_inputs) - 1
+    mlp_backward(mlp, inputs, g_logits, mlp_grads, mlp_written)
+    _require_finite("gradient", grad)
     return float(loss), grad
 
 
@@ -698,6 +717,13 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
     each step indexes. Every step ends with one sgd_update and one
     ema_update, which write theta, velocity and EMA in place; SAM only
     picks the gradient they apply.
+
+    The plain step calls batch_loss_and_grads' body directly; only SAM
+    binds the batch with functools.partial, for sam_step. The numpy
+    errstate that ignores overflow is entered once per epoch, around its
+    batches, so an overflow in sgd_update or sam_perturb warns nothing
+    and the next step raises NumericalError; the epoch-end predict runs
+    in the caller's errstate, which is restored however the epoch ends.
 
     Each epoch ends by predicting the train split for the train accuracy
     trajectory, unless track_train_acc is False and no stop_at_train_acc
@@ -728,7 +754,8 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
     batch_rng = np.random.default_rng(ss["batches"])
     augment_rng = np.random.default_rng(ss["augment"])
     class_w = reweight_class_weights(profile)
-    targets = supervised_targets(train_split.y, method, profile)
+    X, y = train_split.X, train_split.y
+    targets = supervised_targets(y, method, profile)
     steps_per_epoch = math.ceil(train_split.n / tc.batch_size)
     sampler = (
         make_balanced_sampler(train_split, tc.batch_size, seed=ss["batches"])
@@ -746,29 +773,31 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
             batches = [next(sampler) for _ in range(steps_per_epoch)]
         else:
             batches = _iter_batches(train_split.n, tc.batch_size, batch_rng, min_batch)
-        for step, batch_idx in enumerate(batches):
-            xb = train_split.X[batch_idx]
-            yb = train_split.y[batch_idx]
-            views = None
-            if method.joint_ssl:
-                views = augment_two_views(xb, method.augment, augment_rng)
-            loss_and_grads = functools.partial(
-                batch_loss_and_grads, plan=plan, xb=xb, yb=yb, targets=targets[batch_idx],
-                views=views, epoch=epoch, method=method, class_w=class_w,
-            )
-            try:
-                if sam.mode == "off":
-                    _, grad = loss_and_grads(theta, None)
-                else:
-                    radii = None if class_radii is None else class_radii[yb]
-                    _, grad, _ = sam_step(theta, loss_and_grads, sam.rho, radii, bounds,
-                                          plan.perturbed)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"training diverged at epoch {epoch}, step {step} (seed {seed}): {exc}"
-                ) from exc
-            sgd_update(theta, grad, lr, tc, velocity, scratch)
-            ema_update(ema, theta, config.ema_decay, scratch)
+        # The step's overflow surfaces as NumericalError, so the epoch's
+        # batches run in one errstate; the train predict below does not.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for step, batch_idx in enumerate(batches):
+                xb = X.take(batch_idx, axis=0)
+                yb = y[batch_idx]
+                views = None
+                if method.joint_ssl:
+                    views = augment_two_views(xb, method.augment, augment_rng)
+                batch = (plan, xb, yb, targets.take(batch_idx, axis=0), views, epoch, method,
+                         class_w)
+                try:
+                    if sam.mode == "off":
+                        _, grad = _batch_loss_and_grads(*batch, theta, None)
+                    else:
+                        radii = None if class_radii is None else class_radii[yb]
+                        loss_and_grads = functools.partial(_batch_loss_and_grads, *batch)
+                        _, grad, _ = sam_step(theta, loss_and_grads, sam.rho, radii, bounds,
+                                              plan.perturbed)
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"training diverged at epoch {epoch}, step {step} (seed {seed}): {exc}"
+                    ) from exc
+                sgd_update(theta, grad, lr, tc, velocity, scratch)
+                ema_update(ema, theta, config.ema_decay, scratch)
         if not track_train_acc:
             continue
         preds, _, _ = mlp_predict(plan.stacks(theta)[0], train_split.X)

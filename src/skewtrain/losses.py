@@ -130,24 +130,30 @@ def _check_targets(logits: Var, targets: np.ndarray) -> np.ndarray:
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise log softmax of a (B, K) array, shifted by the row maximum."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def _log_softmax_grad(g: np.ndarray, lsm: np.ndarray) -> np.ndarray:
-    return g - np.exp(lsm) * g.sum(axis=1, keepdims=True)
+    return g - np.exp(lsm) * np.add.reduce(g, axis=1, keepdims=True)
 
 
 def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray):
     """Numpy cross_entropy_vec: (per-example losses, grad).
 
-    grad maps the adjoint of the (B,) losses to the logit gradient.
+    grad maps the adjoint of the (B,) losses to the logit gradient. The
+    adjoint is a (B,) vector or, when every example has the same one, a
+    scalar: each product is the same either way, so the gradients match
+    bit for bit.
     """
     lsm = _log_softmax(logits)
-    vec = (lsm * targets).sum(axis=1) * -1.0
+    vec = np.add.reduce(lsm * targets, axis=1) * -1.0
 
-    def grad(g: np.ndarray) -> np.ndarray:
-        return _log_softmax_grad((g * -1.0)[:, None] * targets, lsm)
+    def grad(g) -> np.ndarray:
+        g = g * -1.0
+        if isinstance(g, np.ndarray):
+            g = g[:, None]
+        return _log_softmax_grad(g * targets, lsm)
 
     return vec, grad
 
@@ -155,14 +161,15 @@ def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray):
 def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec):
     """Numpy focal_vec: (per-example losses, grad), as cross_entropy_and_grad.
 
-    hot holds the one-hot rows of the labels. The power-rule term
-    g * -log p_t * gamma * (1 - p_t)^(gamma - 1) is 0 where g * -log p_t
-    is 0, as on the tape: with gamma < 1 the power is infinite once p_t
-    rounds to 1, where -log p_t is 0 and the term's limit is 0. Any
-    other non-finite term raises NumericalError.
+    The adjoint may be a scalar here too. hot holds the one-hot rows of
+    the labels. The power-rule term g * -log p_t * gamma *
+    (1 - p_t)^(gamma - 1) is 0 where g * -log p_t is 0, as on the tape:
+    with gamma < 1 the power is infinite once p_t rounds to 1, where
+    -log p_t is 0 and the term's limit is 0. Any other non-finite term
+    raises NumericalError.
     """
     lsm = _log_softmax(logits)
-    log_pt = (lsm * hot).sum(axis=1)
+    log_pt = np.add.reduce(lsm * hot, axis=1)
     pt = np.exp(log_pt)
     one_minus_pt = pt * -1.0 + 1.0
     gamma = float(spec.gamma)
@@ -170,7 +177,7 @@ def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec):
     neg_log_pt = log_pt * -1.0
     vec = weight * neg_log_pt
 
-    def grad(g: np.ndarray) -> np.ndarray:
+    def grad(g) -> np.ndarray:
         if gamma == 0.0:
             g_base = np.zeros_like(one_minus_pt)
         else:
@@ -178,7 +185,7 @@ def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec):
             with np.errstate(divide="ignore", invalid="ignore"):
                 slope = np.power(one_minus_pt, gamma - 1.0)
                 g_base = np.where(g_pow == 0.0, g_pow * gamma, g_pow * gamma * slope)
-        if not np.isfinite(g_base).all():
+        if not np.logical_and.reduce(np.isfinite(g_base)):
             raise NumericalError("non-finite focal power-rule gradient")
         g_log_pt = g * weight * -1.0 + g_base * -1.0 * pt
         return _log_softmax_grad(g_log_pt[:, None] * hot, lsm)

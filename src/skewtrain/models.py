@@ -158,7 +158,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check
         # (boundary grids) keep their memory peak.
         z = h @ params.weights[i]
         z += params.biases[i]
-        if check and not np.isfinite(z).all():
+        if check and not np.logical_and.reduce(np.isfinite(z), axis=None):
             raise NumericalError(
                 f"non-finite pre-activation in layer {i} of a {params.layer_sizes} stack"
             )
@@ -184,7 +184,7 @@ def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, grads: MLPParam
     stack input when input_grad, else None.
     """
     for i in reversed(range(len(inputs))):
-        _write(grads.biases[i], g.sum(axis=0), i < written)
+        _write(grads.biases[i], np.add.reduce(g, axis=0), i < written)
         _write(grads.weights[i], inputs[i].T @ g, i < written)
         if i == 0 and not input_grad:
             return None

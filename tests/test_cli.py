@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewtrain import harness
-from skewtrain.cli import main
-from skewtrain.data import gen_gaussian_mixture, load_csv, save_csv
+from skewtrain.cli import _build_parser, main
+from skewtrain.data import Dataset, gen_gaussian_mixture, load_csv, save_csv
 from skewtrain.models import mlp_init, params_to_named, save_checkpoint
 
 TINY_CONFIG = {
@@ -233,6 +234,20 @@ def test_argparse_exits_become_return_codes(tmp_path, capsys, argv, code, stream
     assert not out.exists()
 
 
+def test_one_process_runs_a_bad_flag_then_help_then_a_command(tmp_path, capsys):
+    # main builds its parser once per process and reuses it
+    assert _build_parser() is _build_parser()
+    data = tmp_path / "in.csv"
+    _write_dataset_csv(data)
+    argv = ["curate", "--in", str(data), "--out", str(tmp_path / "out.csv"), "--ratio", "0.5"]
+    assert main(argv + ["--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: skewtrain")
+    assert main(argv) == 0
+    assert (tmp_path / "out.csv").exists()
+
+
 def test_sweep_bad_baseline_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
@@ -423,6 +438,28 @@ def test_collapse_command_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert 0.0 <= doc["ncc_agreement"] <= 1.0
+
+
+@pytest.mark.parametrize("classes", [1, 5])
+def test_collapse_refuses_a_class_count_the_checkpoint_cannot_measure(tmp_path, capsys, classes):
+    # one class has no CDNV pair; five are more than the 3 outputs can predict
+    ckpt = _untrained_checkpoint(tmp_path / "ckpt.json")
+    data = tmp_path / "eval.csv"
+    if classes == 1:
+        save_csv(data, Dataset(np.ones((4, 2)), np.zeros(4, dtype=int), ["a"]))
+    else:
+        _write_dataset_csv(data, classes=classes)
+    out = tmp_path / "collapse.json"
+    message = (f"config error: {data} has {classes} classes; collapse needs at least 2 and at "
+               "most the checkpoint's 3 outputs\n")
+    for extra in ([], ["--out", str(out)]):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["collapse", "--checkpoint", str(ckpt), "--data", str(data)] + extra)
+        assert code == 2
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

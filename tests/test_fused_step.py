@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from skewtrain.autodiff import NumericalError, Tape, backward, finite_diff_check
-from skewtrain.data import ClassProfile
+from skewtrain.data import ClassProfile, Dataset
 from skewtrain.harness import (
     MethodSpec,
     StepPlan,
@@ -249,6 +249,99 @@ def test_joint_ssl_divergence_is_reported_at_the_tape_step():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=r"training diverged at epoch 1, step 0 \(seed 0\)"):
             train_model(cfg, 0, build_pools(cfg, 0)[0])  # uncurated: the pool is the split
+
+
+def _stage_call(stage):
+    """(params, kwargs) of a step call whose pre-activations are finite and whose stage is not."""
+    if stage == "supervised loss":
+        # logits 1e308 and -1e308: the shifted row overflows to -inf,
+        # and -inf times the target's 0 is nan
+        return _one_layer([[1e308, -1e308]], [0], MethodSpec())
+    if stage == "gradient":
+        # [1, 1, 2]: the hidden unit is 1, the logits 0.85e308 and
+        # -0.85e308, and the loss 1.7e308; the hidden gradient is 1.7e308
+        # and the first weight's gradient x times that, which overflows
+        _, kwargs = _one_layer([[2.0, 0.0]], [1], MethodSpec())  # its two-class profile
+        params = {"mlp.w0": np.array([[0.5]]), "mlp.b0": np.zeros(1),
+                  "mlp.w1": np.array([[0.85e308, -0.85e308]]), "mlp.b1": np.zeros(2)}
+        kwargs.update(xb=np.array([[2.0]]), mlp_sizes=[1, 1, 2])
+        return params, kwargs
+    # views 1e200 times the batch: finite embeddings whose covariance overflows
+    params, _, kwargs = _instance("one_hidden", METHODS["joint_0.7"], False, 0)
+    kwargs["views"] = [view * 1e200 for view in kwargs["views"]]
+    return params, kwargs
+
+
+# (hidden, trial seed, the one feature's value, class counts, preset) of
+# a train_model call that raises at each stage on its first step; found
+# by a search over these values
+_STAGE_TRIALS = {
+    "supervised loss": ([1], 1, 1e308, (8, 8), None),
+    "gradient": ([2], 3, 1.7e308, (14, 2), None),
+    "joint objective": ([2], 1, 1e200, (8, 8), "joint_ssl"),
+}
+
+
+def _stage_trial(stage):
+    """(config, seed, train split) of the _STAGE_TRIALS row of stage."""
+    hidden, seed, value, (n0, n1), preset = _STAGE_TRIALS[stage]
+    cfg = config_from_dict({
+        "data": {"classes": 2},
+        "train": {"lr0": 0.1, "epochs": 2, "warmup_epochs": 1, "batch_size": 16},
+        "hidden": hidden,
+        "seeds": [seed],
+    })
+    if preset is not None:
+        cfg = apply_method(cfg, preset)
+    split = Dataset(np.full((n0 + n1, 1), value), np.array([0] * n0 + [1] * n1), ["a", "b"])
+    return cfg, seed, split
+
+
+@pytest.mark.parametrize("stage", list(_STAGE_TRIALS))
+def test_each_non_finite_stage_of_the_step_is_named(stage):
+    params, kwargs = _stage_call(stage)
+    with pytest.raises(NumericalError):
+        _tape_loss_and_grads(params, None, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^non-finite {stage}$"):
+            _fused(params, None, **kwargs)
+
+
+@pytest.mark.parametrize("stage", list(_STAGE_TRIALS))
+def test_train_model_names_each_non_finite_stage(stage):
+    cfg, seed, split = _stage_trial(stage)
+    message = rf"^training diverged at epoch 0, step 0 \(seed {seed}\): non-finite {stage}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            train_model(cfg, seed, split)
+
+
+@pytest.mark.parametrize("outer", [{}, {"over": "raise", "divide": "raise", "invalid": "raise"}],
+                         ids=["default", "raise"])
+@pytest.mark.parametrize("ends", ["returns", "raises"])
+def test_train_model_restores_numpys_error_state(ends, outer):
+    # train_model ignores overflow while an epoch's batches run; the
+    # caller's error state must be back when it returns or raises.
+    cfg = apply_method(config_from_dict({
+        "data": {"classes": 3, "train_per_class": 30, "test_per_class": 20, "sigma": 0.5},
+        "train": {"lr0": 0.1, "epochs": 2, "warmup_epochs": 1, "batch_size": 32},
+        "hidden": [8],
+        "seeds": [0],
+    }), "joint_ssl")
+    if ends == "returns":
+        cfg.train.lr0 = 5e-4
+    split = build_pools(cfg, 0)[0]
+    with np.errstate(**outer):
+        before = np.geterr()
+        if ends == "returns":
+            train_model(cfg, 0, split)
+        else:
+            # the step that diverges is the first of epoch 1
+            with pytest.raises(NumericalError, match=r"epoch 1, step 0"):
+                train_model(cfg, 0, split)
+        assert np.geterr() == before
 
 
 def _reference_predict(params: MLPParams, x):

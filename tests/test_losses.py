@@ -16,7 +16,9 @@ from skewtrain.losses import (
     SmoothingSpec,
     VicRegSpec,
     class_epsilons,
+    cross_entropy_and_grad,
     cross_entropy_vec,
+    focal_and_grad,
     joint_loss,
     one_hot,
     reweight_class_weights,
@@ -432,3 +434,25 @@ def test_joint_gradients():
         return joint_loss(tape, sup, ssl, JointLossSpec(lam=0.7))
 
     assert check_gradients(build, [logits, z, zp], tolerance=1e-5).passed
+
+
+@pytest.mark.parametrize("adjoint", [0.1, -2.5, 0.0, -0.0])
+@pytest.mark.parametrize("loss", ["one_hot", "smoothed", "focal_0", "focal_0.5", "focal_2"])
+def test_a_scalar_adjoint_gives_the_vector_adjoints_gradient_bytes(loss, adjoint):
+    # Training passes the unweighted adjoint as one scalar; every product
+    # must equal the one with a vector of copies, signed zeros included
+    # (a zero adjoint makes them). Row 0 rounds p_t to 1, where focal's
+    # power rule at gamma 0.5 takes its limit.
+    logits = np.random.default_rng(3).normal(size=(7, 3)) * 3.0
+    logits[0] = [40.0, 0.0, 0.0]
+    labels = np.arange(7) % 3
+    profile = ClassProfile(np.array([40, 12, 3]))
+    if loss.startswith("focal"):
+        _, grad = focal_and_grad(logits, one_hot(labels, 3), FocalSpec(gamma=float(loss[6:])))
+    elif loss == "smoothed":
+        _, grad = cross_entropy_and_grad(logits, smoothed_targets(labels, profile, SmoothingSpec()))
+    else:
+        _, grad = cross_entropy_and_grad(logits, one_hot(labels, 3))
+    got, want = grad(adjoint), grad(np.full(7, adjoint))
+    assert got.shape == want.shape == logits.shape
+    assert got.tobytes() == want.tobytes()
