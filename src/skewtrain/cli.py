@@ -3,7 +3,7 @@
 Subcommands: curate, train, sweep, boundary, collapse. Exit codes are
 0 on success, 2 for configuration problems (bad flags, bad config
 files or values, paths that cannot be read or written, sizes too large
-to allocate), 3 for runtime failures such as non-finite losses.
+to allocate), 3 for runtime failures such as non-finite losses or forwards.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .autodiff import NumericalError
 from .data import class_profile, curate_exponential, load_csv, save_csv
-from .diagnostics import boundary_grid, collapse_report
+from .diagnostics import boundary_grid, check_bounds, collapse_report
 from .harness import (
     ConfigError,
     SWEEP_AXES,
@@ -136,9 +136,10 @@ def _cmd_boundary(args) -> int:
     try:
         bounds = tuple(float(s) for s in args.bounds.split(","))
         if len(bounds) != 4:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"--bounds must be x_min,x_max,y_min,y_max, got {args.bounds!r}") from None
+            raise ValueError("must be x_min,x_max,y_min,y_max")
+        check_bounds(bounds)
+    except ValueError as exc:
+        raise ConfigError(f"--bounds {args.bounds!r}: {exc}") from None
     grid = boundary_grid(mlp, bounds, args.resolution)
     grid.to_csv(args.out)
     labels = sorted(set(grid.labels.reshape(-1).tolist()))

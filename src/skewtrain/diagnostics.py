@@ -125,12 +125,8 @@ def cdnv(features: np.ndarray, labels: np.ndarray, class_a: int, class_b: int) -
         raise ValueError(f"classes {class_a} and {class_b} have identical feature means") from None
 
 
-def ncc_report(features: np.ndarray, labels: np.ndarray, model_predictions: np.ndarray):
-    """Nearest-class-mean predictions and their agreement with the model.
-
-    Returns (ncc_predictions, agreement). Candidate classes are those
-    present in labels; exact distance ties go to the lowest class id.
-    """
+def _ncc_inputs(features, labels, model_predictions):
+    """The three arrays as float64 and int64, checked to be (n, d), (n,) and (n,)."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     model_predictions = np.asarray(model_predictions, dtype=np.int64)
@@ -138,10 +134,32 @@ def ncc_report(features: np.ndarray, labels: np.ndarray, model_predictions: np.n
         raise ValueError("features must be (n, d) with matching labels")
     if model_predictions.shape != labels.shape:
         raise ValueError("model predictions must match label count")
+    return features, labels, model_predictions
+
+
+def _sq_distances(features: np.ndarray, means) -> np.ndarray:
+    """(K, n) squared distances from each of the K means to each row of features.
+
+    One class at a time, so the working set is about 2·n·d floats plus
+    the result, not an (n, K, d) difference. Each distance sums the same
+    products in the same order as that broadcast form, whatever the
+    layout of features, which is why it is not made contiguous first.
+    """
+    return np.stack([np.square(features - mu).sum(axis=1) for mu in means])
+
+
+def ncc_report(features: np.ndarray, labels: np.ndarray, model_predictions: np.ndarray):
+    """Nearest-class-mean predictions and their agreement with the model.
+
+    Returns (ncc_predictions, agreement). Candidate classes are those
+    present in labels; exact distance ties go to the lowest class id.
+    Memory is O(n·d): the distances are computed one class at a time.
+    """
+    features, labels, model_predictions = _ncc_inputs(features, labels, model_predictions)
     present = np.unique(labels)
-    means = np.stack([features[labels == c].mean(axis=0) for c in present])
-    d2 = np.square(features[:, None, :] - means[None, :, :]).sum(axis=2)
-    ncc_predictions = present[np.argmin(d2, axis=1)]
+    means = [features[labels == c].mean(axis=0) for c in present]
+    # argmin takes the first of equal distances: ties to the lowest class id
+    ncc_predictions = present[np.argmin(_sq_distances(features, means), axis=0)]
     agreement = float((ncc_predictions == model_predictions).mean())
     return ncc_predictions, agreement
 
@@ -175,10 +193,14 @@ def collapse_report(
     """Pairwise CDNV matrix plus nearest-class-mean summaries.
 
     A pair whose class means coincide (dead units, say) stays NaN, as do the means over it.
+    Each class mean is computed once and serves both CDNV and the
+    nearest-class-mean predictions, and memory is O(n·d): no step holds
+    more than about two copies of the features.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    features, labels, model_predictions = _ncc_inputs(features, labels, model_predictions)
     k = profile.num_classes
+    if np.any((labels < 0) | (labels >= k)):
+        raise ValueError(f"labels outside [0, {k})")
     stats = [_class_stats(features, labels, c) for c in range(k)]
     pairs = np.full((k, k), np.nan)
     for a in range(k):
@@ -196,15 +218,17 @@ def collapse_report(
         for b in range(a + 1, k)
         if a in minority_set or b in minority_set
     ]
-    ncc_predictions, agreement = ncc_report(features, labels, model_predictions)
+    # Every class in range(k) has samples (_class_stats checked), so the
+    # candidates are those ncc_report would find present, in id order.
+    ncc_predictions = np.argmin(_sq_distances(features, [mu for mu, _ in stats]), axis=0)
     correct_ncc = ncc_predictions == labels
-    agree = ncc_predictions == np.asarray(model_predictions, dtype=np.int64)
+    agree = ncc_predictions == model_predictions
     min_mask = np.isin(labels, minority)
     return CollapseReport(
         cdnv_pairs=pairs,
         mean_cdnv=float(np.mean(upper)),
         minority_mean_cdnv=float(np.mean(touching)) if touching else float("nan"),
-        ncc_agreement=agreement,
+        ncc_agreement=float(agree.mean()),
         ncc_agreement_minority=float(agree[min_mask].mean()) if np.any(min_mask) else float("nan"),
         ncc_accuracy=float(correct_ncc.mean()),
         ncc_accuracy_minority=float(correct_ncc[min_mask].mean()) if np.any(min_mask) else float("nan"),
@@ -249,6 +273,19 @@ class BoundaryGrid:
                 ]))
 
 
+def check_bounds(bounds) -> tuple[float, float, float, float]:
+    """(x_min, x_max, y_min, y_max) as floats, once each span is positive and finite.
+
+    A finite span needs finite ends, and a span that overflows (1e308
+    minus -1e308) would put NaN coordinates in the grid.
+    """
+    x_min, x_max, y_min, y_max = (float(v) for v in bounds)
+    if not all(span > 0.0 and math.isfinite(span) for span in (x_max - x_min, y_max - y_min)):
+        raise ValueError(f"degenerate or non-finite bounds {bounds}: x_max - x_min and "
+                         "y_max - y_min must be positive and finite")
+    return x_min, x_max, y_min, y_max
+
+
 def boundary_grid(
     params: MLPParams,
     bounds: tuple[float, float, float, float],
@@ -257,9 +294,7 @@ def boundary_grid(
     """Evaluate a 2-d-input model on a resolution x resolution grid."""
     if params.layer_sizes[0] != 2:
         raise ValueError(f"boundary grids need a 2-d input model, got d_in={params.layer_sizes[0]}")
-    x_min, x_max, y_min, y_max = (float(v) for v in bounds)
-    if not (np.isfinite([x_min, x_max, y_min, y_max]).all() and x_min < x_max and y_min < y_max):
-        raise ValueError(f"degenerate or non-finite bounds {bounds}")
+    x_min, x_max, y_min, y_max = check_bounds(bounds)
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     xs = np.linspace(x_min, x_max, resolution)
@@ -314,17 +349,20 @@ def minority_margin(grid: BoundaryGrid, points: np.ndarray) -> MarginReport:
         np.tile(grid.ys, r),
     ])
     flat_labels = grid.labels.reshape(-1)
+    others = {}  # label -> coordinates of the cells labeled otherwise
     margins = np.empty(points.shape[0])
     flagged = np.zeros(points.shape[0], dtype=bool)
     for m, (px, py) in enumerate(points):
         i = int(np.clip(round((px - x_min) / step_x), 0, r - 1))
         j = int(np.clip(round((py - y_min) / step_y), 0, r - 1))
-        own = grid.labels[i, j]
-        differing = flat_labels != own
-        if not np.any(differing):
+        own = int(grid.labels[i, j])
+        if own not in others:
+            others[own] = cell_pts[flat_labels != own]
+        differing = others[own]
+        if differing.shape[0] == 0:
             margins[m] = max(0.0, min(px - x_min, x_max - px, py - y_min, y_max - py))
             flagged[m] = True
             continue
-        d2 = np.square(cell_pts[differing] - (px, py)).sum(axis=1)
+        d2 = np.square(differing - (px, py)).sum(axis=1)
         margins[m] = math.sqrt(float(d2.min()))
     return MarginReport(margins=margins, median=float(np.median(margins)), lower_bound=flagged)

@@ -722,8 +722,8 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
     binds the batch with functools.partial, for sam_step. The numpy
     errstate that ignores overflow is entered once per epoch, around its
     batches, so an overflow in sgd_update or sam_perturb warns nothing
-    and the next step raises NumericalError; the epoch-end predict runs
-    in the caller's errstate, which is restored however the epoch ends.
+    and the next step raises NumericalError, as does the epoch-end
+    predict (mlp_predict) when the weights it reads overflow.
 
     Each epoch ends by predicting the train split for the train accuracy
     trajectory, unless track_train_acc is False and no stop_at_train_acc
@@ -774,7 +774,7 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
         else:
             batches = _iter_batches(train_split.n, tc.batch_size, batch_rng, min_batch)
         # The step's overflow surfaces as NumericalError, so the epoch's
-        # batches run in one errstate; the train predict below does not.
+        # batches run in one errstate.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for step, batch_idx in enumerate(batches):
                 xb = X.take(batch_idx, axis=0)
@@ -800,7 +800,12 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
                 ema_update(ema, theta, config.ema_decay, scratch)
         if not track_train_acc:
             continue
-        preds, _, _ = mlp_predict(plan.stacks(theta)[0], train_split.X)
+        try:
+            preds, _, _ = mlp_predict(plan.stacks(theta)[0], train_split.X)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"training diverged at epoch {epoch}, predicting the train split (seed {seed}): {exc}"
+            ) from exc
         acc = float((preds == train_split.y).mean())
         trajectory.append(acc)
         logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)

@@ -24,6 +24,7 @@ Checkpoints are JSON documents written atomically.
 from __future__ import annotations
 
 import json
+import math
 import os
 import reprlib
 from contextlib import contextmanager
@@ -158,7 +159,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check
         # (boundary grids) keep their memory peak.
         z = h @ params.weights[i]
         z += params.biases[i]
-        if check and not np.logical_and.reduce(np.isfinite(z), axis=None):
+        if check and not _all_finite(z):
             raise NumericalError(
                 f"non-finite pre-activation in layer {i} of a {params.layer_sizes} stack"
             )
@@ -167,6 +168,16 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check
         h = np.maximum(z, 0.0, out=z)
         inputs.append(h)
     return None, inputs
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of a is finite, without a temporary the size of a.
+
+    An inf or NaN makes the sum inf or NaN, so only a sum that overflows
+    on finite values needs the elementwise test. Large predicts (boundary
+    grids) thus keep their memory peak. The caller ignores overflow.
+    """
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
 def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, grads: MLPParams, written: int,
@@ -204,14 +215,22 @@ def _write(out: np.ndarray, g: np.ndarray, accumulate: bool) -> None:
 
 
 def mlp_predict(params: MLPParams, x: np.ndarray):
-    """Inference: (labels, softmax probabilities, penultimate features)."""
+    """Inference: (labels, softmax probabilities, penultimate features).
+
+    The forward is checked as a training step's is: a non-finite
+    pre-activation in any layer, logits included, raises NumericalError
+    naming the layer. A hidden layer's -inf would otherwise pass
+    unseen, as its ReLU makes it 0. Overflow warnings are off, so that
+    error is the only sign; the softmax of finite logits is finite.
+    """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.layer_sizes[0]:
         raise ValueError(f"input shape {h.shape} does not match d_in={params.layer_sizes[0]}")
-    logits, inputs = mlp_forward(params, h)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logits, inputs = mlp_forward(params, h, check=True)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        probs = e / e.sum(axis=1, keepdims=True)
     return probs.argmax(axis=1), probs, inputs[-1]
 
 

@@ -331,13 +331,30 @@ def test_boundary_bad_bounds(tmp_path, capsys):
     ckpt = _train_checkpoint(tmp_path)
     out = tmp_path / "g.csv"
     for bounds, message in [("1,2,3", "--bounds"), ("-inf,inf,0,1", "non-finite bounds"),
-                            ("0,inf,0,1", "non-finite bounds")]:
+                            ("0,inf,0,1", "non-finite bounds"),
+                            # finite ends, but x_max - x_min overflows
+                            ("-1e308,1e308,-1e308,1e308",
+                             "--bounds '-1e308,1e308,-1e308,1e308': degenerate or non-finite")]:
         # the = form keeps argparse from reading the leading dash as a flag
         code = main(["boundary", "--checkpoint", str(ckpt), f"--bounds={bounds}",
                      "--out", str(out)])
         assert code == 2, bounds
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_boundary_whose_forward_overflows_exits_3(tmp_path, capsys):
+    # weights of ones: the corner (8e307, 8e307) gives 1.6e308 in layer 0,
+    # whose four units overflow layer 1
+    ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 4, 3], [2, 4, 3])
+    out = tmp_path / "g.csv"
+    capsys.readouterr()
+    code = main(["boundary", "--checkpoint", str(ckpt), "--resolution", "3",
+                 "--bounds=-8e307,8e307,-8e307,8e307", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr() == ("", "numerical failure: non-finite pre-activation in layer 1 "
+                                       "of a [2, 4, 3] stack\n")
+    assert list(tmp_path.iterdir()) == [ckpt]
 
 
 def test_boundary_that_cannot_allocate_exits_2(tmp_path, capsys):
@@ -460,6 +477,39 @@ def test_collapse_refuses_a_class_count_the_checkpoint_cannot_measure(tmp_path, 
         assert code == 2
         assert capsys.readouterr() == ("", message)
         assert not out.exists()
+
+
+def test_collapse_whose_forward_overflows_exits_3(tmp_path, capsys):
+    # weights of ones: two inputs of 1e308 overflow layer 0
+    ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 4, 3], [2, 4, 3])
+    data = tmp_path / "eval.csv"
+    save_csv(data, Dataset(np.full((6, 2), 1e308), np.repeat([0, 1, 2], 2), ["a", "b", "c"]))
+    out = tmp_path / "collapse.json"
+    for extra in ([], ["--out", str(out)]):
+        capsys.readouterr()
+        code = main(["collapse", "--checkpoint", str(ckpt), "--data", str(data)] + extra)
+        assert code == 3
+        assert capsys.readouterr() == ("", "numerical failure: non-finite pre-activation in "
+                                           "layer 0 of a [2, 4, 3] stack\n")
+        assert not out.exists()
+
+
+def test_train_whose_weights_overflow_after_the_last_step_exits_3(tmp_path, capsys):
+    # 16 rows of 1e300: the one step is finite, the forward after it is not
+    data = tmp_path / "huge.csv"
+    save_csv(data, Dataset(np.full((16, 1), 1e300), np.repeat([0, 1], 8), ["a", "b"]))
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "data": {"kind": "csv", "train_path": str(data), "test_path": str(data)},
+        "train": {"lr0": 0.1, "epochs": 1, "warmup_epochs": 0},
+        "hidden": [1],
+        "seeds": [1],
+    })
+    out = tmp_path / "results"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: training diverged at epoch 0, predicting the train split (seed 1): ")
+    assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
 
 
 # ---------------------------------------------------------------------------

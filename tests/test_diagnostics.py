@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ import pytest
 from skewtrain.data import ClassProfile
 from skewtrain.diagnostics import (
     BoundaryGrid,
+    _sq_distances,
     boundary_grid,
     cdnv,
     collapse_report,
@@ -206,6 +208,65 @@ def test_ncc_validation():
         ncc_report(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros(2, dtype=int))
 
 
+def _features_with_ties(d):
+    """Random rows of classes 0-3, then integer rows of classes 4-6 far away.
+
+    Classes 4 and 5 have means m and m + 4 (every coordinate, m = 1000);
+    the first row of class 6 sits at m + 2, exactly as far from both, and
+    its other row keeps class 6's own mean far off. Returns (features,
+    labels, index of the tied row).
+    """
+    rng = np.random.default_rng(d)
+    random_rows = rng.normal(size=(120, d)) * 3
+    tied = 1000.0 + np.array([[-1.0], [1.0], [3.0], [5.0], [2.0], [402.0]]) * np.ones(d)
+    labels = np.concatenate([np.arange(120) % 4, [4, 4, 5, 5, 6, 6]])
+    return np.concatenate([random_rows, tied]), labels, 124
+
+
+def _layouts(features):
+    """features as C-ordered, Fortran-ordered and column-strided arrays."""
+    strided = np.empty((features.shape[0], 2 * features.shape[1]))
+    strided[:, ::2] = features
+    return {"C": np.ascontiguousarray(features), "F": np.asfortranarray(features),
+            "strided": strided[:, ::2]}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("d", [2, 7, 64, 300])
+def test_per_class_distances_match_the_broadcast_bit_for_bit(layout, d):
+    base, labels, tied_row = _features_with_ties(d)
+    features = _layouts(base)[layout]
+    present = np.unique(labels)
+    means = [features[labels == c].mean(axis=0) for c in present]
+    # the (n, K, d) broadcast that ncc_report computed before
+    broadcast = np.square(features[:, None, :] - np.stack(means)[None, :, :]).sum(axis=2)
+    assert _sq_distances(features, means).tobytes() == np.ascontiguousarray(broadcast.T).tobytes()
+    assert broadcast[tied_row, 4] == broadcast[tied_row, 5]
+
+    expected = present[np.argmin(broadcast, axis=1)]
+    assert expected[tied_row] == 4
+    preds, _ = ncc_report(features, labels, labels)
+    npt.assert_array_equal(preds, expected)
+    rep = collapse_report(features, labels, labels, ClassProfile(np.bincount(labels)))
+    assert rep.ncc_accuracy == float((expected == labels).mean())
+
+
+def test_collapse_report_memory_is_linear_in_the_features():
+    # The broadcast form held two (n, K, d) arrays, about 51 MB here.
+    n, k, d = 2000, 50, 32
+    rng = np.random.default_rng(3)
+    labels = np.arange(n) % k
+    features = rng.normal(size=(n, d)) + labels[:, None]
+    profile = ClassProfile(np.bincount(labels))
+    tracemalloc.start()
+    try:
+        collapse_report(features, labels, labels, profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * d * 8
+
+
 # ---------------------------------------------------------------------------
 # Collapse report
 # ---------------------------------------------------------------------------
@@ -262,6 +323,13 @@ def test_collapse_report_leaves_a_pair_with_coinciding_means_nan():
     assert rep.minority_mean_cdnv == (rep.cdnv_pairs[0, 2] + rep.cdnv_pairs[1, 2]) / 2
     # nearest-mean ties go to class 0, so class 1 is never predicted
     assert rep.ncc_agreement == 4 / 6
+
+
+def test_collapse_report_rejects_labels_outside_the_profile():
+    features = np.array([[0.0], [1.0], [5.0], [6.0], [9.0]])
+    with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
+        collapse_report(features, np.array([0, 0, 1, 1, 2]), np.zeros(5, dtype=int),
+                        ClassProfile(np.array([50, 10])))
 
 
 def test_collapse_report_to_dict_roundtrips():
@@ -329,7 +397,9 @@ def test_boundary_grid_validation():
         boundary_grid(model, (1, -1, -1, 1), 3)
     with pytest.raises(ValueError, match="resolution"):
         boundary_grid(model, (-1, 1, -1, 1), 1)
-    for bounds in [(-np.inf, np.inf, 0, 1), (0, 1, 0, np.inf), (np.nan, 1, 0, 1)]:
+    # the last two have finite ends, but a span that overflows to inf
+    for bounds in [(-np.inf, np.inf, 0, 1), (0, 1, 0, np.inf), (np.nan, 1, 0, 1),
+                   (-1e308, 1e308, 0, 1), (0, 1, -1e308, 1e308)]:
         with pytest.raises(ValueError, match="non-finite bounds"):
             boundary_grid(model, bounds, 3)
 
@@ -357,6 +427,41 @@ def test_minority_margin_single_label_falls_back_to_edge():
     rep = minority_margin(grid, np.array([[0.3, 0.2]]))
     assert rep.lower_bound[0]
     assert abs(rep.margins[0] - 0.7) < 1e-12
+
+
+def _margin_reference(grid, points):
+    """minority_margin as it was: the differing cells selected again for every point."""
+    x_min, x_max, y_min, y_max = grid.bounds
+    r = grid.resolution
+    step_x, step_y = (x_max - x_min) / (r - 1), (y_max - y_min) / (r - 1)
+    cell_pts = np.column_stack([np.repeat(grid.xs, r), np.tile(grid.ys, r)])
+    flat_labels = grid.labels.reshape(-1)
+    margins, flagged = np.empty(points.shape[0]), np.zeros(points.shape[0], dtype=bool)
+    for m, (px, py) in enumerate(points):
+        i = int(np.clip(round((px - x_min) / step_x), 0, r - 1))
+        j = int(np.clip(round((py - y_min) / step_y), 0, r - 1))
+        differing = flat_labels != grid.labels[i, j]
+        if not np.any(differing):
+            margins[m] = max(0.0, min(px - x_min, x_max - px, py - y_min, y_max - py))
+            flagged[m] = True
+            continue
+        margins[m] = math.sqrt(float(np.square(cell_pts[differing] - (px, py)).sum(axis=1).min()))
+    return margins, flagged
+
+
+def test_minority_margin_matches_the_per_point_selection_bit_for_bit():
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-2.5, 2.5, size=(60, 2))
+    three_way = _linear_model([[1.0, -1.0, 0.2], [0.3, 0.5, -1.0]], [0.0, 0.1, -0.2])
+    one_label = _linear_model([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0])
+    for model, labels_present in ((three_way, 3), (one_label, 1)):
+        grid = boundary_grid(model, (-2, 2, -1.5, 2.5), 37)
+        assert np.unique(grid.labels).size == labels_present
+        rep = minority_margin(grid, points)
+        margins, flagged = _margin_reference(grid, points)
+        assert rep.margins.tobytes() == margins.tobytes()
+        npt.assert_array_equal(rep.lower_bound, flagged)
+        assert flagged.all() == (labels_present == 1)
 
 
 def test_minority_margin_validation():

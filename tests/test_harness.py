@@ -764,6 +764,22 @@ def test_run_training_divergence_is_reported():
         run_training(cfg, seed=0)
 
 
+def test_a_forward_that_overflows_after_the_last_step_diverges():
+    # The one step's forward is finite; the update it makes overflows the
+    # next forward's hidden layer to -inf, which ReLU would turn into 0.
+    split = Dataset(np.full((16, 1), 1e300), np.repeat([0, 1], 8), ["a", "b"])
+    cfg = config_from_dict({"hidden": [1], "seeds": [1],
+                            "train": {"epochs": 1, "warmup_epochs": 0, "lr0": 0.1}})
+    with pytest.raises(NumericalError) as info:
+        harness.train_model(cfg, 1, split)
+    assert str(info.value) == ("training diverged at epoch 0, predicting the train split "
+                               "(seed 1): non-finite pre-activation in layer 0 of a [1, 1, 2] stack")
+    # untracked, the trial trains, and evaluating it raises instead of scoring
+    model = harness.train_model(cfg, 1, split, track_train_acc=False)
+    with pytest.raises(NumericalError, match=r"layer 0 of a \[1, 1, 2\] stack"):
+        harness.evaluate_model(model, split)
+
+
 # ---------------------------------------------------------------------------
 # Multi-seed aggregation and result files
 # ---------------------------------------------------------------------------

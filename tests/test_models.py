@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from skewtrain.autodiff import Tape, check_gradients, reduce_sum
+from skewtrain.autodiff import NumericalError, Tape, check_gradients, reduce_sum
 from skewtrain.models import (
     CHECKPOINT_FORMAT_VERSION,
     MLPParams,
@@ -106,6 +106,36 @@ def test_predict_agrees_with_tape_forward():
     npt.assert_allclose(penult, penultimate.value, rtol=0, atol=1e-12)
     npt.assert_array_equal(labels, logits.value.argmax(axis=1))
     npt.assert_allclose(probs.sum(axis=1), np.ones(11), rtol=0, atol=1e-12)
+
+
+def _stack(*layers):
+    """A stack from (weights, biases) pairs given as nested lists."""
+    named = {}
+    for i, (w, b) in enumerate(layers):
+        named[f"mlp.w{i}"], named[f"mlp.b{i}"] = np.array(w, dtype=float), np.array(b, dtype=float)
+    return named_to_mlp(named, [len(layers[0][0])] + [len(b) for _, b in layers])
+
+
+def test_predict_raises_on_a_non_finite_pre_activation():
+    # 1e300 * -1e10 overflows to -inf in the hidden layer, which its ReLU
+    # would turn into 0 and finite logits
+    p = _stack(([[-1e10]], [0.0]), ([[1.0, -1.0]], [0.0, 0.0]))
+    with pytest.raises(NumericalError, match=r"layer 0 of a \[1, 1, 2\] stack"):
+        mlp_predict(p, np.full((3, 1), 1e300))
+    # an overflowing logit is caught the same way
+    with pytest.raises(NumericalError, match=r"layer 0 of a \[1, 2\] stack"):
+        mlp_predict(_stack(([[1e10, 0.0]], [0.0, 0.0])), np.full((3, 1), 1e300))
+
+
+def test_predict_of_finite_logits_does_not_warn():
+    # the softmax shift 1e308 - (-1e308) overflows to -inf, whose exp is 0;
+    # the suite turns a RuntimeWarning into an error
+    labels, probs, _ = mlp_predict(_stack(([[1.0, -1.0]], [0.0, 0.0])), np.array([[1e308]]))
+    assert labels.tolist() == [0] and probs.tolist() == [[1.0, 0.0]]
+    # finite logits whose sum overflows: the check's sum is inf, its
+    # elementwise test passes them
+    labels, probs, _ = mlp_predict(_stack(([[1.0, 1.0]], [0.0, 0.0])), np.array([[1e308]]))
+    assert labels.tolist() == [0] and probs.tolist() == [[0.5, 0.5]]
 
 
 def test_named_round_trip():
