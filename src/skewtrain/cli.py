@@ -16,6 +16,8 @@ import reprlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .autodiff import NumericalError
 from .data import class_profile, curate_exponential, load_csv, save_csv
 from .diagnostics import boundary_grid, check_bounds, collapse_report
@@ -142,7 +144,7 @@ def _cmd_boundary(args) -> int:
         raise ConfigError(f"--bounds {args.bounds!r}: {exc}") from None
     grid = boundary_grid(mlp, bounds, args.resolution)
     grid.to_csv(args.out)
-    labels = sorted(set(grid.labels.reshape(-1).tolist()))
+    labels = np.unique(grid.labels).tolist()
     print(f"wrote {args.resolution}x{args.resolution} grid to {args.out} (labels present: {labels})")
     return 0
 

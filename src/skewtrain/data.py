@@ -17,8 +17,9 @@ import numpy as np
 
 from .models import atomic_write
 
-# Rows per string that save_csv writes; bounds the text held at once.
-SAVE_BLOCK_ROWS = 1024
+# Rows per block of text that save_csv writes and of Python objects that
+# load_csv holds; bounds what either keeps at once.
+BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -113,11 +114,16 @@ def load_csv(path, label_col: str) -> Dataset:
 
     Distinct label strings are sorted lexicographically and mapped to
     0..K-1; all other columns are parsed as float features in file
-    order. Each row's label cell is popped and the rest become one tuple
-    of floats. A header that names label_col more than once is rejected.
+    order. A header that names label_col more than once is rejected.
     Malformed rows, non-finite values (inf, nan, 1e400) and records the
     csv module rejects (a cell over its field_size_limit) are reported
     with the line their record starts on.
+
+    At most BLOCK_ROWS rows are held as Python objects: each block's
+    floats become one float64 array, and each label is kept as the code
+    of its first appearance, remapped to the sorted ids at the end. So a
+    table is held as about 8 * (d + 1) bytes per row plus one block, and
+    for a moment twice its X while the blocks are joined.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -135,7 +141,9 @@ def load_csv(path, label_col: str) -> Dataset:
         width = len(header)
         if width < 2:
             raise ValueError(f"{path}: no feature columns besides {label_col!r}")
-        rows, labels, error, lineno = [], [], None, 1
+        # feats and codes hold the current block's floats and label codes;
+        # first_seen numbers the labels in the order they first appear.
+        blocks, feats, codes, first_seen, error, lineno = [], [], [], {}, None, 1
         # lineno counts records: a quoted cell may span lines, so it is not
         # the line; the error path below finds that.
         try:
@@ -145,19 +153,27 @@ def load_csv(path, label_col: str) -> Dataset:
                 if len(row) != width:
                     error = f"expected {width} fields, got {len(row)}"
                     break
-                labels.append(row.pop(label_idx))
+                label = row.pop(label_idx)
                 try:
-                    rows.append(tuple(map(float, row)))
+                    feats.extend(map(float, row))
                 except ValueError as exc:
                     error = f"non-numeric feature value ({exc})"
                     break
+                codes.append(first_seen.setdefault(label, len(first_seen)))
+                if len(codes) == BLOCK_ROWS:
+                    blocks.append(_block(feats, codes, width - 1))
+                    feats, codes = [], []
         except csv.Error as exc:
             # The record after the last one read is the bad one.
             error, lineno = str(exc), lineno + 1
     if error is None:
-        if not rows:
+        if codes:
+            blocks.append(_block(feats, codes, width - 1))
+        if not blocks:
             raise ValueError(f"{path}: no data rows")
-        X = np.array(rows, dtype=np.float64)
+        X = np.concatenate([x for x, _ in blocks])
+        codes = np.concatenate([c for _, c in blocks])
+        del blocks
         bad = np.argwhere(~np.isfinite(X))
         if bad.size:
             index, col = bad[0]
@@ -174,10 +190,15 @@ def load_csv(path, label_col: str) -> Dataset:
             reader = csv.reader(fh)
             next(itertools.islice(reader, lineno - 2, None))
             raise ValueError(f"{path}:{reader.line_num + 1}: {error}")
-    names = sorted(set(labels))
-    mapping = {name: i for i, name in enumerate(names)}
-    y = np.array([mapping[s] for s in labels], dtype=np.int64)
+    names = sorted(first_seen)
+    rank = {name: i for i, name in enumerate(names)}
+    y = np.array([rank[name] for name in first_seen], dtype=np.int64)[codes]
     return Dataset(X, y, names)
+
+
+def _block(feats: list, codes: list, d: int):
+    """One block of load_csv's rows: (n, d) float64 features and their label codes."""
+    return np.array(feats, dtype=np.float64).reshape(-1, d), np.array(codes, dtype=np.int64)
 
 
 def save_csv(path, dataset: Dataset, label_col: str = "label") -> None:
@@ -186,7 +207,7 @@ def save_csv(path, dataset: Dataset, label_col: str = "label") -> None:
     The header and the class names go through csv.writer, which quotes
     a name or label_col that needs it; each name is quoted once, where
     it stands in a row, after the features. The rows are written in
-    blocks of SAVE_BLOCK_ROWS, one string per block, with each feature
+    blocks of BLOCK_ROWS, one string per block, with each feature
     column formatted by repr from Python floats, so values read back
     exactly. A csv.writer fed the rows one by one writes the same bytes:
     it formats a float with repr, never quotes one (a repr holds no
@@ -207,10 +228,10 @@ def save_csv(path, dataset: Dataset, label_col: str = "label") -> None:
         names.append(buf.getvalue()[2 * len(lead):])  # keeps the "\r\n"
     with atomic_write(path) as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, dataset.n, SAVE_BLOCK_ROWS):
-            X = dataset.X[lo:lo + SAVE_BLOCK_ROWS]
+        for lo in range(0, dataset.n, BLOCK_ROWS):
+            X = dataset.X[lo:lo + BLOCK_ROWS]
             columns = [map(repr, X[:, j].tolist()) for j in range(dataset.d)]
-            labels = map(names.__getitem__, dataset.y[lo:lo + SAVE_BLOCK_ROWS].tolist())
+            labels = map(names.__getitem__, dataset.y[lo:lo + BLOCK_ROWS].tolist())
             fh.write("".join(map(",".join, zip(*columns, labels))))
 
 

@@ -800,12 +800,9 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
                 ema_update(ema, theta, config.ema_decay, scratch)
         if not track_train_acc:
             continue
-        try:
-            preds, _, _ = mlp_predict(plan.stacks(theta)[0], train_split.X)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"training diverged at epoch {epoch}, predicting the train split (seed {seed}): {exc}"
-            ) from exc
+        preds, _, _ = _predict(plan.stacks(theta)[0], train_split,
+                               f"training diverged at epoch {epoch}, predicting the train split "
+                               f"(seed {seed})")
         acc = float((preds == train_split.y).mean())
         trajectory.append(acc)
         logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)
@@ -826,12 +823,24 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
     )
 
 
+def _predict(mlp: MLPParams, split: Dataset, stage: str):
+    """mlp_predict on split.X; a non-finite forward's NumericalError is prefixed with stage."""
+    try:
+        return mlp_predict(mlp, split.X)
+    except NumericalError as exc:
+        raise NumericalError(f"{stage}: {exc}") from exc
+
+
 def evaluate_model(model: TrainedModel, test_split: Dataset) -> tuple[MetricsReport, CollapseReport]:
-    """Test metrics plus collapse statistics on the training features."""
+    """Test metrics plus collapse statistics on the training features.
+
+    A non-finite forward raises NumericalError naming the split it predicted.
+    """
     mlp = model.eval_mlp()
-    test_preds, _, _ = mlp_predict(mlp, test_split.X)
+    test_preds, _, _ = _predict(mlp, test_split, "evaluation failed predicting the test split")
     metrics = metrics_report(test_preds, test_split.y, model.profile)
-    train_preds, _, train_feats = mlp_predict(mlp, model.train_split.X)
+    train_preds, _, train_feats = _predict(mlp, model.train_split,
+                                           "evaluation failed predicting the train split")
     collapse = collapse_report(train_feats, model.train_split.y, train_preds, model.profile)
     return metrics, collapse
 
@@ -840,7 +849,11 @@ def run_training(config: ExperimentConfig, seed: int) -> TrialResult:
     """Train and evaluate one (config, seed) trial on pools built once."""
     train_pool, test_pool = build_pools(config, seed)
     model = train_model(config, seed, curate_train_split(config, train_pool, seed))
-    metrics, collapse = evaluate_model(model, curate_test_split(config, test_pool, seed))
+    test_split = curate_test_split(config, test_pool, seed)
+    try:
+        metrics, collapse = evaluate_model(model, test_split)
+    except NumericalError as exc:
+        raise NumericalError(f"seed {seed}: {exc}") from exc
     return TrialResult(
         seed=seed, config_hash=config_hash(config), metrics=metrics, collapse=collapse, model=model,
     )
@@ -1215,7 +1228,9 @@ def run_ratio_grid(
             split = curate_train_split(cfg, train_pool, seed)
             mlp = train_model(cfg, seed, split, track_train_acc=False).eval_mlp()
             for test_cfg, test_split in zip(test_cfgs, test_splits):
-                preds, _, _ = mlp_predict(mlp, test_split.X)
+                preds, _, _ = _predict(mlp, test_split,
+                                       f"evaluation failed predicting the test split (seed {seed}, "
+                                       f"r_train {cfg.r_train}, r_test {test_cfg.r_test})")
                 grid[(cfg.r_train, test_cfg.r_test)] = float((preds == test_split.y).mean())
         per_seed.append(grid)
     mean_grid = {

@@ -222,16 +222,27 @@ def mlp_predict(params: MLPParams, x: np.ndarray):
     naming the layer. A hidden layer's -inf would otherwise pass
     unseen, as its ReLU makes it 0. Overflow warnings are off, so that
     error is the only sign; the softmax of finite logits is finite.
+
+    Besides its input, the call holds the forward's arrays: every hidden
+    layer's n x h output, the last of which it returns as the
+    penultimate features, and the n x K logits. The softmax is computed
+    in the logits, which become the probabilities, so it holds only two
+    length-n vectors (row maxima and sums) more. The labels, which
+    callers such as boundary grids keep, are allocated before the
+    layers, so the layers, once freed, leave no hole under a kept
+    array: glibc's malloc lets later small arrays split such a hole,
+    and the next large predict then grows the heap instead of reusing it.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.layer_sizes[0]:
         raise ValueError(f"input shape {h.shape} does not match d_in={params.layer_sizes[0]}")
+    labels = np.empty(len(h), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logits, inputs = mlp_forward(params, h, check=True)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
-    return probs.argmax(axis=1), probs, inputs[-1]
+        probs, inputs = mlp_forward(params, h, check=True)
+        np.subtract(probs, probs.max(axis=1, keepdims=True), out=probs)
+        np.exp(probs, out=probs)
+        np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs)
+    return probs.argmax(axis=1, out=labels), probs, inputs[-1]
 
 
 @contextmanager

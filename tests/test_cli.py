@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from skewtrain import harness
 from skewtrain.cli import _build_parser, main
 from skewtrain.data import Dataset, gen_gaussian_mixture, load_csv, save_csv
-from skewtrain.models import mlp_init, params_to_named, save_checkpoint
+from skewtrain.diagnostics import boundary_grid
+from skewtrain.models import MLPParams, mlp_init, params_to_named, save_checkpoint
 
 TINY_CONFIG = {
     "data": {"classes": 3, "train_per_class": 30, "test_per_class": 20, "sigma": 0.5},
@@ -315,6 +316,23 @@ def test_boundary_command(tmp_path, capsys):
     assert len(rows) == 1 + 25
 
 
+def test_boundary_lists_the_labels_present_as_the_sorted_set_did(tmp_path, capsys):
+    # a [2, 4] stack whose output 3 never wins: the grid lacks label 3
+    w, b = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]), np.array([0.0, 0.0, 0.0, -100.0])
+    named = {"mlp.w0": w, "mlp.b0": b, "ema.mlp.w0": w, "ema.mlp.b0": b}
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, named, {"mlp_sizes": [2, 4]})
+    out = tmp_path / "grid.csv"
+    capsys.readouterr()
+    assert main(["boundary", "--checkpoint", str(ckpt), "--resolution", "7",
+                 "--bounds=-4,4,-4,4", "--out", str(out)]) == 0
+    grid = boundary_grid(MLPParams([2, 4], [w], [b]), (-4.0, 4.0, -4.0, 4.0), 7)
+    labels = sorted(set(grid.labels.reshape(-1).tolist()))
+    assert labels == [0, 1, 2]
+    assert capsys.readouterr() == (
+        f"wrote 7x7 grid to {out} (labels present: {labels})\n", "")
+
+
 def test_boundary_raw_flag_changes_grid(tmp_path):
     # raw and EMA weights generally disagree after two epochs
     ckpt = _train_checkpoint(tmp_path)
@@ -509,6 +527,26 @@ def test_train_whose_weights_overflow_after_the_last_step_exits_3(tmp_path, caps
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: training diverged at epoch 0, predicting the train split (seed 1): ")
+    assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_train_whose_test_split_overflows_exits_3_naming_the_seed_and_split(tmp_path, capsys):
+    # trained on small values, the model overflows on a test file of 1.7e308
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    save_csv(train_csv, Dataset(np.linspace(-1, 1, 16)[:, None], np.repeat([0, 1], 8), ["a", "b"]))
+    save_csv(test_csv, Dataset(np.full((16, 1), 1.7e308), np.repeat([0, 1], 8), ["a", "b"]))
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "data": {"kind": "csv", "train_path": str(train_csv), "test_path": str(test_csv)},
+        "train": {"lr0": 0.1, "epochs": 1, "warmup_epochs": 0},
+        "hidden": [4],
+        "seeds": [1],
+    })
+    out = tmp_path / "results"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: seed 1: evaluation failed predicting the "
+                                       "test split: non-finite pre-activation in layer 0 of a "
+                                       "[1, 4, 2] stack\n")
     assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
 
 

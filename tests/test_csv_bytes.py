@@ -99,7 +99,7 @@ def test_save_csv_matches_the_per_cell_writer(tmp_path, d):
 
 
 def test_save_csv_blocks_join_without_a_seam(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "SAVE_BLOCK_ROWS", 3)
+    monkeypatch.setattr(data, "BLOCK_ROWS", 3)
     ds = _odd_dataset(2)
     assert ds.n % 3 != 0 and ds.n > 3
     _assert_same_bytes(tmp_path, lambda p: save_csv(p, ds), lambda p: _reference_save_csv(p, ds))

@@ -1,4 +1,6 @@
 import csv
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewtrain import data
 from skewtrain.data import (
     AugmentSpec,
     Dataset,
@@ -67,11 +70,127 @@ def test_class_profile_rejects_empty_class():
 # ---------------------------------------------------------------------------
 
 
+def _load_both(path, label_col):
+    """load_csv with 3-row blocks and at the default BLOCK_ROWS; both must agree.
+
+    Returns the default's Dataset or raises its ValueError.
+    """
+    results = []
+    for block_rows in (3, data.BLOCK_ROWS):
+        with mock.patch.object(data, "BLOCK_ROWS", block_rows):
+            try:
+                results.append(load_csv(path, label_col))
+            except ValueError as exc:
+                results.append(exc)
+    small, default = results
+    if isinstance(default, ValueError):
+        assert isinstance(small, ValueError) and str(small) == str(default)
+        raise default
+    assert isinstance(small, Dataset), small
+    assert small.X.tobytes() == default.X.tobytes() and small.X.shape == default.X.shape
+    assert small.y.tobytes() == default.y.tobytes()
+    assert small.class_names == default.class_names
+    return default
+
+
+def _reference_load_csv(path, label_col):
+    """load_csv's result for a well-formed table, parsed one row at a time."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        label_idx = header.index(label_col)
+        rows, labels = [], []
+        for row in reader:
+            if row:
+                labels.append(row.pop(label_idx))
+                rows.append([float(v) for v in row])
+    names = sorted(set(labels))
+    y = [names.index(label) for label in labels]
+    return np.array(rows, dtype=np.float64), np.array(y, dtype=np.int64), names
+
+
+def _edge_table(block_rows, n_rows, bad_row=None, bad_at=None):
+    """n_rows records around the first block edge; record bad_at is bad_row.
+
+    Record block_rows - 1 holds a two-line label, and blank lines stand
+    before records block_rows and block_rows + 1, on each side of the
+    edge. Returns the text and the line each record starts on.
+    """
+    labels = ["zeta", "alpha", "mid"]
+    text, line_of = "f0,label\n", {}
+    for r in range(1, n_rows + 1):
+        if r in (block_rows, block_rows + 1):
+            text += "\n" * (r - block_rows + 1)
+        line_of[r] = text.count("\n") + 1
+        if r == bad_at:
+            text += f"{bad_row}\n"
+        elif r == block_rows - 1:
+            text += f'{-1.5 * r!r},"two\nline"\n'
+        else:
+            text += f"{0.25 * r!r},{labels[r % 3]}\n"
+    return text, line_of
+
+
+@pytest.mark.parametrize("block_rows", [3, data.BLOCK_ROWS])
+@pytest.mark.parametrize("offset", [0, 1], ids=["last_of_a_block", "first_of_the_next"])
+@pytest.mark.parametrize("bad_row, message", [
+    ("x,b", r"non-numeric feature value \(could not convert string to float: 'x'\)"),
+    ("inf,b", r"non-finite feature value \('inf' in column 'f0'\)"),
+    ("nan,b", r"non-finite feature value \('nan' in column 'f0'\)"),
+    ("3.0,b,c", r"expected 2 fields, got 3"),
+    ("3.0", r"expected 2 fields, got 1"),
+    ("1" * (csv.field_size_limit() + 1) + ",b", r"field larger than field limit \(\d+\)"),
+], ids=["non_numeric", "inf", "nan", "too_wide", "too_narrow", "over_field_size_limit"])
+def test_load_csv_names_the_line_of_a_bad_record_at_a_block_edge(tmp_path, monkeypatch, block_rows,
+                                                                 offset, bad_row, message):
+    # after blank lines and a two-line label, with a good record after it
+    monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+    bad_at = block_rows + offset
+    text, line_of = _edge_table(block_rows, bad_at + 1, bad_row, bad_at)
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"t\.csv:{line_of[bad_at]}: {message}$"):
+        load_csv(path, "label")
+
+
+@pytest.mark.parametrize("block_rows", [3, data.BLOCK_ROWS])
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1], ids=["B-1", "B", "B+1"])
+def test_load_csv_matches_a_row_by_row_parse_around_a_block_edge(tmp_path, monkeypatch, block_rows,
+                                                                 extra_rows):
+    monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+    text, _ = _edge_table(block_rows, block_rows + extra_rows)
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    ds = load_csv(path, "label")
+    X, y, names = _reference_load_csv(path, "label")
+    assert ds.n == block_rows + extra_rows
+    assert ds.X.shape == X.shape and ds.X.tobytes() == X.tobytes()
+    assert ds.y.dtype == np.int64 and ds.y.tobytes() == y.tobytes()
+    assert ds.class_names == names and "two\nline" in names
+
+
+def test_load_csv_holds_a_table_in_little_more_than_its_arrays(tmp_path):
+    # 20 000 rows of 2 features: the arrays returned are 480 kB
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(20_000, 2)), rng.integers(0, 5, size=20_000),
+                 [f"class_{k}" for k in range(5)])
+    path = tmp_path / "t.csv"
+    save_csv(path, ds)
+    tracemalloc.start()
+    try:
+        back = load_csv(path, "label")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.X.tobytes() == ds.X.tobytes() and back.y.tobytes() == ds.y.tobytes()
+    assert peak < 4 * (back.X.nbytes + back.y.nbytes)
+
+
 def test_csv_round_trip(tmp_path):
     ds = _toy([4, 3, 2], d=3, seed=5)
     path = tmp_path / "data.csv"
     save_csv(path, ds)
-    back = load_csv(path, "label")
+    back = _load_both(path, "label")
     assert back.class_names == ds.class_names
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
@@ -80,7 +199,7 @@ def test_csv_round_trip(tmp_path):
 def test_load_csv_sorts_labels_lexicographically(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,label\n1.0,zebra\n2.0,ant\n3.0,ant\n")
-    ds = load_csv(path, "label")
+    ds = _load_both(path, "label")
     assert ds.class_names == ["ant", "zebra"]
     npt.assert_array_equal(ds.y, [1, 0, 0])
 
@@ -88,7 +207,7 @@ def test_load_csv_sorts_labels_lexicographically(tmp_path):
 def test_load_csv_label_column_anywhere(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,label,b\n1.0,x,2.0\n3.0,y,4.0\n")
-    ds = load_csv(path, "label")
+    ds = _load_both(path, "label")
     npt.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -96,13 +215,13 @@ def test_load_csv_reports_bad_line_number(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,label\n1.0,a\noops,b\n")
     with pytest.raises(ValueError, match=r":3: non-numeric"):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 def test_load_csv_single_feature(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("label,f0\nb,1.5\na,-2.25\n")
-    ds = load_csv(path, "label")
+    ds = _load_both(path, "label")
     assert ds.X.shape == (2, 1)
     npt.assert_array_equal(ds.X[:, 0], [1.5, -2.25])
     npt.assert_array_equal(ds.y, [1, 0])
@@ -112,7 +231,7 @@ def test_load_csv_parses_what_float_accepts(tmp_path):
     cells = [[" 2e0 ", "1_0"], ["-0.0", "1e16"], ["5e-324", "0.1"]]
     path = tmp_path / "t.csv"
     path.write_text("f0,label,f1\n" + "".join(f"{a},x,{b}\n" for a, b in cells))
-    ds = load_csv(path, "label")
+    ds = _load_both(path, "label")
     want = np.array([[float(c) for c in row] for row in cells], dtype=np.float64)
     assert ds.X.dtype == np.float64
     assert ds.X.tobytes() == want.tobytes()
@@ -124,7 +243,7 @@ def test_load_csv_parses_inf_and_the_dataset_rejects_it(tmp_path):
     path.write_text("f0,label,f1\n1.0,x,2.0\ninf,x,2.0\n")
     message = r"t\.csv:3: non-finite feature value \('inf' in column 'f0'\)$"
     with pytest.raises(ValueError, match=message):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 @pytest.mark.parametrize("cell", ["-inf", "nan", "1e400"])
@@ -134,7 +253,7 @@ def test_load_csv_names_the_line_of_a_non_finite_value_after_a_blank_line(tmp_pa
     path.write_text(f"f0,label,f1\n1.0,x,2.0\n\n\n3.0,y,{cell}\n4.0,y,inf\n")
     message = rf"t\.csv:5: non-finite feature value \('{cell}' in column 'f1'\)$"
     with pytest.raises(ValueError, match=message):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 @pytest.mark.parametrize("bad_row, message", [
@@ -145,7 +264,7 @@ def test_load_csv_names_the_bad_line_with_the_label_inside(tmp_path, bad_row, me
     path = tmp_path / "t.csv"
     path.write_text(f"f0,label,f1\n1.0,x,2.0\n{bad_row}\n")
     with pytest.raises(ValueError, match=message):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 _BAD_RECORDS = [
@@ -161,7 +280,7 @@ def test_load_csv_names_the_physical_line_after_a_two_line_label(tmp_path, bad_r
     path = tmp_path / "t.csv"
     path.write_text(f'f0,label\n1.0,"two\nline"\n2.0,a\n{bad_row}\n')
     with pytest.raises(ValueError, match=rf"t\.csv:5: {message}$"):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 @pytest.mark.parametrize("bad_row, message", _BAD_RECORDS)
@@ -169,14 +288,14 @@ def test_load_csv_names_the_physical_line_after_blank_lines(tmp_path, bad_row, m
     path = tmp_path / "t.csv"
     path.write_text(f"f0,label\n\n1.0,a\n\n\n{bad_row}\n2.0,a\n")
     with pytest.raises(ValueError, match=rf"t\.csv:6: {message}$"):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 def test_load_csv_names_the_first_line_of_a_bad_record_that_spans_lines(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text('f0,label\r\n1.0,a\r\nx,"b\r\nc"\r\n')
     with pytest.raises(ValueError, match=r"t\.csv:3: non-numeric"):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 _OVERSIZED = "1" * (csv.field_size_limit() + 1)
@@ -194,7 +313,7 @@ def test_load_csv_names_the_line_of_a_cell_over_the_field_size_limit(tmp_path, t
     path = tmp_path / "t.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=rf"t\.csv:{line}: field larger than field limit"):
-        load_csv(path, "label")
+        _load_both(path, "label")
     assert csv.field_size_limit() == limit
 
 
@@ -202,14 +321,14 @@ def test_load_csv_missing_label_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,f1\n1.0,2.0\n")
     with pytest.raises(ValueError, match="no column named"):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 def test_load_csv_rejects_a_label_column_named_twice(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,f0\n1.0,a\n")
     with pytest.raises(ValueError, match="column 'f0' appears more than once"):
-        load_csv(path, "f0")
+        _load_both(path, "f0")
 
 
 def test_save_csv_rejects_a_label_column_named_like_a_feature(tmp_path):
@@ -225,7 +344,7 @@ def test_load_csv_field_count_mismatch(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,f1,label\n1.0,2.0,a\n1.0,b\n")
     with pytest.raises(ValueError, match=r":3: expected 3 fields"):
-        load_csv(path, "label")
+        _load_both(path, "label")
 
 
 # ---------------------------------------------------------------------------

@@ -780,6 +780,39 @@ def test_a_forward_that_overflows_after_the_last_step_diverges():
         harness.evaluate_model(model, split)
 
 
+def test_a_forward_that_overflows_at_evaluation_names_the_seed_and_the_split(tmp_path):
+    huge = Dataset(np.full((16, 1), 1e300), np.repeat([0, 1], 8), ["a", "b"])
+    cfg = config_from_dict({"hidden": [1], "seeds": [1],
+                            "train": {"epochs": 1, "warmup_epochs": 0, "lr0": 0.1}})
+    model = harness.train_model(cfg, 1, huge, track_train_acc=False)
+    layer = "non-finite pre-activation in layer 0 of a [1, 1, 2] stack"
+    with pytest.raises(NumericalError) as info:
+        harness.evaluate_model(model, huge)
+    assert str(info.value) == f"evaluation failed predicting the test split: {layer}"
+    # the test split of zeros predicts finitely; the train split does not
+    zeros = Dataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), ["a", "b"])
+    with pytest.raises(NumericalError) as info:
+        harness.evaluate_model(model, zeros)
+    assert str(info.value) == f"evaluation failed predicting the train split: {layer}"
+
+    # trained on small values, a [1, 4, 2] model overflows on a test file of 1.7e308
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    save_csv(train_csv, Dataset(np.linspace(-1, 1, 16)[:, None], np.repeat([0, 1], 8), ["a", "b"]))
+    save_csv(test_csv, Dataset(np.full((16, 1), 1.7e308), np.repeat([0, 1], 8), ["a", "b"]))
+    cfg = config_from_dict({
+        "data": {"kind": "csv", "train_path": str(train_csv), "test_path": str(test_csv)},
+        "hidden": [4], "seeds": [1], "train": {"epochs": 1, "warmup_epochs": 0, "lr0": 0.1},
+    })
+    layer = "non-finite pre-activation in layer 0 of a [1, 4, 2] stack"
+    with pytest.raises(NumericalError) as info:
+        run_training(cfg, 1)
+    assert str(info.value) == f"seed 1: evaluation failed predicting the test split: {layer}"
+    with pytest.raises(NumericalError) as info:
+        run_ratio_grid(cfg, [1.0, 0.5], [1.0, 0.5])
+    assert str(info.value) == ("evaluation failed predicting the test split "
+                               f"(seed 1, r_train 1.0, r_test 1.0): {layer}")
+
+
 # ---------------------------------------------------------------------------
 # Multi-seed aggregation and result files
 # ---------------------------------------------------------------------------

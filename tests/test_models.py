@@ -8,6 +8,7 @@ from skewtrain.models import (
     MLPParams,
     forward_stack,
     load_checkpoint,
+    mlp_forward,
     mlp_init,
     mlp_predict,
     named_to_mlp,
@@ -106,6 +107,25 @@ def test_predict_agrees_with_tape_forward():
     npt.assert_allclose(penult, penultimate.value, rtol=0, atol=1e-12)
     npt.assert_array_equal(labels, logits.value.argmax(axis=1))
     npt.assert_allclose(probs.sum(axis=1), np.ones(11), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [[2, 64, 64, 5], [2, 5]], ids=["hidden", "no_hidden"])
+def test_predict_softmax_in_place_keeps_the_bits_and_its_inputs(sizes):
+    # a boundary grid's row count; the softmax is written into the logits
+    p = mlp_init(sizes, seed=4)
+    x = np.random.default_rng(4).normal(scale=3.0, size=(40_000, 2))
+    x_before = x.copy()
+    params_before = [a.copy() for a in p.weights + p.biases]
+    labels, probs, penult = mlp_predict(p, x)
+    logits, inputs = mlp_forward(p, x)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    want = e / e.sum(axis=1, keepdims=True)
+    assert probs.tobytes() == want.tobytes()
+    assert labels.dtype == np.intp and labels.tobytes() == want.argmax(axis=1).tobytes()
+    assert penult.tobytes() == inputs[-1].tobytes()
+    assert x.tobytes() == x_before.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(p.weights + p.biases, params_before))
 
 
 def _stack(*layers):
