@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
-Training does not use the tape: harness.batch_loss_and_grads computes
-the objective's gradients in closed-form numpy. The tape is the
-reference those gradients are tested against bit for bit, and the
-engine of the finite-difference checks of acceptance criterion 1.
+Training does not use the tape: its one step function,
+harness.batch_loss_and_grads, computes the objective's gradients in
+closed-form numpy. The tape is the reference those gradients are
+tested against bit for bit, and the engine of the finite-difference
+checks of acceptance criterion 1.
 
 Dense float64 tensors only. Every forward operation appends a node to a
 Tape; backward() walks the node list once in reverse and accumulates

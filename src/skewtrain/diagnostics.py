@@ -105,38 +105,6 @@ def _class_stats(features: np.ndarray, labels: np.ndarray, c: int):
     return mu, var
 
 
-def _cdnv(stats_a, stats_b) -> float:
-    """CDNV from two _class_stats; coinciding means raise ZeroDivisionError."""
-    (mu_a, var_a), (mu_b, var_b) = stats_a, stats_b
-    return (var_a + var_b) / (2.0 * float(np.square(mu_a - mu_b).sum()))
-
-
-def cdnv(features: np.ndarray, labels: np.ndarray, class_a: int, class_b: int) -> float:
-    """Class-distance normalized variance between two classes."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if class_a == class_b:
-        raise ValueError("cdnv needs two distinct classes")
-    stats_a = _class_stats(features, labels, class_a)
-    stats_b = _class_stats(features, labels, class_b)
-    try:
-        return _cdnv(stats_a, stats_b)
-    except ZeroDivisionError:
-        raise ValueError(f"classes {class_a} and {class_b} have identical feature means") from None
-
-
-def _ncc_inputs(features, labels, model_predictions):
-    """The three arrays as float64 and int64, checked to be (n, d), (n,) and (n,)."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    model_predictions = np.asarray(model_predictions, dtype=np.int64)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
-        raise ValueError("features must be (n, d) with matching labels")
-    if model_predictions.shape != labels.shape:
-        raise ValueError("model predictions must match label count")
-    return features, labels, model_predictions
-
-
 def _sq_distances(features: np.ndarray, means) -> np.ndarray:
     """(K, n) squared distances from each of the K means to each row of features.
 
@@ -146,22 +114,6 @@ def _sq_distances(features: np.ndarray, means) -> np.ndarray:
     layout of features, which is why it is not made contiguous first.
     """
     return np.stack([np.square(features - mu).sum(axis=1) for mu in means])
-
-
-def ncc_report(features: np.ndarray, labels: np.ndarray, model_predictions: np.ndarray):
-    """Nearest-class-mean predictions and their agreement with the model.
-
-    Returns (ncc_predictions, agreement). Candidate classes are those
-    present in labels; exact distance ties go to the lowest class id.
-    Memory is O(n·d): the distances are computed one class at a time.
-    """
-    features, labels, model_predictions = _ncc_inputs(features, labels, model_predictions)
-    present = np.unique(labels)
-    means = [features[labels == c].mean(axis=0) for c in present]
-    # argmin takes the first of equal distances: ties to the lowest class id
-    ncc_predictions = present[np.argmin(_sq_distances(features, means), axis=0)]
-    agreement = float((ncc_predictions == model_predictions).mean())
-    return ncc_predictions, agreement
 
 
 @dataclass
@@ -192,12 +144,21 @@ def collapse_report(
 ) -> CollapseReport:
     """Pairwise CDNV matrix plus nearest-class-mean summaries.
 
-    A pair whose class means coincide (dead units, say) stays NaN, as do the means over it.
+    features is (n, d), labels and model_predictions are (n,), and every
+    one of the profile's K classes needs samples. A pair whose class
+    means coincide (dead units, say) stays NaN, as do the means over it.
+    The nearest-mean candidates are the K classes, ties to the lowest id.
     Each class mean is computed once and serves both CDNV and the
     nearest-class-mean predictions, and memory is O(n·d): no step holds
     more than about two copies of the features.
     """
-    features, labels, model_predictions = _ncc_inputs(features, labels, model_predictions)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    model_predictions = np.asarray(model_predictions, dtype=np.int64)
+    if features.ndim != 2 or labels.shape != (features.shape[0],):
+        raise ValueError("features must be (n, d) with matching labels")
+    if model_predictions.shape != labels.shape:
+        raise ValueError("model predictions must match label count")
     k = profile.num_classes
     if np.any((labels < 0) | (labels >= k)):
         raise ValueError(f"labels outside [0, {k})")
@@ -205,10 +166,10 @@ def collapse_report(
     pairs = np.full((k, k), np.nan)
     for a in range(k):
         for b in range(a + 1, k):
-            try:
-                pairs[a, b] = pairs[b, a] = _cdnv(stats[a], stats[b])
-            except ZeroDivisionError:
-                pass
+            (mu_a, var_a), (mu_b, var_b) = stats[a], stats[b]
+            dist_sq = float(np.square(mu_a - mu_b).sum())
+            if dist_sq > 0.0:
+                pairs[a, b] = pairs[b, a] = (var_a + var_b) / (2.0 * dist_sq)
     upper = [pairs[a, b] for a in range(k) for b in range(a + 1, k)]
     minority, _ = minority_majority_split(profile)
     minority_set = set(minority)
@@ -218,8 +179,7 @@ def collapse_report(
         for b in range(a + 1, k)
         if a in minority_set or b in minority_set
     ]
-    # Every class in range(k) has samples (_class_stats checked), so the
-    # candidates are those ncc_report would find present, in id order.
+    # argmin takes the first of equal distances: ties to the lowest class id
     ncc_predictions = np.argmin(_sq_distances(features, [mu for mu, _ in stats]), axis=0)
     correct_ncc = ncc_predictions == labels
     agree = ncc_predictions == model_predictions

@@ -12,11 +12,13 @@ cell) goes through derive_config, which merges the overrides into the
 config's dict form and rebuilds it with config_from_dict, so derived
 configs are validated exactly like config files.
 
-The training objective is computed in closed form: batch_loss_and_grads
-runs the numpy forward and backward (models.mlp_forward/mlp_backward
-and the losses' *_and_grad forms) and builds no tape. supervised_loss
-is the same supervised term on the tape; it is the reference that the
-numpy step and acceptance criterion 1 check against.
+The training objective is computed in closed form by one function,
+batch_loss_and_grads, which train_model calls for every step: it runs
+the numpy forward and backward (models.mlp_forward/mlp_backward and the
+losses' *_and_grad forms), checks every pre-activation, the loss and
+the gradient for finiteness, and builds no tape. supervised_loss is the
+same supervised term on the tape; it is the reference that the numpy
+step and acceptance criterion 1 check against.
 
 Results land as JSON: one file per (config hash, seed), one aggregate
 per config, and per-sweep tables. _jsonify writes every one of them,
@@ -75,6 +77,7 @@ from .losses import (
 )
 from .models import (
     MLPParams,
+    all_finite,
     atomic_write,
     forward_stack,
     mlp_backward,
@@ -189,6 +192,11 @@ class ExperimentConfig:
             raise ValueError(f"n_minority must be >= 1, got {self.n_minority}")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must be in [0, 1]")
+        if self.stop_at_train_acc is not None and not 0.0 <= self.stop_at_train_acc <= 1.0:
+            raise ValueError(f"stop_at_train_acc must be in [0, 1], got {self.stop_at_train_acc}")
+        if self.method.joint_ssl and self.train.batch_size < 2:
+            # VICReg's variance term needs two samples in every batch
+            raise ValueError(f"joint_ssl needs train.batch_size >= 2, got {self.train.batch_size}")
         if self.method.resample and self.method.loss == "reweighted":
             warnings.warn("combining the balanced resampler with reweighted loss double-counts rarity")
 
@@ -600,11 +608,6 @@ def supervised_loss_and_grad(
     return loss, vec_grad(adjoint * inv_total * w)
 
 
-def _require_finite(stage: str, value: np.ndarray) -> None:
-    if not np.logical_and.reduce(np.isfinite(value), axis=None):
-        raise NumericalError(f"non-finite {stage}")
-
-
 class StepPlan:
     """A trial's parameter and gradient buffers with their stack views, built once.
 
@@ -628,17 +631,18 @@ class StepPlan:
         return self._stacks[id(vec)]
 
 
-def batch_loss_and_grads(
-    theta, example_weights, *, plan, xb, yb, targets, views, epoch, method, class_w,
-):
+def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, theta,
+                         example_weights):
     """(loss, gradient) of the training objective on one batch.
 
+    The batch comes first, so functools.partial(batch_loss_and_grads,
+    *batch) is the f(theta, example_weights) that sam_step calls.
     theta is plan.theta or plan.perturbed, and the gradient returned is
     plan.grad, refilled here: both are in models.pack's layout of the
     plan's stacks, and a stack the objective does not use gets a
     zero gradient. The returned gradient is valid until the next call.
-    targets are the batch's rows of supervised_targets. theta and
-    example_weights come first, as sam_step calls a loss_and_grads.
+    targets are the batch's rows of supervised_targets; xb and the views
+    are float64 and C-contiguous.
     The stacks are the plan's views of theta, and mlp_backward writes into
     its views of the gradient buffer, so no call unpacks a vector or
     allocates a gradient.
@@ -648,25 +652,8 @@ def batch_loss_and_grads(
     over supervised_loss and, for the joint objective, forward_stack,
     vicreg_loss and joint_loss.
     A non-finite pre-activation, loss or gradient raises NumericalError
-    naming the stage: overflow is ignored while the step runs, here in a
-    numpy errstate of its own. train_model enters that errstate once per
-    epoch and calls the step without it, with xb and the views already
-    float64 and C-contiguous.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xb = np.ascontiguousarray(xb, dtype=np.float64)
-        if views is not None:
-            views = [np.ascontiguousarray(view, dtype=np.float64) for view in views]
-        return _batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w,
-                                     theta, example_weights)
-
-
-def _batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, theta,
-                          example_weights):
-    """batch_loss_and_grads without its errstate and conversions; the caller provides both.
-
-    The batch comes first, so functools.partial(_batch_loss_and_grads,
-    *batch) is the f(theta, example_weights) that sam_step calls.
+    naming the stage. The caller ignores overflow: train_model enters
+    that numpy errstate once per epoch.
     """
     stacks = plan.stacks(theta)
     grad = plan.grad
@@ -675,7 +662,7 @@ def _batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, 
     mlp, mlp_grads = stacks[0], stack_grads[0]
     mlp_written = 0
     lam = float(method.joint.lam) if method.joint_ssl else 1.0
-    logits, inputs = mlp_forward(mlp, xb, check=True)
+    logits, inputs = mlp_forward(mlp, xb)
     loss, g_logits = supervised_loss_and_grad(
         logits, yb, targets, method, class_w, epoch, example_weights, lam,
     )
@@ -686,8 +673,8 @@ def _batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, 
         proj_written = 0
         branches = []
         for view in views:
-            _, view_inputs = mlp_forward(mlp, view, skip_last=True, check=True)
-            emb, proj_inputs = mlp_forward(proj, view_inputs[-1], check=True)
+            _, view_inputs = mlp_forward(mlp, view, skip_last=True)
+            emb, proj_inputs = mlp_forward(proj, view_inputs[-1])
             branches.append((view_inputs, emb, proj_inputs))
         ssl, g_emb, g_emb_prime = vicreg_and_grads(branches[0][1], branches[1][1], method.vicreg)
         loss = ssl + loss * lam
@@ -700,7 +687,8 @@ def _batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, 
                          mlp_written)
             proj_written, mlp_written = len(proj_inputs), len(view_inputs) - 1
     mlp_backward(mlp, inputs, g_logits, mlp_grads, mlp_written)
-    _require_finite("gradient", grad)
+    if not all_finite(grad):
+        raise NumericalError("non-finite gradient")
     return float(loss), grad
 
 
@@ -718,12 +706,13 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
     ema_update, which write theta, velocity and EMA in place; SAM only
     picks the gradient they apply.
 
-    The plain step calls batch_loss_and_grads' body directly; only SAM
-    binds the batch with functools.partial, for sam_step. The numpy
-    errstate that ignores overflow is entered once per epoch, around its
-    batches, so an overflow in sgd_update or sam_perturb warns nothing
-    and the next step raises NumericalError, as does the epoch-end
-    predict (mlp_predict) when the weights it reads overflow.
+    The plain step calls batch_loss_and_grads directly; only SAM binds
+    the batch with functools.partial, for sam_step. Each batch is handed
+    over as the step expects it: float64, C-contiguous rows and views.
+    The numpy errstate that ignores overflow is entered once per epoch,
+    around its batches, so an overflow in sgd_update or sam_perturb
+    warns nothing and the next step raises NumericalError, as does the
+    epoch-end predict (mlp_predict) when the weights it reads overflow.
 
     Each epoch ends by predicting the train split for the train accuracy
     trajectory, unless track_train_acc is False and no stop_at_train_acc
@@ -786,10 +775,10 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
                          class_w)
                 try:
                     if sam.mode == "off":
-                        _, grad = _batch_loss_and_grads(*batch, theta, None)
+                        _, grad = batch_loss_and_grads(*batch, theta, None)
                     else:
                         radii = None if class_radii is None else class_radii[yb]
-                        loss_and_grads = functools.partial(_batch_loss_and_grads, *batch)
+                        loss_and_grads = functools.partial(batch_loss_and_grads, *batch)
                         _, grad, _ = sam_step(theta, loss_and_grads, sam.rho, radii, bounds,
                                               plan.perturbed)
                 except NumericalError as exc:

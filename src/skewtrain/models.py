@@ -14,10 +14,10 @@ prefix.b0, ...}) exist only at the edges: params_to_named names a stack
 for a checkpoint, and named_to_mlp builds one from outside input, such
 as a checkpoint, and checks every tensor's shape first.
 There is one forward, the numpy mlp_forward, which training and
-mlp_predict share; mlp_backward is its closed-form backward and writes
-the gradients into views of the caller's gradient vector. forward_stack
-runs the same stack on a tape: it is the reference the numpy pair is
-tested against, bit for bit.
+mlp_predict share and which checks every pre-activation; mlp_backward
+is its closed-form backward and writes the gradients into views of the
+caller's gradient vector. forward_stack runs the same stack on a tape:
+it is the reference the numpy pair is tested against, bit for bit.
 Checkpoints are JSON documents written atomically.
 """
 
@@ -141,7 +141,7 @@ def forward_stack(x: Var, leaves: dict[str, Var], n_layers: int, prefix: str):
     return h, penultimate
 
 
-def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check: bool = False):
+def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False):
     """Affine layers with ReLU between them, in plain numpy.
 
     Returns (out, inputs). inputs[i] is the input of layer i, so
@@ -149,7 +149,8 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check
     for a stack without hidden layers); out is the output layer's
     pre-activation. skip_last does not run the output layer and returns
     out None: a projector branch needs only the penultimate features.
-    With check, a non-finite pre-activation raises NumericalError.
+    Every pre-activation is checked: a non-finite one raises
+    NumericalError naming its layer. The caller ignores overflow.
     """
     h = x
     inputs = [x]
@@ -159,7 +160,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check
         # (boundary grids) keep their memory peak.
         z = h @ params.weights[i]
         z += params.biases[i]
-        if check and not _all_finite(z):
+        if not all_finite(z):
             raise NumericalError(
                 f"non-finite pre-activation in layer {i} of a {params.layer_sizes} stack"
             )
@@ -170,12 +171,13 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False, check
     return None, inputs
 
 
-def _all_finite(a: np.ndarray) -> bool:
+def all_finite(a: np.ndarray) -> bool:
     """Whether every value of a is finite, without a temporary the size of a.
 
     An inf or NaN makes the sum inf or NaN, so only a sum that overflows
     on finite values needs the elementwise test. Large predicts (boundary
-    grids) thus keep their memory peak. The caller ignores overflow.
+    grids) thus keep their memory peak, and a training step checks its
+    gradient without allocating. The caller ignores overflow.
     """
     return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
@@ -238,7 +240,7 @@ def mlp_predict(params: MLPParams, x: np.ndarray):
         raise ValueError(f"input shape {h.shape} does not match d_in={params.layer_sizes[0]}")
     labels = np.empty(len(h), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        probs, inputs = mlp_forward(params, h, check=True)
+        probs, inputs = mlp_forward(params, h)
         np.subtract(probs, probs.max(axis=1, keepdims=True), out=probs)
         np.exp(probs, out=probs)
         np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs)

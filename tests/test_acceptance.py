@@ -25,10 +25,9 @@ from skewtrain.data import (
 )
 from skewtrain.diagnostics import (
     boundary_grid,
-    cdnv,
+    collapse_report,
     minority_majority_split,
     minority_margin,
-    ncc_report,
 )
 from skewtrain.harness import (
     DataSpec,
@@ -372,7 +371,7 @@ def test_optimizer_degeneracies_are_bitwise(verdict):
 
 
 def _brute_cdnv(features, labels, a, b):
-    """cdnv recomputed with plain Python loops."""
+    """CDNV of one class pair recomputed with plain Python loops."""
     stats = {}
     for c in (a, b):
         members = [features[i] for i in range(len(labels)) if labels[i] == c]
@@ -412,26 +411,25 @@ def test_collapse_metrics_match_brute_force(verdict):
         labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
         rng.shuffle(labels)
         features = rng.normal(size=(n, d))
+        profile = ClassProfile(np.bincount(labels))
         a, b = rng.choice(k, size=2, replace=False)
-        worst_cdnv = max(
-            worst_cdnv,
-            abs(cdnv(features, labels, int(a), int(b)) - _brute_cdnv(features, labels, a, b)),
-        )
         predictions = rng.integers(0, k, size=n)
-        got_ncc, got_agree = ncc_report(features, labels, predictions)
+        rep = collapse_report(features, labels, predictions, profile)
+        worst_cdnv = max(worst_cdnv, abs(rep.cdnv_pairs[a, b] - _brute_cdnv(features, labels, a, b)))
         brute_ncc, brute_agree = _brute_ncc(features, labels, predictions)
-        assert np.array_equal(got_ncc, brute_ncc)
-        worst_agree = max(worst_agree, abs(got_agree - brute_agree))
+        # agreement 1.0 with the brute-force predictions: equal row by row
+        assert collapse_report(features, labels, brute_ncc, profile).ncc_agreement == 1.0
+        worst_agree = max(worst_agree, abs(rep.ncc_agreement - brute_agree))
 
     # Manually calculated: both classes have within-class variance
     # E||x - mu||^2 = 1 (points two apart on one axis), the means are
     # (0, 1) and (3, 1), so cdnv = (1 + 1) / (2 * 9) = 1/9.
-    hand = cdnv(
+    hand = collapse_report(
         np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0], [3.0, 2.0]]),
         np.array([0, 0, 1, 1]),
-        0,
-        1,
-    )
+        np.array([0, 0, 1, 1]),
+        ClassProfile(np.array([2, 2])),
+    ).cdnv_pairs[0, 1]
     hand_err = abs(hand - 1.0 / 9.0)
 
     verdict(

@@ -218,6 +218,33 @@ def test_sweep_bad_value_exits_2_before_training(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_joint_ssl_sweep_with_a_batch_of_one_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                     monkeypatch):
+    # VICReg needs two samples a batch; value 1 used to fail only once it
+    # trained, after value 8's results were written
+    _refuse_training(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", dict(
+        TINY_CONFIG, method={"joint_ssl": True}, train={**TINY_CONFIG["train"], "lr0": 5e-4}))
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "batch_size", "--values", "8,1"])
+    assert code == 2
+    assert "batch_size value 1: config: joint_ssl needs train.batch_size >= 2, got 1" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1.5, -1])
+def test_train_with_stop_at_train_acc_outside_0_1_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, value):
+    _refuse_training(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", dict(TINY_CONFIG, stop_at_train_acc=value))
+    out = tmp_path / "results"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"stop_at_train_acc must be in [0, 1], got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code, stream, text", [
     # the leading minus reads as a flag, so --values has no argument
     (["sweep", "--axis", "batch_size", "--values", "-1,16"], 2, "err",

@@ -12,12 +12,10 @@ from skewtrain.diagnostics import (
     BoundaryGrid,
     _sq_distances,
     boundary_grid,
-    cdnv,
     collapse_report,
     metrics_report,
     minority_majority_split,
     minority_margin,
-    ncc_report,
 )
 from skewtrain.harness import _jsonify
 from skewtrain.models import named_to_mlp
@@ -35,6 +33,26 @@ def _brute_class_stats(features, labels, c):
     mu = sum(members) / len(members)
     var = sum(float(((m - mu) ** 2).sum()) for m in members) / len(members)
     return mu, var
+
+
+def _brute_cdnv(features, labels, a, b):
+    (mu_a, var_a), (mu_b, var_b) = (_brute_class_stats(features, labels, c) for c in (a, b))
+    return (var_a + var_b) / (2 * float(((mu_a - mu_b) ** 2).sum()))
+
+
+def _brute_ncc(features, labels, k):
+    """Nearest-class-mean predictions row by row over classes 0..k-1, ties to the lowest id."""
+    means = [_brute_class_stats(features, labels, c)[0] for c in range(k)]
+    preds = []
+    for row in features:
+        dists = [float(((row - mu) ** 2).sum()) for mu in means]
+        preds.append(dists.index(min(dists)))
+    return np.array(preds)
+
+
+def _profile(labels):
+    """The eval labels' own class counts, so every class of the profile has samples."""
+    return ClassProfile(np.bincount(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +138,7 @@ def test_metrics_report_validation():
 
 
 # ---------------------------------------------------------------------------
-# CDNV
+# CDNV, through collapse_report
 # ---------------------------------------------------------------------------
 
 
@@ -129,46 +147,50 @@ def test_cdnv_hand_case():
     # mean distance 3: (1 + 1) / (2 * 9) = 1/9
     features = np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0], [3.0, 2.0]])
     labels = np.array([0, 0, 1, 1])
-    assert abs(cdnv(features, labels, 0, 1) - 1 / 9) < 1e-12
+    rep = collapse_report(features, labels, labels, _profile(labels))
+    assert abs(rep.cdnv_pairs[0, 1] - 1 / 9) < 1e-12
 
 
-def test_cdnv_symmetry():
+def test_cdnv_does_not_depend_on_class_order():
+    # swapping the two classes' ids swaps nothing in their pair's value
     rng = np.random.default_rng(5)
     features = rng.normal(size=(20, 3))
-    labels = rng.integers(0, 2, size=20)
-    assert cdnv(features, labels, 0, 1) == cdnv(features, labels, 1, 0)
+    labels = np.concatenate([[0, 1], rng.integers(0, 2, size=18)])
+    rep = collapse_report(features, labels, labels, _profile(labels))
+    swapped = collapse_report(features, 1 - labels, labels, _profile(1 - labels))
+    assert rep.cdnv_pairs[0, 1] == rep.cdnv_pairs[1, 0] == swapped.cdnv_pairs[0, 1]
 
 
 def test_cdnv_against_brute_force():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        n = int(rng.integers(4, 60))
+        n = int(rng.integers(6, 60))
         d = int(rng.integers(1, 6))
+        k = int(rng.integers(2, 5))
         features = rng.normal(size=(n, d)) * 3
-        labels = np.concatenate([[0, 1], rng.integers(0, 2, size=n - 2)])
-        mu0, var0 = _brute_class_stats(features, labels, 0)
-        mu1, var1 = _brute_class_stats(features, labels, 1)
-        expected = (var0 + var1) / (2 * float(((mu0 - mu1) ** 2).sum()))
-        assert abs(cdnv(features, labels, 0, 1) - expected) < 1e-10
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        rep = collapse_report(features, labels, labels, _profile(labels))
+        for a in range(k):
+            for b in range(a + 1, k):
+                expected = _brute_cdnv(features, labels, a, b)
+                assert abs(rep.cdnv_pairs[a, b] - expected) < 1e-10 * max(1.0, expected)
 
 
-def test_cdnv_errors():
-    features = np.array([[0.0], [1.0], [0.0], [1.0]])
+def test_collapse_report_needs_samples_of_every_class():
+    # the profile has three classes and the features none of class 2
+    features = np.array([[0.0], [1.0], [5.0], [6.0]])
     labels = np.array([0, 0, 1, 1])
-    with pytest.raises(ValueError, match="distinct"):
-        cdnv(features, labels, 1, 1)
-    with pytest.raises(ValueError, match="identical feature means"):
-        cdnv(features, labels, 0, 1)
-    with pytest.raises(ValueError, match="no samples"):
-        cdnv(features, labels, 0, 2)
+    with pytest.raises(ValueError, match="class 2 has no samples"):
+        collapse_report(features, labels, labels, ClassProfile(np.array([50, 20, 10])))
 
 
 # ---------------------------------------------------------------------------
-# Nearest class mean
+# Nearest class mean, through collapse_report
 # ---------------------------------------------------------------------------
 
 
 def test_ncc_against_brute_force():
+    # agreement 1.0 with the row-by-row predictions is equality, row by row
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = int(rng.integers(6, 80))
@@ -176,36 +198,38 @@ def test_ncc_against_brute_force():
         k = int(rng.integers(2, 5))
         features = rng.normal(size=(n, d)) * 2
         labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
-        preds, agreement = ncc_report(features, labels, labels)
-        means = {c: _brute_class_stats(features, labels, c)[0] for c in range(k)}
-        for i in range(n):
-            dists = [float(((features[i] - means[c]) ** 2).sum()) for c in range(k)]
-            assert preds[i] == int(np.argmin(dists))
-        assert agreement == float((preds == labels).mean())
+        brute = _brute_ncc(features, labels, k)
+        rep = collapse_report(features, labels, brute, _profile(labels))
+        assert rep.ncc_agreement == 1.0
+        assert rep.ncc_accuracy == float((brute == labels).mean())
 
 
 def test_ncc_tie_goes_to_lowest_id():
     # class means land at 0 and 2; the sample at 1 is equidistant
     features = np.array([[-1.0], [1.0], [2.0], [2.0]])
     labels = np.array([0, 0, 1, 1])
-    preds, _ = ncc_report(features, labels, labels)
-    assert preds[1] == 0
+    rep = collapse_report(features, labels, np.array([0, 0, 1, 1]), _profile(labels))
+    assert rep.ncc_agreement == 1.0
+    rep = collapse_report(features, labels, np.array([0, 1, 1, 1]), _profile(labels))
+    assert rep.ncc_agreement == 0.75
 
 
-def test_ncc_candidates_are_present_classes():
-    # labels drawn from {1, 3}: predictions stay in that set
-    features = np.array([[0.0], [0.1], [5.0], [5.1]])
-    labels = np.array([1, 1, 3, 3])
-    preds, agreement = ncc_report(features, labels, labels)
-    assert set(preds) <= {1, 3}
-    assert agreement == 1.0
+def test_ncc_accuracy_hand_case():
+    # class means 2 and 5.5: the class-0 row at 4 is nearer class 1's mean
+    features = np.array([[0.0], [4.0], [5.0], [6.0]])
+    labels = np.array([0, 0, 1, 1])
+    rep = collapse_report(features, labels, np.array([0, 1, 1, 1]), _profile(labels))
+    assert rep.ncc_agreement == 1.0 and rep.ncc_accuracy == 0.75
 
 
 def test_ncc_validation():
+    profile = ClassProfile(np.array([5]))
     with pytest.raises(ValueError, match="matching labels"):
-        ncc_report(np.zeros((3, 2)), np.zeros(2, dtype=int), np.zeros(2, dtype=int))
+        collapse_report(np.zeros((3, 2)), np.zeros(2, dtype=int), np.zeros(2, dtype=int), profile)
+    with pytest.raises(ValueError, match="matching labels"):
+        collapse_report(np.zeros(3), np.zeros(3, dtype=int), np.zeros(3, dtype=int), profile)
     with pytest.raises(ValueError, match="match label count"):
-        ncc_report(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros(2, dtype=int))
+        collapse_report(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros(2, dtype=int), profile)
 
 
 def _features_with_ties(d):
@@ -238,16 +262,15 @@ def test_per_class_distances_match_the_broadcast_bit_for_bit(layout, d):
     features = _layouts(base)[layout]
     present = np.unique(labels)
     means = [features[labels == c].mean(axis=0) for c in present]
-    # the (n, K, d) broadcast that ncc_report computed before
+    # the (n, K, d) broadcast that the nearest-mean predictions computed before
     broadcast = np.square(features[:, None, :] - np.stack(means)[None, :, :]).sum(axis=2)
     assert _sq_distances(features, means).tobytes() == np.ascontiguousarray(broadcast.T).tobytes()
     assert broadcast[tied_row, 4] == broadcast[tied_row, 5]
 
     expected = present[np.argmin(broadcast, axis=1)]
     assert expected[tied_row] == 4
-    preds, _ = ncc_report(features, labels, labels)
-    npt.assert_array_equal(preds, expected)
-    rep = collapse_report(features, labels, labels, ClassProfile(np.bincount(labels)))
+    rep = collapse_report(features, labels, expected, _profile(labels))
+    assert rep.ncc_agreement == 1.0
     assert rep.ncc_accuracy == float((expected == labels).mean())
 
 
@@ -286,17 +309,16 @@ def test_collapse_report_assembly():
     assert rep.minority_classes == [3]
     assert np.all(np.isnan(np.diag(rep.cdnv_pairs)))
     npt.assert_array_equal(rep.cdnv_pairs, rep.cdnv_pairs.T)
-    # entries match direct pairwise calls
     for a in range(k):
         for b in range(a + 1, k):
-            assert rep.cdnv_pairs[a, b] == cdnv(features, labels, a, b)
+            assert abs(rep.cdnv_pairs[a, b] - _brute_cdnv(features, labels, a, b)) < 1e-12
     upper = [rep.cdnv_pairs[a, b] for a in range(k) for b in range(a + 1, k)]
     assert abs(rep.mean_cdnv - np.mean(upper)) < 1e-15
     touching = [rep.cdnv_pairs[a, 3] for a in range(3)]
     assert abs(rep.minority_mean_cdnv - np.mean(touching)) < 1e-15
 
-    ncc_preds, agreement = ncc_report(features, labels, model_preds)
-    assert rep.ncc_agreement == agreement
+    ncc_preds = _brute_ncc(features, labels, k)
+    assert rep.ncc_agreement == float((ncc_preds == model_preds).mean())
     assert rep.ncc_accuracy == float((ncc_preds == labels).mean())
     mask = labels == 3
     assert rep.ncc_agreement_minority == float((ncc_preds[mask] == model_preds[mask]).mean())
@@ -308,16 +330,15 @@ def test_collapse_report_assembly():
 
 
 def test_collapse_report_leaves_a_pair_with_coinciding_means_nan():
-    # classes 0 and 1 share their mean, as dead units make them do; cdnv
-    # raises for that pair, and the report keeps it as NaN
+    # classes 0 and 1 share their mean, as dead units make them do; the
+    # pair's CDNV divides by zero, and the report keeps it as NaN
     features = np.array([[0.0], [2.0], [1.0], [1.0], [5.0], [6.0]])
     labels = np.repeat([0, 1, 2], 2)
     rep = collapse_report(features, labels, labels, ClassProfile(np.array([50, 40, 10])))
-    with pytest.raises(ValueError, match="identical feature means"):
-        cdnv(features, labels, 0, 1)
     assert np.isnan(rep.cdnv_pairs[0, 1]) and np.isnan(rep.cdnv_pairs[1, 0])
-    assert rep.cdnv_pairs[0, 2] == cdnv(features, labels, 0, 2)
-    assert rep.cdnv_pairs[1, 2] == cdnv(features, labels, 1, 2)
+    # (1 + 0.25) / (2 * 4.5^2) and (0 + 0.25) / (2 * 4.5^2): every operand is exact
+    assert rep.cdnv_pairs[0, 2] == 1.25 / 40.5
+    assert rep.cdnv_pairs[1, 2] == 0.25 / 40.5
     # the pair counts in mean_cdnv, but not among those touching minority class 2
     assert np.isnan(rep.mean_cdnv)
     assert rep.minority_mean_cdnv == (rep.cdnv_pairs[0, 2] + rep.cdnv_pairs[1, 2]) / 2

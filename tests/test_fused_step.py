@@ -1,10 +1,11 @@
 """The closed-form training step against the tape it replaced.
 
-harness.batch_loss_and_grads computes the training objective and its
-gradients in plain numpy. The tape (forward_stack, supervised_loss,
-vicreg_loss, joint_loss and backward) is kept as the reference: the
-numpy step must reproduce it bit for bit, signed zeros included, and
-must raise NumericalError wherever the tape does.
+harness.batch_loss_and_grads, training's one step function, computes
+the training objective and its gradients in plain numpy. The tape
+(forward_stack, supervised_loss, vicreg_loss, joint_loss and backward)
+is kept as the reference: the numpy step must reproduce it bit for bit,
+signed zeros included, and must raise NumericalError wherever the tape
+does.
 """
 
 import warnings
@@ -76,14 +77,21 @@ def _fused(params_named, example_weights, *, profile, mlp_sizes, proj_sizes, **k
 
     The stacks are the classifier and, when proj_sizes is given, the
     projector. The target rows come from supervised_targets, as in
-    training; the tape reference builds its own from the labels.
+    training; the tape reference builds its own from the labels. As
+    train_model does, the step runs in an errstate that ignores overflow
+    and gets its batch and views float64 and C-contiguous.
     """
     sizes = [mlp_sizes] if proj_sizes is None else [mlp_sizes, proj_sizes]
     prefixes = ("mlp", "proj")[:len(sizes)]
     plan = StepPlan(pack([named_to_mlp(params_named, s, p) for s, p in zip(sizes, prefixes)]), sizes)
-    targets = supervised_targets(kwargs["yb"], kwargs["method"], profile)
-    loss, grad = batch_loss_and_grads(plan.theta, example_weights, plan=plan, targets=targets,
-                                      **kwargs)
+    xb, yb, views, epoch, method, class_w = (
+        kwargs[k] for k in ("xb", "yb", "views", "epoch", "method", "class_w"))
+    for a in [xb, *(views or ())]:
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+    targets = supervised_targets(yb, method, profile)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss, grad = batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w,
+                                          plan.theta, example_weights)
     assert grad is plan.grad
     named = {}
     for stack, prefix in zip(unpack(grad, sizes), prefixes):

@@ -134,6 +134,30 @@ def test_config_validation():
         _tiny_config(ema_decay=1.5)
 
 
+@pytest.mark.parametrize("value", [-1.0, -1e-300, 1.0000000000000002, 1.5])
+def test_stop_at_train_acc_outside_0_1_is_refused(value):
+    # 1.5 would never stop and -1 would stop like 0
+    with pytest.raises(ConfigError, match=rf"stop_at_train_acc must be in \[0, 1\], got {value}"):
+        config_from_dict({"stop_at_train_acc": value})
+
+
+def test_stop_at_train_acc_accepts_its_range():
+    for value in (0, 0.0, -0.0, 0.5, 1, 1.0, None):
+        assert config_from_dict({"stop_at_train_acc": value}).stop_at_train_acc == value
+
+
+def test_joint_ssl_needs_two_samples_per_batch():
+    # VICReg's variance needs two samples; the config refuses a batch of one
+    message = r"joint_ssl needs train.batch_size >= 2, got 1"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"method": {"joint_ssl": True}, "train": {"batch_size": 1}})
+    one = _tiny_config(train=TrainConfig(lr0=0.1, epochs=3, warmup_epochs=1, batch_size=1))
+    with pytest.raises(ConfigError, match=message):
+        apply_method(one, "joint_ssl")
+    assert apply_method(one, "sam_a").train.batch_size == 1
+    assert config_from_dict({"method": {"joint_ssl": True}, "train": {"batch_size": 2}})
+
+
 def test_resample_plus_reweight_warns():
     with pytest.warns(UserWarning, match="double-counts"):
         _tiny_config(method=MethodSpec(loss="reweighted", resample=True))
@@ -971,6 +995,17 @@ def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_joint_ssl_sweep_with_a_batch_of_one_fails_before_training(monkeypatch, tmp_path):
+    trained = []
+    monkeypatch.setattr(harness, "train_model",
+                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+    cfg = apply_method(_tiny_config(), "joint_ssl")
+    with pytest.raises(ConfigError, match="batch_size value 1: .*joint_ssl needs train.batch_size"):
+        run_sweep(cfg, "batch_size", [8, 1], out_dir=tmp_path / "out")
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_sweep_checks_values_after_the_cast(monkeypatch, tmp_path):
     trained = []
     monkeypatch.setattr(harness, "train_model",
@@ -1116,6 +1151,29 @@ def test_stop_at_train_acc_still_predicts_when_untracked():
     assert len(model.train_acc_trajectory) == 1
 
 
+@pytest.mark.parametrize("preset, arrays", [("erm", 2), ("sam_a_smoothed", 2), ("joint_ssl", 4)])
+def test_train_model_hands_the_step_float64_c_contiguous_arrays(monkeypatch, preset, arrays):
+    # batch_loss_and_grads converts nothing: its batch rows, target rows
+    # and views come from train_model as float64, C-contiguous arrays.
+    # Under SAM the name is looked up for each step's functools.partial.
+    real = harness.batch_loss_and_grads
+    calls = []
+
+    def step(plan, xb, yb, targets, views, *rest):
+        checked = [xb, targets, *(views or ())]
+        assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in checked)
+        assert targets.shape[0] == yb.shape[0] == xb.shape[0]
+        calls.append(len(checked))
+        return real(plan, xb, yb, targets, views, *rest)
+
+    monkeypatch.setattr(harness, "batch_loss_and_grads", step)
+    cfg = _preset_config(preset)
+    split = build_pools(cfg, 0)[0]
+    harness.train_model(cfg, 0, split, track_train_acc=False)
+    steps = cfg.train.epochs * math.ceil(split.n / cfg.train.batch_size)
+    assert calls == [arrays] * steps * (2 if preset.startswith("sam") else 1)
+
+
 @pytest.mark.parametrize("preset, buffers", [("erm", 2), ("sam_a", 3), ("joint_ssl", 2)])
 def test_a_trial_unpacks_each_buffer_once(monkeypatch, preset, buffers):
     # theta, the gradient and, under SAM, the perturbed point: each is
@@ -1139,13 +1197,12 @@ def test_step_plan_refills_the_gradient_buffer():
     plan = harness.StepPlan(pack([mlp_init(s, seed=i) for i, s in enumerate(sizes)]), sizes)
     xb = np.random.default_rng(0).normal(size=(6, 2))
     yb = np.array([0, 1, 2, 0, 1, 2])
-    method = MethodSpec()
-    kwargs = dict(plan=plan, xb=xb, yb=yb, targets=one_hot(yb, 3), views=None, epoch=0,
-                  method=method, class_w=np.ones(3))
-    loss, grad = harness.batch_loss_and_grads(plan.theta, None, **kwargs)
-    want = grad.copy()
-    grad.fill(np.nan)
-    loss_again, grad_again = harness.batch_loss_and_grads(plan.theta, None, **kwargs)
+    batch = (plan, xb, yb, one_hot(yb, 3), None, 0, MethodSpec(), np.ones(3))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss, grad = harness.batch_loss_and_grads(*batch, plan.theta, None)
+        want = grad.copy()
+        grad.fill(np.nan)
+        loss_again, grad_again = harness.batch_loss_and_grads(*batch, plan.theta, None)
     assert grad_again is plan.grad and loss_again == loss
     assert grad_again.tobytes() == want.tobytes()
     assert not want[-(4 * 5 + 5):].any()  # the unused stack's gradient is zero
