@@ -82,11 +82,7 @@ def _load_model(args):
         raise ConfigError(
             f"{args.checkpoint}: mlp_sizes must be a list of positive ints, got {reprlib.repr(sizes)}"
         )
-    prefix = "" if getattr(args, "raw", False) else "ema."
-    picked = {k[len(prefix):]: v for k, v in named.items() if k.startswith(prefix + "mlp.")}
-    if not picked:
-        raise ConfigError(f"{args.checkpoint}: no {prefix or 'raw '}mlp tensors found")
-    return named_to_mlp(picked, sizes)
+    return named_to_mlp(named, sizes, "mlp" if getattr(args, "raw", False) else "ema.mlp")
 
 
 def _cmd_curate(args) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +116,10 @@ def load_csv(path, label_col: str) -> Dataset:
     order. A header that names label_col more than once is rejected.
     Malformed rows, non-finite values (inf, nan, 1e400) and records the
     csv module rejects (a cell over its field_size_limit) are reported
-    with the line their record starts on.
+    with the line their record starts on, one past reader.line_num after
+    the record before it (a quoted cell may span lines). The file is read
+    once, so it may be a pipe; a non-finite value is reported only when
+    nothing else in the file failed, at any block size.
 
     At most BLOCK_ROWS rows are held as Python objects: each block's
     floats become one float64 array, and each label is kept as the code
@@ -138,67 +140,62 @@ def load_csv(path, label_col: str) -> Dataset:
         if header.count(label_col) > 1:
             raise ValueError(f"{path}: column {label_col!r} appears more than once in header {header}")
         label_idx = header.index(label_col)
-        width = len(header)
-        if width < 2:
+        columns = header[:label_idx] + header[label_idx + 1:]
+        if not columns:
             raise ValueError(f"{path}: no feature columns besides {label_col!r}")
-        # feats and codes hold the current block's floats and label codes;
-        # first_seen numbers the labels in the order they first appear.
-        blocks, feats, codes, first_seen, error, lineno = [], [], [], {}, None, 1
-        # lineno counts records: a quoted cell may span lines, so it is not
-        # the line; the error path below finds that.
+        # feats, cells, starts and codes hold the current block's floats, their
+        # text, each row's first line and label codes; first_seen numbers the
+        # labels in the order they first appear.
+        width = len(header)
+        blocks, feats, cells, starts, codes, first_seen, end = [], [], [], [], [], {}, reader.line_num
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                start, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != width:
-                    error = f"expected {width} fields, got {len(row)}"
-                    break
+                    raise ValueError(f"{path}:{start}: expected {width} fields, got {len(row)}")
                 label = row.pop(label_idx)
                 try:
                     feats.extend(map(float, row))
                 except ValueError as exc:
-                    error = f"non-numeric feature value ({exc})"
-                    break
+                    raise ValueError(f"{path}:{start}: non-numeric feature value ({exc})") from None
+                cells.extend(row)
+                starts.append(start)
                 codes.append(first_seen.setdefault(label, len(first_seen)))
                 if len(codes) == BLOCK_ROWS:
-                    blocks.append(_block(feats, codes, width - 1))
-                    feats, codes = [], []
+                    blocks.append(_block(feats, cells, starts, codes, columns))
+                    feats, cells, starts, codes = [], [], [], []
         except csv.Error as exc:
-            # The record after the last one read is the bad one.
-            error, lineno = str(exc), lineno + 1
-    if error is None:
-        if codes:
-            blocks.append(_block(feats, codes, width - 1))
-        if not blocks:
-            raise ValueError(f"{path}: no data rows")
-        X = np.concatenate([x for x, _ in blocks])
-        codes = np.concatenate([c for _, c in blocks])
-        del blocks
-        bad = np.argwhere(~np.isfinite(X))
-        if bad.size:
-            index, col = bad[0]
-            # Blank lines are records but not rows, so the data row index is
-            # not the record number.
-            with open(path, newline="") as fh:
-                numbered = ((n, r) for n, r in enumerate(csv.reader(fh), start=1) if r)
-                lineno, row = next(itertools.islice(numbered, index + 1, None))
-            del row[label_idx], header[label_idx]
-            error = f"non-finite feature value ({row[col]!r} in column {header[col]!r})"
-    if error is not None:
-        # The bad record starts on the line after the one its predecessor ends on.
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(itertools.islice(reader, lineno - 2, None))
-            raise ValueError(f"{path}:{reader.line_num + 1}: {error}")
+            raise ValueError(f"{path}:{end + 1}: {exc}") from None
+    if codes:
+        blocks.append(_block(feats, cells, starts, codes, columns))
+    if not blocks:
+        raise ValueError(f"{path}: no data rows")
+    bad = next((message for _, _, message in blocks if message), None)
+    if bad:
+        raise ValueError(f"{path}:{bad}")
+    X = np.concatenate([x for x, _, _ in blocks])
+    codes = np.concatenate([c for _, c, _ in blocks])
+    del blocks
     names = sorted(first_seen)
     rank = {name: i for i, name in enumerate(names)}
     y = np.array([rank[name] for name in first_seen], dtype=np.int64)[codes]
     return Dataset(X, y, names)
 
 
-def _block(feats: list, codes: list, d: int):
-    """One block of load_csv's rows: (n, d) float64 features and their label codes."""
-    return np.array(feats, dtype=np.float64).reshape(-1, d), np.array(codes, dtype=np.int64)
+def _block(feats: list, cells: list, starts: list, codes: list, columns: list):
+    """One block of load_csv's rows: features, label codes and the first non-finite value.
+
+    The features are (n, d) float64 and cells holds their text in the
+    same order; the value is "line: message", or None.
+    """
+    X = np.array(feats, dtype=np.float64).reshape(len(codes), len(columns))
+    bad, message = np.flatnonzero(~np.isfinite(X)), None
+    if bad.size:
+        i, j = divmod(int(bad[0]), len(columns))
+        message = f"{starts[i]}: non-finite feature value ({cells[bad[0]]!r} in column {columns[j]!r})"
+    return X, np.array(codes, dtype=np.int64), message
 
 
 def save_csv(path, dataset: Dataset, label_col: str = "label") -> None:

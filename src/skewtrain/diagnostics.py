@@ -183,15 +183,14 @@ def collapse_report(
     ncc_predictions = np.argmin(_sq_distances(features, [mu for mu, _ in stats]), axis=0)
     correct_ncc = ncc_predictions == labels
     agree = ncc_predictions == model_predictions
-    min_mask = np.isin(labels, minority)
     return CollapseReport(
         cdnv_pairs=pairs,
         mean_cdnv=float(np.mean(upper)),
         minority_mean_cdnv=float(np.mean(touching)) if touching else float("nan"),
         ncc_agreement=float(agree.mean()),
-        ncc_agreement_minority=float(agree[min_mask].mean()) if np.any(min_mask) else float("nan"),
+        ncc_agreement_minority=_group_accuracy(agree, labels, minority),
         ncc_accuracy=float(correct_ncc.mean()),
-        ncc_accuracy_minority=float(correct_ncc[min_mask].mean()) if np.any(min_mask) else float("nan"),
+        ncc_accuracy_minority=_group_accuracy(correct_ncc, labels, minority),
         minority_classes=minority,
     )
 

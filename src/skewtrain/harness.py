@@ -154,6 +154,8 @@ class MethodSpec:
             raise ValueError(f"loss must be one of {SUPERVISED_LOSSES}, got {self.loss!r}")
         if self.projector is not None and len(self.projector) < 2:
             raise ValueError("projector needs at least input and output sizes")
+        if self.projector is not None and any(s < 1 for s in self.projector):
+            raise ValueError(f"projector sizes must be positive, got {reprlib.repr(self.projector)}")
 
 
 @dataclass
@@ -197,6 +199,11 @@ class ExperimentConfig:
         if self.method.joint_ssl and self.train.batch_size < 2:
             # VICReg's variance term needs two samples in every batch
             raise ValueError(f"joint_ssl needs train.batch_size >= 2, got {self.train.batch_size}")
+        projector = self.method.projector
+        if self.method.joint_ssl and projector is not None and projector[0] != self.hidden[-1]:
+            raise ValueError(
+                f"projector input {projector[0]} does not match last hidden width {self.hidden[-1]}"
+            )
         if self.method.resample and self.method.loss == "reweighted":
             warnings.warn("combining the balanced resampler with reweighted loss double-counts rarity")
 
@@ -523,17 +530,12 @@ def _iter_batches(n: int, batch_size: int, rng: np.random.Generator, min_batch: 
 
 
 def _projector_sizes(config: ExperimentConfig) -> list[int] | None:
+    """The joint_ssl projector's sizes (the config checked that they fit), else None."""
     if not config.method.joint_ssl:
         return None
     if config.method.projector is not None:
-        sizes = list(config.method.projector)
-    else:
-        sizes = [config.hidden[-1], 32, 32]
-    if sizes[0] != config.hidden[-1]:
-        raise ConfigError(
-            f"projector input {sizes[0]} does not match last hidden width {config.hidden[-1]}"
-        )
-    return sizes
+        return list(config.method.projector)
+    return [config.hidden[-1], 32, 32]
 
 
 def supervised_loss(

@@ -1,6 +1,9 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skewtrain
 from skewtrain import harness
 from skewtrain.cli import _build_parser, main
 from skewtrain.data import Dataset, gen_gaussian_mixture, load_csv, save_csv
@@ -88,6 +92,26 @@ def test_curate_names_the_line_of_a_non_finite_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"config error: {src}:4: non-finite feature value ('1e400' in column 'f0')" in err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("cell, message", [
+    ("x", "non-numeric feature value (could not convert string to float: 'x')"),
+    ("inf", "non-finite feature value ('inf' in column 'f0')"),
+], ids=["non_numeric", "non_finite"])
+def test_curate_names_the_line_of_a_bad_row_read_from_a_pipe(tmp_path, cell, message):
+    # a pipe can be read only once, so the error has to be found in that one pass
+    src = str(Path(skewtrain.__path__[0]).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "o.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewtrain.cli", "curate", "--in", "/dev/stdin", "--out", str(out),
+         "--ratio", "0.5"],
+        input=f"f0,label\n1.0,a\n{cell},b\n", env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"config error: /dev/stdin:3: {message}\n"
+    assert not out.exists()
 
 
 def test_curate_missing_input(tmp_path, capsys):
@@ -231,6 +255,24 @@ def test_joint_ssl_sweep_with_a_batch_of_one_exits_2_and_writes_nothing(tmp_path
     assert code == 2
     assert "batch_size value 1: config: joint_ssl needs train.batch_size >= 2, got 1" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("projector, message", [
+    ([8, 4], "method value 'joint_ssl': config: projector input 8 does not match last hidden width 16"),
+    ([16, 0], "method: projector sizes must be positive, got [16, 0]"),
+], ids=["input_width", "zero_size"])
+def test_method_sweep_into_joint_ssl_with_a_bad_projector_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, projector, message):
+    # both used to fail only once joint_ssl trained, after erm's results were written
+    _refuse_training(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        dict(TINY_CONFIG, hidden=[16], method={"projector": projector}))
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "method", "--values", "erm,joint_ssl"])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -443,7 +485,7 @@ def test_boundary_checkpoint_missing_tensor(tmp_path, capsys):
     ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 5, 3], [2, 5, 3, 3])
     code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
     assert code == 2
-    assert "missing tensor mlp.w2" in capsys.readouterr().err
+    assert "missing tensor ema.mlp.w2" in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
 
 
@@ -629,7 +671,7 @@ def test_deeply_nested_config_value_is_shortened(tmp_path, capsys):
 
 @pytest.mark.parametrize("sizes, field", [
     (json.loads("[" * 950 + "]" * 950), "mlp_sizes must be a list of positive ints"),
-    ([2, 5] + [3] * 5000, "missing tensor mlp.w2 for layer sizes [2, 5, 3, 3, 3, 3, ...]"),
+    ([2, 5] + [3] * 5000, "missing tensor ema.mlp.w2 for layer sizes [2, 5, 3, 3, 3, 3, ...]"),
 ], ids=["nested", "long"])
 def test_huge_checkpoint_sizes_are_shortened(tmp_path, capsys, sizes, field):
     ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 5, 3], sizes)

@@ -317,6 +317,31 @@ def test_load_csv_names_the_line_of_a_cell_over_the_field_size_limit(tmp_path, t
     assert csv.field_size_limit() == limit
 
 
+@pytest.mark.parametrize("block_rows", [3, data.BLOCK_ROWS])
+@pytest.mark.parametrize("bad_row", [None, "x,b", "inf,b", "3.0,b,c", _OVERSIZED + ",b"],
+                         ids=["good", "non_numeric", "non_finite", "field_count", "over_field_size_limit"])
+def test_load_csv_opens_its_file_once(tmp_path, monkeypatch, block_rows, bad_row):
+    # a bad record past the first block edge, then a good one
+    monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+    bad_at = block_rows + 1
+    text, line_of = _edge_table(block_rows, bad_at + 1, bad_row, bad_at if bad_row else None)
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data, "open", counting_open, raising=False)
+    if bad_row is None:
+        assert load_csv(path, "label").n == bad_at + 1
+    else:
+        with pytest.raises(ValueError, match=rf"t\.csv:{line_of[bad_at]}: "):
+            load_csv(path, "label")
+    assert opened == [path]
+
+
 def test_load_csv_missing_label_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("f0,f1\n1.0,2.0\n")

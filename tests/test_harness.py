@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewtrain.autodiff import NumericalError, Tape, check_gradients
 from skewtrain import harness
@@ -444,9 +446,30 @@ def test_projector_sizes():
     assert _projector_sizes(cfg) == [8, 32, 32]
     cfg.method.projector = [8, 16]
     assert _projector_sizes(cfg) == [8, 16]
-    cfg.method.projector = [4, 16]
-    with pytest.raises(ConfigError, match="does not match last hidden width"):
-        _projector_sizes(cfg)
+
+
+def test_config_refuses_a_projector_that_cannot_be_built():
+    with pytest.raises(ConfigError, match="projector input 4 does not match last hidden width 8"):
+        config_from_dict({"hidden": [16, 8], "method": {"joint_ssl": True, "projector": [4, 16]}})
+    with pytest.raises(ConfigError, match=r"projector sizes must be positive, got \[8, 0\]"):
+        config_from_dict({"hidden": [16, 8], "method": {"projector": [8, 0]}})
+    # a projector that no joint_ssl run reads need not fit the trunk
+    assert config_from_dict({"hidden": [16, 8], "method": {"projector": [4, 16]}}).method.projector == [4, 16]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hidden=st.lists(st.integers(-1, 4), min_size=1, max_size=3),
+       projector=st.none() | st.lists(st.integers(-1, 4), max_size=4))
+def test_a_joint_ssl_config_that_loads_can_build_its_stacks(hidden, projector):
+    method = {"joint_ssl": True} if projector is None else {"joint_ssl": True, "projector": projector}
+    try:
+        cfg = config_from_dict({"hidden": hidden, "method": method})
+    except ConfigError:
+        return
+    proj_sizes = _projector_sizes(cfg)
+    assert proj_sizes[0] == cfg.hidden[-1]
+    for sizes in ([2] + cfg.hidden + [3], proj_sizes):
+        mlp_init(sizes, seed=0)
 
 
 # ---------------------------------------------------------------------------
