@@ -82,7 +82,10 @@ def _load_model(args):
         raise ConfigError(
             f"{args.checkpoint}: mlp_sizes must be a list of positive ints, got {reprlib.repr(sizes)}"
         )
-    return named_to_mlp(named, sizes, "mlp" if getattr(args, "raw", False) else "ema.mlp")
+    try:
+        return named_to_mlp(named, sizes, "mlp" if getattr(args, "raw", False) else "ema.mlp")
+    except ValueError as exc:
+        raise ValueError(f"{args.checkpoint}: {exc}") from None
 
 
 def _cmd_curate(args) -> int:

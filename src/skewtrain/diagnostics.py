@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClassProfile
-from .models import MLPParams, atomic_write, mlp_predict
+from .models import MLPParams, atomic_write, mlp_predict, row_max, row_sum
 
 FEW_SHOT_MAX = 19
 MANY_SHOT_MIN = 101
@@ -267,7 +267,7 @@ def boundary_grid(
         xs=xs,
         ys=ys,
         labels=labels.reshape(resolution, resolution),
-        max_prob=probs.max(axis=1).reshape(resolution, resolution),
+        max_prob=row_max(probs).reshape(resolution, resolution),
     )
 
 
@@ -322,6 +322,6 @@ def minority_margin(grid: BoundaryGrid, points: np.ndarray) -> MarginReport:
             margins[m] = max(0.0, min(px - x_min, x_max - px, py - y_min, y_max - py))
             flagged[m] = True
             continue
-        d2 = np.square(differing - (px, py)).sum(axis=1)
+        d2 = row_sum(np.square(differing - (px, py)))
         margins[m] = math.sqrt(float(d2.min()))
     return MarginReport(margins=margins, median=float(np.median(margins)), lower_bound=flagged)

@@ -10,8 +10,10 @@ self-supervised term and the joint objective ssl + lam * supervised.
 Training uses the closed-form numpy forms: cross_entropy_and_grad,
 focal_and_grad and vicreg_and_grads. They repeat the tape's operations
 in its order, and their backward passes walk the tape's reverse node
-order, so values and gradients match the tape bit for bit. The tape
-forms (cross_entropy_vec, focal_vec, vicreg_loss, joint_loss) are the
+order, so values and gradients match the tape bit for bit. Their row
+reductions go through models.row_max and row_sum, which are numpy's
+reductions, bit for bit, made cheap for short rows. The tape forms
+(cross_entropy_vec, focal_vec, vicreg_loss, joint_loss) are the
 reference those are tested against.
 
 Class-conditional label smoothing has two modes because the source
@@ -42,6 +44,7 @@ from .autodiff import (
     row_sums,
 )
 from .data import ClassProfile
+from .models import row_max, row_sum
 
 SMOOTHING_MODES = ("paper_formula", "inverse_proportion")
 
@@ -130,12 +133,12 @@ def _check_targets(logits: Var, targets: np.ndarray) -> np.ndarray:
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise log softmax of a (B, K) array, shifted by the row maximum."""
-    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    shifted = x - row_max(x)
+    return shifted - np.log(row_sum(np.exp(shifted), keepdims=True))
 
 
 def _log_softmax_grad(g: np.ndarray, lsm: np.ndarray) -> np.ndarray:
-    return g - np.exp(lsm) * np.add.reduce(g, axis=1, keepdims=True)
+    return g - np.exp(lsm) * row_sum(g, keepdims=True)
 
 
 def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray):
@@ -147,7 +150,7 @@ def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray):
     bit for bit.
     """
     lsm = _log_softmax(logits)
-    vec = np.add.reduce(lsm * targets, axis=1) * -1.0
+    vec = row_sum(lsm * targets) * -1.0
 
     def grad(g) -> np.ndarray:
         g = g * -1.0
@@ -169,7 +172,7 @@ def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec):
     raises NumericalError.
     """
     lsm = _log_softmax(logits)
-    log_pt = np.add.reduce(lsm * hot, axis=1)
+    log_pt = row_sum(lsm * hot)
     pt = np.exp(log_pt)
     one_minus_pt = pt * -1.0 + 1.0
     gamma = float(spec.gamma)

@@ -18,6 +18,10 @@ mlp_predict share and which checks every pre-activation; mlp_backward
 is its closed-form backward and writes the gradients into views of the
 caller's gradient vector. forward_stack runs the same stack on a tape:
 it is the reference the numpy pair is tested against, bit for bit.
+row_max and row_sum are numpy's reductions over the rows of a 2-D
+array, bit for bit, made cheap for the short rows of class scores; the
+closed-form losses, mlp_predict's softmax and the diagnostics reduce
+rows through them, the tape through numpy itself.
 Checkpoints are JSON documents written atomically.
 """
 
@@ -188,17 +192,21 @@ def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, grads: MLPParam
 
     inputs are the layer inputs that mlp_forward returned, cut to the
     layers to run back through. grads holds views of the caller's
-    gradient buffer, shaped like params, and each weight and bias
-    gradient is written into them. Layers below written already hold a
-    gradient from an earlier call and are assigned existing + new, the
-    order in which the tape accumulates fan-out. The other layers are
-    assigned the new gradient, which keeps a -0.0 that adding it into
-    the buffer's zeros would turn into +0.0. Returns the gradient at the
+    gradient buffer, shaped like params. Layers below written already
+    hold a gradient from an earlier call, and the new one is added to it
+    in place: existing + new, the order in which the tape accumulates
+    fan-out. The other layers' gradients are computed straight into
+    their views (out=), which keeps a -0.0 that adding it into the
+    buffer's zeros would turn into +0.0. Returns the gradient at the
     stack input when input_grad, else None.
     """
     for i in reversed(range(len(inputs))):
-        _write(grads.biases[i], np.add.reduce(g, axis=0), i < written)
-        _write(grads.weights[i], inputs[i].T @ g, i < written)
+        if i < written:
+            grads.biases[i] += np.add.reduce(g, axis=0)
+            grads.weights[i] += inputs[i].T @ g
+        else:
+            np.add.reduce(g, axis=0, out=grads.biases[i])
+            np.matmul(inputs[i].T, g, out=grads.weights[i])
         if i == 0 and not input_grad:
             return None
         g = g @ params.weights[i].T
@@ -209,11 +217,41 @@ def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, grads: MLPParam
     return g
 
 
-def _write(out: np.ndarray, g: np.ndarray, accumulate: bool) -> None:
-    if accumulate:
-        np.add(out, g, out=out)
-    else:
-        out[...] = g
+def row_max(x: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(x, axis=1, keepdims=True) of a 2-D array, bit for bit.
+
+    Below 8 columns the rows are reduced by one np.maximum call per
+    column into a copy of column 0, which costs a fraction of numpy's
+    reduce over short rows and takes the columns in its order. From 8
+    columns on, numpy's reduce runs. The one difference is which NaN a
+    row holding NaN gives: numpy's reduce returns a +NaN of its own once
+    a NaN enters its vector registers, whose width depends on the CPU.
+    """
+    if x.shape[1] >= 8:
+        return np.maximum.reduce(x, axis=1, keepdims=True)
+    m = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(m, x[:, j], out=m)
+    return m[:, None]
+
+
+def row_sum(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """np.add.reduce(x, axis=1, keepdims=keepdims) of a 2-D array, bit for bit.
+
+    Below 8 columns the rows are summed by one np.add call per column
+    into column 0 plus +0.0. That is numpy's own order below its
+    8-element pairwise block: sequential, from the +0.0 identity, which
+    turns a row of -0.0 into +0.0. A single row, or 8 columns and more,
+    go to numpy's reduce: on one element an np.add whose out= is its
+    first input runs numpy's reduce loop, which keeps the other
+    operand's NaN when both are NaN.
+    """
+    if x.shape[1] >= 8 or len(x) < 2:
+        return np.add.reduce(x, axis=1, keepdims=keepdims)
+    s = x[:, 0] + 0.0
+    for j in range(1, x.shape[1]):
+        np.add(s, x[:, j], out=s)
+    return s[:, None] if keepdims else s
 
 
 def mlp_predict(params: MLPParams, x: np.ndarray):
@@ -241,9 +279,9 @@ def mlp_predict(params: MLPParams, x: np.ndarray):
     labels = np.empty(len(h), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         probs, inputs = mlp_forward(params, h)
-        np.subtract(probs, probs.max(axis=1, keepdims=True), out=probs)
+        np.subtract(probs, row_max(probs), out=probs)
         np.exp(probs, out=probs)
-        np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs)
+        np.divide(probs, row_sum(probs, keepdims=True), out=probs)
     return probs.argmax(axis=1, out=labels), probs, inputs[-1]
 
 
@@ -301,7 +339,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(f"{path}: checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
+        raise ValueError(f"{path}: unsupported checkpoint format_version {version!r}")
     meta = doc.get("meta", {})
     if not isinstance(doc.get("tensors"), list) or not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint needs a tensors list and a meta object")

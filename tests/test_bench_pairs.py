@@ -1,0 +1,113 @@
+"""tools/bench_pairs.py on canned bench/run.py output; no process is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = ["wall_rel", "peak_rss_mb"]
+
+
+def _stdout(wall_rel, peak=41.97, failed=0, changed="0 of 1 files vs bench/reference.json"):
+    """What bench/run.py prints, cut to the lines the script reads and a few it skips."""
+    result = {"correct": failed == 0, "attempted": 3, "failed": failed, "metrics": {}}
+    return "\n".join([
+        "environment nproc=2 numpy=2.4.6",
+        f"workload ratio_grid seed 0: 3 rounds in 30.0 s, 3 ops, {failed} failed",
+        "calibration loop 7.82 ms (median of 11, min 6.84)",
+        f"outputs_changed {changed}",
+        "metric setup_s = 0.114283 s",
+        f"metric wall_rel = {wall_rel} x",
+        f"metric peak_rss_mb = {peak} MB",
+        "metric error_rate = 0 ratio",
+        json.dumps(result),
+    ]) + "\n"
+
+
+def test_parse_run_reads_the_listed_metrics():
+    got = bench_pairs.parse_run("p", 0, _stdout(116.272, 41.9727), METRICS + ["setup_s"])
+    assert got == {"wall_rel": 116.272, "peak_rss_mb": 41.9727, "setup_s": 0.114283}
+
+
+@pytest.mark.parametrize("code, stdout, message", [
+    (1, _stdout(1.0), "p: exit code 1"),
+    (0, _stdout(1.0, failed=2), "p: 2 failed operations"),
+    (0, _stdout(1.0, changed="3 of 9 files vs bench/reference.json"), "p: outputs_changed 3"),
+    (0, _stdout(1.0, changed="n/a: no reference for seed 40 (9 files)"), "p: outputs_changed n/a:"),
+    (0, _stdout(1.0).replace("metric peak_rss_mb", "metric other"), "p: no metric peak_rss_mb"),
+    (0, "Traceback (most recent call last):\n", "p: no result line"),
+    (0, "", "p: no result line"),
+], ids=["exit", "failed", "changed", "no_reference", "missing_metric", "no_json", "empty"])
+def test_parse_run_stops_on_a_bad_run(code, stdout, message):
+    with pytest.raises(bench_pairs.RunError) as info:
+        bench_pairs.parse_run("p", code, stdout, METRICS)
+    assert str(info.value) == message
+
+
+def test_summary_gives_medians_quartiles_and_pairs_lower():
+    parent = [{"wall_rel": v, "peak_rss_mb": 40.0} for v in (130.0, 140.0, 120.0, 150.0, 135.0)]
+    change = [{"wall_rel": v, "peak_rss_mb": m}
+              for v, m in ((120.0, 40.0), (125.0, 40.5), (121.0, 39.0), (118.0, 40.0), (119.0, 40.0))]
+    lines = bench_pairs.summarize({"parent": parent, "change": change}, METRICS)
+    assert lines == [
+        "wall_rel: parent 135 [130, 140] IQR 10, change 120 [119, 121] IQR 2, "
+        "median -11.1%, change lower in 4/5 pairs",
+        "peak_rss_mb: parent 40 [40, 40] IQR 0, change 40 [40, 40] IQR 0, "
+        "median +0.0%, change lower in 1/5 pairs",
+    ]
+
+
+def test_summary_of_one_pair():
+    lines = bench_pairs.summarize({"parent": [{"wall_rel": 2.0}], "change": [{"wall_rel": 1.0}]},
+                                  ["wall_rel"])
+    assert lines == ["wall_rel: parent 2 [2, 2] IQR 0, change 1 [1, 1] IQR 0, "
+                     "median -50.0%, change lower in 1/1 pairs"]
+
+
+def _checkout(path):
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text("")
+    return path
+
+
+def test_checkouts_at_paths_of_different_length_are_refused(tmp_path):
+    a, b, c = _checkout(tmp_path / "aa"), _checkout(tmp_path / "bb"), _checkout(tmp_path / "ccc")
+    assert bench_pairs.check_checkouts(a, b) == (a.resolve(), b.resolve())
+    with pytest.raises(ValueError, match="differ in length"):
+        bench_pairs.check_checkouts(a, c)
+    with pytest.raises(ValueError, match="has no bench/run.py"):
+        bench_pairs.check_checkouts(a, tmp_path)
+
+
+def test_pairs_alternate_and_stop_at_the_first_bad_run(monkeypatch, tmp_path, capsys):
+    parent, change = _checkout(tmp_path / "pa"), _checkout(tmp_path / "ch")
+    calls = []
+
+    def fake_run_bench(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        return 0, _stdout(100.0 if checkout.name == "pa" else 90.0 + len(calls),
+                          failed=int(len(calls) == 7))
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    argv = [str(parent), str(change), "--workload", "ratio_grid", "--pairs", "3",
+            "--seconds", "2", "--metrics", "wall_rel"]
+    assert bench_pairs.main(argv + ["--seeds", "5"]) == 0
+    assert calls == [(name, "ratio_grid", 5, 2.0) for name in ("pa", "ch", "ch", "pa", "pa", "ch")]
+    out = capsys.readouterr().out
+    assert out == ("ratio_grid seed 5, 3 pairs of 2 s:\n"
+                   "  wall_rel: parent 100 [100, 100] IQR 0, change 93 [92.5, 94.5] IQR 2, "
+                   "median -7.0%, change lower in 3/3 pairs\n")
+
+    # the seventh run, the second seed's first, fails an operation
+    calls.clear()
+    assert bench_pairs.main(argv + ["--seeds", "5", "6"]) == 1
+    assert len(calls) == 7
+    captured = capsys.readouterr()
+    assert "seed 6" not in captured.out
+    assert captured.err.endswith("stopped: parent ratio_grid seed 6 pair 0: 1 failed operations\n")

@@ -505,6 +505,22 @@ def test_boundary_checkpoint_shape_mismatch(tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize("version, message", [
+    (1, "missing tensor ema.mlp.w1 for layer sizes [2, 3, 2]"),
+    (2, "unsupported checkpoint format_version 2"),
+], ids=["missing_tensor", "format_version"])
+def test_checkpoint_errors_name_the_file(tmp_path, capsys, version, message):
+    ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 3, 2], [2, 3, 2])
+    doc = json.loads(ckpt.read_text())
+    doc["format_version"] = version
+    doc["tensors"] = [t for t in doc["tensors"] if t["name"] != "ema.mlp.w1"]
+    ckpt.write_text(json.dumps(doc))
+    code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"config error: {ckpt}: {message}\n")
+    assert not (tmp_path / "g.csv").exists()
+
+
 @pytest.mark.parametrize("sizes", [5, None, [], [2, "3"], [2, 0], [2.0, 3], [2, True]],
                          ids=["int", "missing", "empty", "str", "zero", "float", "bool"])
 def test_boundary_malformed_mlp_sizes(tmp_path, capsys, sizes):

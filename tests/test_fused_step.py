@@ -125,13 +125,15 @@ SHAPES = {
     "one_hidden": ([16], 2, 7, [6, 5]),
     "three_hidden": ([8, 6, 4], 3, 7, [6, 5]),
     "wide": ([64, 64], 5, 128, [12, 10]),
+    # 10 classes: the loss reduces its rows through numpy's reduce
+    "ten_class": ([16], 10, 30, [6, 5]),
 }
 
 
 def _instance(shape: str, method: MethodSpec, ascent: bool, epoch: int, seed: int = 0):
     """(params, example_weights, keyword arguments) of one training-step call."""
     hidden, k, batch, projector = SHAPES[shape]
-    profile = ClassProfile(np.array([40, 12, 3, 2, 1][:k]))
+    profile = ClassProfile(np.array([40, 12, 3, 2, 1, 25, 9, 6, 4, 2][:k]))
     rng = np.random.default_rng(seed)
     mlp_sizes = [2] + hidden + [k]
     proj_sizes = [hidden[-1]] + projector
@@ -368,8 +370,9 @@ def _reference_predict(params: MLPParams, x):
     return probs.argmax(axis=1), probs, penultimate
 
 
-@pytest.mark.parametrize("sizes", [[2, 5], [2, 16, 3], [3, 8, 6, 4, 5]],
-                         ids=["no_hidden", "one_hidden", "three_hidden"])
+@pytest.mark.parametrize("sizes", [[2, 5], [2, 16, 3], [3, 8, 6, 4, 5], [2, 16, 7], [2, 16, 8]],
+                         ids=["no_hidden", "one_hidden", "three_hidden", "seven_classes",
+                              "eight_classes"])
 def test_mlp_predict_is_bitwise_unchanged(sizes):
     params = mlp_init(sizes, seed=11)
     params.biases = [np.random.default_rng(i).normal(size=b.shape) for i, b in enumerate(params.biases)]

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewtrain.autodiff import NumericalError, Tape, check_gradients, reduce_sum
 from skewtrain.models import (
@@ -14,6 +16,8 @@ from skewtrain.models import (
     named_to_mlp,
     pack,
     params_to_named,
+    row_max,
+    row_sum,
     save_checkpoint,
     tensor_bounds,
     unpack,
@@ -156,6 +160,66 @@ def test_predict_of_finite_logits_does_not_warn():
     # elementwise test passes them
     labels, probs, _ = mlp_predict(_stack(([[1.0, 1.0]], [0.0, 0.0])), np.array([[1e308]]))
     assert labels.tolist() == [0] and probs.tolist() == [[0.5, 0.5]]
+
+
+# Values on which a reduction's order shows in its bytes: signed zeros,
+# subnormals, infinities whose sums make NaN, NaNs of both signs and
+# magnitudes that overflow when added.
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+                     np.nan, -np.nan, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0])
+
+
+def _mixed_rows(n, k, extra, offset, seed, specials_only):
+    """An (n, k) array of special and ordinary values, or a column slice of a wider one."""
+    rng = np.random.default_rng(seed)
+    shape = (n, k + extra)
+    ordinary = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    huge = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    values = np.where(rng.random(shape) < 0.5, ordinary, huge)
+    pick = np.ones(shape, dtype=bool) if specials_only else rng.random(shape) < 0.3
+    wide = np.where(pick, rng.choice(_SPECIAL, size=shape), values)
+    return wide[:, offset:offset + k]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(0, 300), k=st.integers(1, 12), extra=st.integers(0, 3), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), specials_only=st.booleans(), view=st.booleans())
+def test_row_reductions_are_numpys_bit_for_bit(n, k, extra, data, seed, specials_only, view):
+    offset = data.draw(st.integers(0, extra))
+    x = _mixed_rows(n, k, extra, offset, seed, specials_only)
+    if not view:
+        x = np.ascontiguousarray(x)
+    with np.errstate(all="ignore"):
+        got, want = row_max(x), np.maximum.reduce(x, axis=1, keepdims=True)
+        assert got.shape == want.shape == (n, 1)
+        # numpy's max reduce may hand back a +NaN of its own (row_max's docstring)
+        assert _nan_as_one(got).tobytes() == _nan_as_one(want).tobytes()
+        for keepdims in (False, True):
+            got, want = row_sum(x, keepdims=keepdims), np.add.reduce(x, axis=1, keepdims=keepdims)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _nan_as_one(a):
+    """a with every NaN, of either sign or any payload, as the one +NaN."""
+    return np.where(np.isnan(a), np.nan, a)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_row_sum_of_negative_zeros_is_positive_zero(k):
+    # numpy sums from the +0.0 identity; a sum started at column 0 would
+    # keep -0.0 here
+    x = np.full((3, k), -0.0)
+    assert np.add.reduce(x, axis=1).tobytes() == np.zeros(3).tobytes()
+    assert row_sum(x).tobytes() == np.zeros(3).tobytes()
+    assert row_sum(x, keepdims=True).tobytes() == np.zeros((3, 1)).tobytes()
+
+
+@pytest.mark.parametrize("row", [[-np.nan, np.nan], [np.nan, -np.nan], [1.0, -np.nan, np.nan]])
+def test_row_sum_of_one_row_keeps_numpys_nan(row):
+    # on one element, an in-place np.add keeps the other operand's NaN
+    x = np.array([row])
+    assert row_sum(x).tobytes() == np.add.reduce(x, axis=1).tobytes()
 
 
 def test_named_round_trip():
