@@ -3,7 +3,7 @@
 Subcommands: curate, train, sweep, boundary, collapse. Exit codes are
 0 on success, 2 for configuration problems (bad flags, bad config
 files or values, paths that cannot be read or written, sizes too large
-to allocate), 3 for runtime failures such as non-finite losses or forwards.
+to allocate), 3 for numerical failures: non-finite losses or forwards.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import logging
-import reprlib
 import sys
 from pathlib import Path
 
@@ -77,13 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_model(args):
     named, meta = load_checkpoint(args.checkpoint)
-    sizes = meta.get("mlp_sizes")
-    if not (isinstance(sizes, list) and sizes and all(type(s) is int and s >= 1 for s in sizes)):
-        raise ConfigError(
-            f"{args.checkpoint}: mlp_sizes must be a list of positive ints, got {reprlib.repr(sizes)}"
-        )
+    prefix = "mlp" if getattr(args, "raw", False) else "ema.mlp"
     try:
-        return named_to_mlp(named, sizes, "mlp" if getattr(args, "raw", False) else "ema.mlp")
+        return named_to_mlp(named, meta.get("mlp_sizes"), prefix)
     except ValueError as exc:
         raise ValueError(f"{args.checkpoint}: {exc}") from None
 
@@ -195,9 +190,6 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -244,7 +244,9 @@ def gen_gaussian_mixture(
 
     The circle lives in the first two feature dimensions; any further
     dimensions carry pure noise around zero. Class k sits at angle
-    2*pi*k/K, so the geometry is deterministic given the sizes.
+    2*pi*k/K, so the geometry is deterministic given the sizes. Class
+    names are zero-padded to the width of K - 1 (class_00 ... class_10 at
+    K = 11), so load_csv, which sorts them, gives each its label id back.
     """
     if num_classes < 2:
         raise ValueError("need at least two classes")
@@ -265,7 +267,8 @@ def gen_gaussian_mixture(
         lo = k * n_per_class
         X[lo:lo + n_per_class] = means[k] + rng.normal(0.0, sigma, size=(n_per_class, dim))
         y[lo:lo + n_per_class] = k
-    names = [f"class_{k}" for k in range(num_classes)]
+    width = len(str(num_classes - 1))
+    names = [f"class_{k:0{width}d}" for k in range(num_classes)]
     return Dataset(X, y, names)
 
 

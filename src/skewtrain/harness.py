@@ -15,13 +15,15 @@ configs are validated exactly like config files.
 The training objective is computed in closed form by one function,
 batch_loss_and_grads, which train_model calls for every step: it runs
 the numpy forward and backward (models.mlp_forward/mlp_backward and the
-losses' *_and_grad forms), checks every pre-activation, the loss and
-the gradient for finiteness, and builds no tape. supervised_loss is the
+losses' *_and_grad forms, handed the adjoint that the example weights
+give), checks every pre-activation, the loss and the gradient for
+finiteness, and builds no tape. supervised_loss is the
 same supervised term on the tape; it is the reference that the numpy
 step and acceptance criterion 1 check against.
 
-Results land as JSON: one file per (config hash, seed), one aggregate
-per config, and per-sweep tables. _jsonify writes every one of them,
+Results land as JSON: per (config hash, seed) one file and one
+checkpoint, which models.save_model names and writes; one aggregate per
+config; and per-sweep tables. _jsonify writes all but the checkpoints,
 and a report's document is its dataclass fields; only a document that
 adds or drops values (a trial, an aggregate, a ratio grid) is built by
 a to_dict. Aggregates report per-seed values, their mean, and the
@@ -86,7 +88,7 @@ from .models import (
     mlp_predict,
     named_to_mlp,
     pack,
-    params_to_named,
+    save_model,
     tensor_bounds,
     unpack,
 )
@@ -491,13 +493,6 @@ class TrainedModel:
     def eval_mlp(self):
         return unpack(self.ema if self.use_ema_eval else self.raw, self.sizes)[0]
 
-    def checkpoint_named(self) -> dict[str, np.ndarray]:
-        named = {}
-        for prefix, vec in (("", self.raw), ("ema.", self.ema)):
-            for stack, name in zip(unpack(vec, self.sizes), ("mlp", "proj")):
-                named.update(params_to_named(stack, prefix + name))
-        return named
-
 
 @dataclass
 class TrialResult:
@@ -589,10 +584,6 @@ def supervised_loss_and_grad(
     at this term (lam in the joint objective). Value and gradient match
     the tape bit for bit.
     """
-    if method.loss == "focal":
-        vec, vec_grad = focal_and_grad(logits, targets, method.focal)
-    else:
-        vec, vec_grad = cross_entropy_and_grad(logits, targets)
     reweight = method.loss == "reweighted" and epoch >= method.reweight.defer_epoch
     # The tape weights each example by 1.0 where nothing reweights; x * 1.0
     # is x bit for bit, so here a missing weight is not multiplied in.
@@ -602,12 +593,14 @@ def supervised_loss_and_grad(
     else:
         w = example_weights if w is None else w * example_weights
         inv_total = 1.0 / float(np.add.reduce(example_weights))
-    if w is None:
-        # One adjoint for every example: a scalar, which scales each
-        # product exactly as a vector of copies of it would.
-        return np.add.reduce(vec) * inv_total, vec_grad(adjoint * inv_total)
-    loss = np.add.reduce(vec * w) * inv_total
-    return loss, vec_grad(adjoint * inv_total * w)
+    # Without weights every example has one adjoint: a scalar, which
+    # scales each product exactly as a vector of copies of it would.
+    g = adjoint * inv_total if w is None else adjoint * inv_total * w
+    if method.loss == "focal":
+        vec, g_logits = focal_and_grad(logits, targets, method.focal, g)
+    else:
+        vec, g_logits = cross_entropy_and_grad(logits, targets, g)
+    return np.add.reduce(vec if w is None else vec * w) * inv_total, g_logits
 
 
 class StepPlan:
@@ -791,10 +784,8 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
                 ema_update(ema, theta, config.ema_decay, scratch)
         if not track_train_acc:
             continue
-        preds, _, _ = _predict(plan.stacks(theta)[0], train_split,
-                               f"training diverged at epoch {epoch}, predicting the train split "
-                               f"(seed {seed})")
-        acc = float((preds == train_split.y).mean())
+        acc = _accuracy(plan.stacks(theta)[0], train_split,
+                        f"training diverged at epoch {epoch}, predicting the train split (seed {seed})")
         trajectory.append(acc)
         logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)
         if epochs_to_full_fit is None and acc == 1.0:
@@ -820,6 +811,12 @@ def _predict(mlp: MLPParams, split: Dataset, stage: str):
         return mlp_predict(mlp, split.X)
     except NumericalError as exc:
         raise NumericalError(f"{stage}: {exc}") from exc
+
+
+def _accuracy(mlp: MLPParams, split: Dataset, stage: str) -> float:
+    """The share of split that mlp labels correctly; errors as _predict's."""
+    preds, _, _ = _predict(mlp, split, stage)
+    return float((preds == split.y).mean())
 
 
 def evaluate_model(model: TrainedModel, test_split: Dataset) -> tuple[MetricsReport, CollapseReport]:
@@ -974,19 +971,11 @@ def run_all_seeds(config: ExperimentConfig, out_dir=None) -> AggregateResult:
 
 
 def _write_trial(result: TrialResult, run_dir: Path) -> None:
-    # Imported at call time: bench/tracing.py rebinds models.save_checkpoint.
-    from .models import save_checkpoint
-
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_json(run_dir / f"seed_{result.seed}.json", result.to_dict())
-    sizes = result.model.sizes
-    meta = {
-        "mlp_sizes": sizes[0],
-        "proj_sizes": sizes[1] if len(sizes) > 1 else None,
-        "config_hash": result.config_hash,
-        "seed": result.seed,
-    }
-    save_checkpoint(run_dir / f"checkpoint_seed_{result.seed}.json", result.model.checkpoint_named(), meta)
+    model = result.model
+    save_model(run_dir / f"checkpoint_seed_{result.seed}.json", model.sizes, model.raw, model.ema,
+               config_hash=result.config_hash, seed=result.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,22 +1017,14 @@ class SweepResult:
     improvement_variance: float
 
     def to_csv(self, path) -> None:
-        cols = ["value", "overall_mean", "overall_stderr", "minority_mean", "minority_stderr",
-                "majority_mean", "majority_stderr", "percent_improvement"]
+        stats = [(metric, stat) for metric in ("overall", "minority", "majority")
+                 for stat in ("mean", "stderr")]
         with atomic_write(path) as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
+            writer.writerow(["value"] + [f"{m}_{s}" for m, s in stats] + ["percent_improvement"])
             for row in self.rows:
-                writer.writerow([
-                    row.value,
-                    repr(row.aggregates["overall"].mean),
-                    repr(row.aggregates["overall"].stderr),
-                    repr(row.aggregates["minority"].mean),
-                    repr(row.aggregates["minority"].stderr),
-                    repr(row.aggregates["majority"].mean),
-                    repr(row.aggregates["majority"].stderr),
-                    repr(row.percent_improvement),
-                ])
+                cells = [repr(getattr(row.aggregates[m], s)) for m, s in stats]
+                writer.writerow([row.value] + cells + [repr(row.percent_improvement)])
 
 
 def run_sweep(
@@ -1219,10 +1200,9 @@ def run_ratio_grid(
             split = curate_train_split(cfg, train_pool, seed)
             mlp = train_model(cfg, seed, split, track_train_acc=False).eval_mlp()
             for test_cfg, test_split in zip(test_cfgs, test_splits):
-                preds, _, _ = _predict(mlp, test_split,
-                                       f"evaluation failed predicting the test split (seed {seed}, "
-                                       f"r_train {cfg.r_train}, r_test {test_cfg.r_test})")
-                grid[(cfg.r_train, test_cfg.r_test)] = float((preds == test_split.y).mean())
+                grid[(cfg.r_train, test_cfg.r_test)] = _accuracy(
+                    mlp, test_split, f"evaluation failed predicting the test split (seed {seed}, "
+                                     f"r_train {cfg.r_train}, r_test {test_cfg.r_test})")
         per_seed.append(grid)
     mean_grid = {
         key: float(np.mean([g[key] for g in per_seed])) for key in per_seed[0]

@@ -7,14 +7,15 @@ weights for the reweighted loss, its deferral epoch and the SAM ascent
 weights, lives in harness. vicreg_loss and joint_loss are the
 self-supervised term and the joint objective ssl + lam * supervised.
 
-Training uses the closed-form numpy forms: cross_entropy_and_grad,
-focal_and_grad and vicreg_and_grads. They repeat the tape's operations
-in its order, and their backward passes walk the tape's reverse node
-order, so values and gradients match the tape bit for bit. Their row
-reductions go through models.row_max and row_sum, which are numpy's
-reductions, bit for bit, made cheap for short rows. The tape forms
-(cross_entropy_vec, focal_vec, vicreg_loss, joint_loss) are the
-reference those are tested against.
+Training uses the closed-form numpy forms: cross_entropy_and_grad and
+focal_and_grad, which take the adjoint of their losses, and
+vicreg_and_grads, whose adjoint is 1. Each returns values and gradients
+together. They repeat the tape's operations in its order, and their
+backward passes walk the tape's reverse node order, so values and
+gradients match the tape bit for bit. Their row reductions go through
+models.row_max and row_sum, numpy's reductions bit for bit, made cheap
+for short rows. The tape forms (cross_entropy_vec, focal_vec,
+vicreg_loss, joint_loss) are the reference those are tested against.
 
 Class-conditional label smoothing has two modes because the source
 material is ambiguous about direction: `paper_formula` uses
@@ -141,30 +142,25 @@ def _log_softmax_grad(g: np.ndarray, lsm: np.ndarray) -> np.ndarray:
     return g - np.exp(lsm) * row_sum(g, keepdims=True)
 
 
-def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray):
-    """Numpy cross_entropy_vec: (per-example losses, grad).
+def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray, g):
+    """Numpy cross_entropy_vec: (per-example losses, logit gradient).
 
-    grad maps the adjoint of the (B,) losses to the logit gradient. The
-    adjoint is a (B,) vector or, when every example has the same one, a
-    scalar: each product is the same either way, so the gradients match
-    bit for bit.
+    g is the adjoint of the (B,) losses: a (B,) vector or, when every
+    example has the same one, a scalar. Each product is the same either
+    way, so the gradients match bit for bit.
     """
     lsm = _log_softmax(logits)
     vec = row_sum(lsm * targets) * -1.0
-
-    def grad(g) -> np.ndarray:
-        g = g * -1.0
-        if isinstance(g, np.ndarray):
-            g = g[:, None]
-        return _log_softmax_grad(g * targets, lsm)
-
-    return vec, grad
+    g = g * -1.0
+    if isinstance(g, np.ndarray):
+        g = g[:, None]
+    return vec, _log_softmax_grad(g * targets, lsm)
 
 
-def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec):
-    """Numpy focal_vec: (per-example losses, grad), as cross_entropy_and_grad.
+def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec, g):
+    """Numpy focal_vec: (per-example losses, logit gradient), as cross_entropy_and_grad.
 
-    The adjoint may be a scalar here too. hot holds the one-hot rows of
+    The adjoint g may be a scalar here too. hot holds the one-hot rows of
     the labels. The power-rule term g * -log p_t * gamma *
     (1 - p_t)^(gamma - 1) is 0 where g * -log p_t is 0, as on the tape:
     with gamma < 1 the power is infinite once p_t rounds to 1, where
@@ -178,22 +174,17 @@ def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec):
     gamma = float(spec.gamma)
     weight = np.power(one_minus_pt, gamma)
     neg_log_pt = log_pt * -1.0
-    vec = weight * neg_log_pt
-
-    def grad(g) -> np.ndarray:
-        if gamma == 0.0:
-            g_base = np.zeros_like(one_minus_pt)
-        else:
-            g_pow = g * neg_log_pt
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = np.power(one_minus_pt, gamma - 1.0)
-                g_base = np.where(g_pow == 0.0, g_pow * gamma, g_pow * gamma * slope)
-        if not np.logical_and.reduce(np.isfinite(g_base)):
-            raise NumericalError("non-finite focal power-rule gradient")
-        g_log_pt = g * weight * -1.0 + g_base * -1.0 * pt
-        return _log_softmax_grad(g_log_pt[:, None] * hot, lsm)
-
-    return vec, grad
+    if gamma == 0.0:
+        g_base = np.zeros_like(one_minus_pt)
+    else:
+        g_pow = g * neg_log_pt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.power(one_minus_pt, gamma - 1.0)
+            g_base = np.where(g_pow == 0.0, g_pow * gamma, g_pow * gamma * slope)
+    if not np.logical_and.reduce(np.isfinite(g_base)):
+        raise NumericalError("non-finite focal power-rule gradient")
+    g_log_pt = g * weight * -1.0 + g_base * -1.0 * pt
+    return weight * neg_log_pt, _log_softmax_grad(g_log_pt[:, None] * hot, lsm)
 
 
 def cross_entropy_vec(tape: Tape, logits: Var, targets: np.ndarray) -> Var:

@@ -10,9 +10,10 @@ serve both.
 
 Training keeps the parameters in one float64 vector whose layout this
 module alone owns (pack, unpack, tensor_bounds). Names ({prefix.w0,
-prefix.b0, ...}) exist only at the edges: params_to_named names a stack
-for a checkpoint, and named_to_mlp builds one from outside input, such
-as a checkpoint, and checks every tensor's shape first.
+prefix.b0, ...}) exist only at the edges: save_model writes a trained
+model's checkpoint, and named_to_mlp builds a stack from outside input,
+such as a checkpoint, and checks every tensor's shape first. This module
+alone writes checkpoints and decides what a valid list of layer sizes is.
 There is one forward, the numpy mlp_forward, which training and
 mlp_predict share and which checks every pre-activation; mlp_backward
 is its closed-form backward and writes the gradients into views of the
@@ -54,12 +55,18 @@ class MLPParams:
     biases: list[np.ndarray]
 
 
+def _check_sizes(layer_sizes) -> None:
+    """ValueError unless layer_sizes is a list of at least two positive ints, bools not among them."""
+    if not (isinstance(layer_sizes, list) and len(layer_sizes) >= 2
+            and all(type(s) is int and s >= 1 for s in layer_sizes)):
+        raise ValueError(
+            f"layer sizes must be a list of at least two positive ints, got {reprlib.repr(layer_sizes)}"
+        )
+
+
 def mlp_init(layer_sizes: list[int], seed: int) -> MLPParams:
     """Seeded He-normal init: weights N(0, 2/fan_in), biases zero."""
-    if len(layer_sizes) < 2:
-        raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
-    if any(s < 1 for s in layer_sizes):
-        raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
+    _check_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -111,12 +118,11 @@ def tensor_bounds(sizes) -> list[tuple[int, int]]:
 def named_to_mlp(named: dict[str, np.ndarray], layer_sizes: list[int], prefix: str = "mlp") -> MLPParams:
     """Rebuild a stack from {prefix.w0, prefix.b0, ...}; other keys are ignored.
 
-    A missing tensor, or one whose shape disagrees with layer_sizes,
-    raises ValueError naming it in full; sizes and shapes are shortened
-    (reprlib).
+    Layer sizes other than a list of at least two positive ints, a
+    missing tensor, or one whose shape disagrees with layer_sizes, raise
+    ValueError naming it in full; sizes and shapes are shortened (reprlib).
     """
-    if len(layer_sizes) < 2:
-        raise ValueError(f"need at least input and output sizes, got {layer_sizes}")
+    _check_sizes(layer_sizes)
     pairs = list(enumerate(zip(layer_sizes[:-1], layer_sizes[1:])))
     wanted = [(f"{prefix}.w{i}", (fan_in, fan_out)) for i, (fan_in, fan_out) in pairs]
     wanted += [(f"{prefix}.b{i}", (fan_out,)) for i, (_, fan_out) in pairs]
@@ -321,6 +327,21 @@ def save_checkpoint(path, named: dict[str, np.ndarray], meta: dict | None = None
     }
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc))
+
+
+def save_model(path, sizes, raw: np.ndarray, ema: np.ndarray, **meta) -> None:
+    """Write a trained model's checkpoint: its raw and EMA vectors in pack's layout of sizes.
+
+    The tensors are named {"", "ema."} x {"mlp", "proj"} + .w0, .b0, ...;
+    the meta keys are mlp_sizes, proj_sizes (None without a projector),
+    then the caller's, in that order.
+    """
+    named = {}
+    for prefix, vec in (("", raw), ("ema.", ema)):
+        for stack, name in zip(unpack(vec, sizes), ("mlp", "proj")):
+            named.update(params_to_named(stack, prefix + name))
+    proj_sizes = sizes[1] if len(sizes) > 1 else None
+    save_checkpoint(path, named, {"mlp_sizes": sizes[0], "proj_sizes": proj_sizes, **meta})
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewtrain
-from skewtrain import harness
+from skewtrain import cli, harness
 from skewtrain.cli import _build_parser, main
 from skewtrain.data import Dataset, gen_gaussian_mixture, load_csv, save_csv
 from skewtrain.diagnostics import boundary_grid
@@ -171,6 +171,18 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert code == 3
     assert "training diverged at epoch" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_a_bare_runtime_error_is_a_bug_and_propagates(tmp_path, monkeypatch):
+    # Only NumericalError is a runtime condition (exit 3); any other
+    # RuntimeError is a bug and keeps its traceback.
+    def broken(args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "train", broken)
+    cfg = _write_config(tmp_path / "cfg.json")
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")])
 
 
 @pytest.mark.parametrize("override", [
@@ -521,13 +533,15 @@ def test_checkpoint_errors_name_the_file(tmp_path, capsys, version, message):
     assert not (tmp_path / "g.csv").exists()
 
 
-@pytest.mark.parametrize("sizes", [5, None, [], [2, "3"], [2, 0], [2.0, 3], [2, True]],
-                         ids=["int", "missing", "empty", "str", "zero", "float", "bool"])
+@pytest.mark.parametrize("sizes", [5, None, [], [5], [2, "3"], [2, 0], [2.0, 3], [2, True]],
+                         ids=["int", "missing", "empty", "one", "str", "zero", "float", "bool"])
 def test_boundary_malformed_mlp_sizes(tmp_path, capsys, sizes):
     ckpt = _stack_checkpoint(tmp_path / "ckpt.json", [2, 3], sizes)
     code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
     assert code == 2
-    assert "mlp_sizes must be a list of positive ints" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"config error: {ckpt}: layer sizes must be a list of at least two positive ints, got {sizes!r}\n"
+    )
     assert not (tmp_path / "g.csv").exists()
 
 
@@ -686,7 +700,8 @@ def test_deeply_nested_config_value_is_shortened(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sizes, field", [
-    (json.loads("[" * 950 + "]" * 950), "mlp_sizes must be a list of positive ints"),
+    (json.loads("[" * 950 + "]" * 950),
+     "layer sizes must be a list of at least two positive ints, got [[[[[[[...]]]]]]]"),
     ([2, 5] + [3] * 5000, "missing tensor ema.mlp.w2 for layer sizes [2, 5, 3, 3, 3, 3, ...]"),
 ], ids=["nested", "long"])
 def test_huge_checkpoint_sizes_are_shortened(tmp_path, capsys, sizes, field):
@@ -694,7 +709,7 @@ def test_huge_checkpoint_sizes_are_shortened(tmp_path, capsys, sizes, field):
     code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv")])
     assert code == 2
     err = capsys.readouterr().err.strip()
-    assert field in err
+    assert err.startswith(f"config error: {ckpt}: ") and field in err
     assert len(err) < 200 + len(str(ckpt))
 
 

@@ -388,6 +388,22 @@ def test_gaussian_mixture_layout():
     npt.assert_allclose(m1[:2], [0.0, 10.0], atol=0.3)
 
 
+@pytest.mark.parametrize("k", [2, 10])
+def test_gaussian_mixture_names_up_to_ten_classes_are_unpadded(k):
+    assert gen_gaussian_mixture(k, 1).class_names == [f"class_{i}" for i in range(k)]
+
+
+@pytest.mark.parametrize("k", [11, 101])
+def test_gaussian_mixture_csv_round_trip_keeps_every_label_past_ten_classes(tmp_path, k):
+    # load_csv sorts the names: class_10 before class_2 unless padded
+    ds = gen_gaussian_mixture(k, 3, seed=0)
+    assert ds.class_names[:3] == ["class_" + str(i).zfill(len(str(k - 1))) for i in range(3)]
+    save_csv(tmp_path / "mix.csv", ds)
+    back = load_csv(tmp_path / "mix.csv", "label")
+    assert back.class_names == ds.class_names
+    assert back.y.tobytes() == ds.y.tobytes()
+
+
 def test_gaussian_mixture_seed_determinism():
     a = gen_gaussian_mixture(3, 10, seed=4)
     b = gen_gaussian_mixture(3, 10, seed=4)

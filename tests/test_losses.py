@@ -448,11 +448,12 @@ def test_a_scalar_adjoint_gives_the_vector_adjoints_gradient_bytes(loss, adjoint
     labels = np.arange(7) % 3
     profile = ClassProfile(np.array([40, 12, 3]))
     if loss.startswith("focal"):
-        _, grad = focal_and_grad(logits, one_hot(labels, 3), FocalSpec(gamma=float(loss[6:])))
+        fn, args = focal_and_grad, (logits, one_hot(labels, 3), FocalSpec(gamma=float(loss[6:])))
     elif loss == "smoothed":
-        _, grad = cross_entropy_and_grad(logits, smoothed_targets(labels, profile, SmoothingSpec()))
+        fn, args = cross_entropy_and_grad, (logits, smoothed_targets(labels, profile, SmoothingSpec()))
     else:
-        _, grad = cross_entropy_and_grad(logits, one_hot(labels, 3))
-    got, want = grad(adjoint), grad(np.full(7, adjoint))
+        fn, args = cross_entropy_and_grad, (logits, one_hot(labels, 3))
+    (vec, got), (vec_of_vector, want) = fn(*args, adjoint), fn(*args, np.full(7, adjoint))
     assert got.shape == want.shape == logits.shape
     assert got.tobytes() == want.tobytes()
+    assert vec.tobytes() == vec_of_vector.tobytes()

@@ -19,6 +19,7 @@ from skewtrain.models import (
     row_max,
     row_sum,
     save_checkpoint,
+    save_model,
     tensor_bounds,
     unpack,
 )
@@ -304,6 +305,32 @@ def test_named_to_mlp_rejects_shape_mismatch():
     named["mlp.b1"] = np.zeros(4)
     with pytest.raises(ValueError, match="mlp.b1"):
         named_to_mlp(named, [2, 4, 3])
+
+
+@pytest.mark.parametrize("sizes, tensor_sizes", [
+    ([2.0, 3], [2, 3]), ([2, True], [2, 1]), ([5], [5, 1]), (None, [2, 3]), ("23", [2, 3]),
+], ids=["float", "bool", "one", "none", "str"])
+def test_layer_sizes_must_be_a_list_of_at_least_two_positive_ints(sizes, tensor_sizes):
+    # (2, 3) == (2.0, 3) and (2, 1) == (2, True): the tensors fit, the types do not
+    named = params_to_named(mlp_init(tensor_sizes, seed=0), "mlp")
+    message = f"layer sizes must be a list of at least two positive ints, got {sizes!r}"
+    for build in (lambda: named_to_mlp(named, sizes), lambda: mlp_init(sizes, seed=0)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_save_model_writes_raw_and_ema_under_their_names(tmp_path):
+    sizes = [[2, 4, 3]]
+    raw = pack([mlp_init(sizes[0], seed=0)])
+    ema = raw * 0.5
+    save_model(tmp_path / "m.json", sizes, raw, ema, seed=7, note="x")
+    named, meta = load_checkpoint(tmp_path / "m.json")
+    assert list(meta.items()) == [("mlp_sizes", [2, 4, 3]), ("proj_sizes", None), ("seed", 7),
+                                  ("note", "x")]
+    assert list(named) == sorted(f"{p}mlp.{k}{i}" for p in ("", "ema.") for k in "wb" for i in (0, 1))
+    assert pack([named_to_mlp(named, sizes[0])]).tobytes() == raw.tobytes()
+    assert pack([named_to_mlp(named, sizes[0], "ema.mlp")]).tobytes() == ema.tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path):
