@@ -117,9 +117,10 @@ def load_csv(path, label_col: str) -> Dataset:
     Malformed rows, non-finite values (inf, nan, 1e400) and records the
     csv module rejects (a cell over its field_size_limit) are reported
     with the line their record starts on, one past reader.line_num after
-    the record before it (a quoted cell may span lines). The file is read
-    once, so it may be a pipe; a non-finite value is reported only when
-    nothing else in the file failed, at any block size.
+    the record before it (a quoted cell may span lines); text that does
+    not decode, with the path alone (it is decoded a chunk at a time).
+    The file is read once, so it may be a pipe; a non-finite value is
+    reported only when nothing else in the file failed, at any block size.
 
     At most BLOCK_ROWS rows are held as Python objects: each block's
     floats become one float64 array, and each label is kept as the code
@@ -127,47 +128,50 @@ def load_csv(path, label_col: str) -> Dataset:
     table is held as about 8 * (d + 1) bytes per row plus one block, and
     for a moment twice its X while the blocks are joined.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise ValueError(f"{path}:1: {exc}") from None
-        if label_col not in header:
-            raise ValueError(f"{path}: no column named {label_col!r} in header {header}")
-        if header.count(label_col) > 1:
-            raise ValueError(f"{path}: column {label_col!r} appears more than once in header {header}")
-        label_idx = header.index(label_col)
-        columns = header[:label_idx] + header[label_idx + 1:]
-        if not columns:
-            raise ValueError(f"{path}: no feature columns besides {label_col!r}")
-        # feats, cells, starts and codes hold the current block's floats, their
-        # text, each row's first line and label codes; first_seen numbers the
-        # labels in the order they first appear.
-        width = len(header)
-        blocks, feats, cells, starts, codes, first_seen, end = [], [], [], [], [], {}, reader.line_num
-        try:
-            for row in reader:
-                start, end = end + 1, reader.line_num
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise ValueError(f"{path}:{start}: expected {width} fields, got {len(row)}")
-                label = row.pop(label_idx)
-                try:
-                    feats.extend(map(float, row))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{start}: non-numeric feature value ({exc})") from None
-                cells.extend(row)
-                starts.append(start)
-                codes.append(first_seen.setdefault(label, len(first_seen)))
-                if len(codes) == BLOCK_ROWS:
-                    blocks.append(_block(feats, cells, starts, codes, columns))
-                    feats, cells, starts, codes = [], [], [], []
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{end + 1}: {exc}") from None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
+            except csv.Error as exc:
+                raise ValueError(f"{path}:1: {exc}") from None
+            if label_col not in header:
+                raise ValueError(f"{path}: no column named {label_col!r} in header {header}")
+            if header.count(label_col) > 1:
+                raise ValueError(f"{path}: column {label_col!r} appears more than once in header {header}")
+            label_idx = header.index(label_col)
+            columns = header[:label_idx] + header[label_idx + 1:]
+            if not columns:
+                raise ValueError(f"{path}: no feature columns besides {label_col!r}")
+            # feats, cells, starts and codes hold the current block's floats, their
+            # text, each row's first line and label codes; first_seen numbers the
+            # labels in the order they first appear.
+            width = len(header)
+            blocks, feats, cells, starts, codes, first_seen, end = [], [], [], [], [], {}, reader.line_num
+            try:
+                for row in reader:
+                    start, end = end + 1, reader.line_num
+                    if not row:
+                        continue
+                    if len(row) != width:
+                        raise ValueError(f"{path}:{start}: expected {width} fields, got {len(row)}")
+                    label = row.pop(label_idx)
+                    try:
+                        feats.extend(map(float, row))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{start}: non-numeric feature value ({exc})") from None
+                    cells.extend(row)
+                    starts.append(start)
+                    codes.append(first_seen.setdefault(label, len(first_seen)))
+                    if len(codes) == BLOCK_ROWS:
+                        blocks.append(_block(feats, cells, starts, codes, columns))
+                        feats, cells, starts, codes = [], [], [], []
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{end + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: cannot decode the text ({exc})") from None
     if codes:
         blocks.append(_block(feats, cells, starts, codes, columns))
     if not blocks:

@@ -74,10 +74,7 @@ def metrics_report(predictions: np.ndarray, labels: np.ndarray, profile: ClassPr
     if labels.max() >= k or labels.min() < 0:
         raise ValueError(f"labels outside [0, {k})")
     correct = (predictions == labels).astype(np.float64)
-    per_class = []
-    for c in range(k):
-        mask = labels == c
-        per_class.append(float(correct[mask].mean()) if np.any(mask) else float("nan"))
+    per_class = [_group_accuracy(correct, labels, [c]) for c in range(k)]
     minority, majority = minority_majority_split(profile)
     counts = profile.counts
     few = [c for c in range(k) if counts[c] <= FEW_SHOT_MAX]
@@ -245,6 +242,14 @@ def check_bounds(bounds) -> tuple[float, float, float, float]:
     return x_min, x_max, y_min, y_max
 
 
+def _cell_points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The grid's cells as (len(xs) * len(ys), 2) points, x outer: row i * len(ys) + j is cell (i, j)."""
+    points = np.empty((xs.size, ys.size, 2))
+    points[:, :, 0] = xs[:, None]
+    points[:, :, 1] = ys
+    return points.reshape(-1, 2)
+
+
 def boundary_grid(
     params: MLPParams,
     bounds: tuple[float, float, float, float],
@@ -258,9 +263,7 @@ def boundary_grid(
         raise ValueError("resolution must be >= 2")
     xs = np.linspace(x_min, x_max, resolution)
     ys = np.linspace(y_min, y_max, resolution)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    points = np.column_stack([gx.reshape(-1), gy.reshape(-1)])
-    labels, probs, _ = mlp_predict(params, points)
+    labels, probs, _ = mlp_predict(params, _cell_points(xs, ys))
     return BoundaryGrid(
         bounds=(x_min, x_max, y_min, y_max),
         resolution=resolution,
@@ -303,10 +306,7 @@ def minority_margin(grid: BoundaryGrid, points: np.ndarray) -> MarginReport:
     r = grid.resolution
     step_x = (x_max - x_min) / (r - 1)
     step_y = (y_max - y_min) / (r - 1)
-    cell_pts = np.column_stack([
-        np.repeat(grid.xs, r),
-        np.tile(grid.ys, r),
-    ])
+    cell_pts = _cell_points(grid.xs, grid.ys)
     flat_labels = grid.labels.reshape(-1)
     others = {}  # label -> coordinates of the cells labeled otherwise
     margins = np.empty(points.shape[0])

@@ -6,11 +6,13 @@ derived from the seed through named SeedSequence children, so repeated
 runs are bit-identical and results files can be regenerated at will.
 
 Method presets and sweep axes are data: _PRESETS maps each preset to
-method overrides and AXES maps each sweep axis to its value type and
-overrides. Every derived config (a preset, a sweep value, a ratio-grid
-cell) goes through derive_config, which merges the overrides into the
-config's dict form and rebuilds it with config_from_dict, so derived
-configs are validated exactly like config files.
+method overrides, and AXES maps each sweep axis to its value type, its
+overrides and run_sweep's defaults (baseline, improvement mode). Every
+derived config (a preset, a sweep value, a ratio-grid cell) goes
+through derive_config, which merges the overrides into the config's
+dict form and rebuilds it with config_from_dict, so derived configs are
+validated exactly like config files. _axis_values checks a sweep's
+values and each of the ratio grid's lists, so neither trains a duplicate.
 
 The training objective is computed in closed form by one function,
 batch_loss_and_grads, which train_model calls for every step: it runs
@@ -288,7 +290,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(doc)
 
@@ -353,16 +355,18 @@ def apply_method(config: ExperimentConfig, name: str) -> ExperimentConfig:
 class SweepAxis(typing.NamedTuple):
     type: type  # what a value is parsed as
     overrides: typing.Callable[[ExperimentConfig, object], dict]
+    baseline: object = None  # run_sweep's default baseline when among the values
+    improvement_mode: str = "relative_to_baseline"  # run_sweep's default
 
 
 # r_train and n_majority each clear the other curation field, since a
 # config may set only one of them.
 AXES = {
-    "batch_size": SweepAxis(int, lambda cfg, v: {"train": {"batch_size": v}}),
+    "batch_size": SweepAxis(int, lambda cfg, v: {"train": {"batch_size": v}}, 128, "paper_a1"),
     "r_train": SweepAxis(float, lambda cfg, v: {"r_train": v, "majority_size": None}),
     "r_test": SweepAxis(float, lambda cfg, v: {"r_test": v}),
     "n_majority": SweepAxis(int, lambda cfg, v: {"majority_size": v, "r_train": None}),
-    "method": SweepAxis(str, _preset_overrides),
+    "method": SweepAxis(str, _preset_overrides, "erm"),
 }
 SWEEP_AXES = tuple(AXES)
 
@@ -384,6 +388,16 @@ def _axis_value(axis: str, value):
         return kind(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{axis} value {value!r}: {exc}") from exc
+
+
+def _axis_values(axis: str, values) -> list:
+    """Each value cast by _axis_value; ConfigError for an empty list or two that cast equal."""
+    values = [_axis_value(axis, value) for value in values]
+    if not values:
+        raise ConfigError(f"{axis}: sweep values must be a non-empty list")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{axis}: duplicate sweep values {values}")
+    return values
 
 
 def axis_config(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
@@ -1038,34 +1052,25 @@ def run_sweep(
     """Vary one axis, aggregate per value, and tabulate improvements.
 
     The improvement column compares each row's mean overall accuracy to
-    the baseline row (batch size 128 when sweeping batch_size and it is
-    present, the erm preset when sweeping methods, else the first
-    value). The baseline row's improvement is exactly zero by
-    construction. improvement_variance is the sample variance of the
-    improvement column.
+    the baseline row (by default the axis's AXES baseline if it is among
+    the values, else the first value; the mode defaults per axis too).
+    The baseline row's improvement is exactly zero by construction.
+    improvement_variance is the sample variance of the improvement column.
 
     Values are cast to the axis type first, so duplicates are found
     among the cast values (r_test 1 and 1.0 are one value). Every
     value's config is derived and validated before any training, so a
     bad value raises ConfigError and leaves nothing written.
     """
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    values = [_axis_value(axis, value) for value in values]
-    if len(set(values)) != len(values):
-        raise ConfigError(f"duplicate sweep values {values}")
+    values = _axis_values(axis, values)
+    defaults = AXES[axis]
     if baseline is None:
-        if axis == "batch_size" and 128 in values:
-            baseline = 128
-        elif axis == "method" and "erm" in values:
-            baseline = "erm"
-        else:
-            baseline = values[0]
+        baseline = defaults.baseline if defaults.baseline in values else values[0]
     baseline = _axis_value(axis, baseline)
     if baseline not in values:
         raise ConfigError(f"baseline {baseline!r} is not among the sweep values")
     if improvement_mode is None:
-        improvement_mode = "paper_a1" if axis == "batch_size" else "relative_to_baseline"
+        improvement_mode = defaults.improvement_mode
     if improvement_mode not in IMPROVEMENT_MODES:
         raise ConfigError(f"improvement_mode must be one of {IMPROVEMENT_MODES}")
 
@@ -1073,19 +1078,15 @@ def run_sweep(
     per_value = {value: run_all_seeds(cfg, out_dir=out_dir) for value, cfg in zip(values, configs)}
     base_acc = per_value[baseline].aggregates["overall"].mean
     rows = []
-    for value in values:
-        agg = per_value[value]
+    for value, agg in per_value.items():
         acc = agg.aggregates["overall"].mean
-        if value == baseline:
-            imp = 0.0
-        else:
-            imp = percent_improvement(acc, base_acc, improvement_mode)
+        imp = 0.0 if value == baseline else percent_improvement(acc, base_acc, improvement_mode)
         rows.append(SweepRow(value=value, aggregates=agg.aggregates, percent_improvement=imp))
     imps = [r.percent_improvement for r in rows]
     variance = float(np.var(imps, ddof=1)) if len(imps) > 1 else 0.0
     result = SweepResult(
         axis=axis,
-        values=list(values),
+        values=values,
         baseline=baseline,
         improvement_mode=improvement_mode,
         rows=rows,
@@ -1108,6 +1109,14 @@ def _best_train_ratio(grid: dict[tuple[float, float], float], rt: float) -> floa
     return min(candidates, key=lambda p: (-p[1], abs(p[0] - rt), p[0]))[0]
 
 
+def _mean_gap(grid: dict[tuple[float, float], float], where) -> float:
+    """Mean |where(best training ratio) - where(test ratio)| over the grid's test ratios."""
+    if not grid:
+        raise ValueError("empty accuracy grid")
+    test_ratios = sorted({rt for (_, rt) in grid})
+    return float(np.mean([abs(where(_best_train_ratio(grid, rt)) - where(rt)) for rt in test_ratios]))
+
+
 def misalignment(grid: dict[tuple[float, float], float]) -> float:
     """Mean |best training ratio - test ratio| over the test ratios.
 
@@ -1115,10 +1124,7 @@ def misalignment(grid: dict[tuple[float, float], float]) -> float:
     best training ratio maximizes accuracy (see _best_train_ratio for
     the tie-break).
     """
-    if not grid:
-        raise ValueError("empty accuracy grid")
-    test_ratios = sorted({rt for (_, rt) in grid})
-    return float(np.mean([abs(_best_train_ratio(grid, rt) - rt) for rt in test_ratios]))
+    return _mean_gap(grid, lambda r: r)
 
 
 def misalignment_steps(grid: dict[tuple[float, float], float]) -> float:
@@ -1127,15 +1133,15 @@ def misalignment_steps(grid: dict[tuple[float, float], float]) -> float:
     Test ratios must appear among the training ratios so both live on
     the same ladder; the answer is in units of grid steps.
     """
-    if not grid:
-        raise ValueError("empty accuracy grid")
-    train_ratios = sorted({r for (r, _) in grid})
-    pos = {r: i for i, r in enumerate(train_ratios)}
-    test_ratios = sorted({rt for (_, rt) in grid})
-    missing = [rt for rt in test_ratios if rt not in pos]
+    pos = {r: i for i, r in enumerate(sorted({r for (r, _) in grid}))}
+    missing = sorted({rt for (_, rt) in grid} - pos.keys())
     if missing:
         raise ValueError(f"test ratios {missing} not on the training-ratio ladder")
-    return float(np.mean([abs(pos[_best_train_ratio(grid, rt)] - pos[rt]) for rt in test_ratios]))
+    return _mean_gap(grid, pos.__getitem__)
+
+
+def _grid_doc(grid: dict[tuple[float, float], float]) -> list[dict]:
+    return [{"r_train": rt, "r_test": rs, "accuracy": acc} for (rt, rs), acc in sorted(grid.items())]
 
 
 @dataclass
@@ -1151,23 +1157,10 @@ class RatioGridResult:
     misalignment_steps_mean: float
 
     def to_dict(self) -> dict:
-        def grid_doc(g):
-            return [
-                {"r_train": rt, "r_test": rs, "accuracy": acc}
-                for (rt, rs), acc in sorted(g.items())
-            ]
-
-        return {
-            "train_ratios": list(self.train_ratios),
-            "test_ratios": list(self.test_ratios),
-            "seeds": list(self.seeds),
-            "per_seed": [grid_doc(g) for g in self.per_seed],
-            "mean_grid": grid_doc(self.mean_grid),
-            "misalignment_per_seed": list(self.misalignment_per_seed),
-            "misalignment_steps_per_seed": list(self.misalignment_steps_per_seed),
-            "misalignment_mean": self.misalignment_mean,
-            "misalignment_steps_mean": self.misalignment_steps_mean,
-        }
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        doc["per_seed"] = [_grid_doc(g) for g in self.per_seed]
+        doc["mean_grid"] = _grid_doc(self.mean_grid)
+        return doc
 
 
 def run_ratio_grid(
@@ -1185,12 +1178,10 @@ def run_ratio_grid(
     split from the shared train pool, and the test splits are curated
     once, before the models train. The per-ratio configs come from the
     r_train and r_test sweep axes and are all validated before any
-    training.
+    training; _axis_values refuses an empty list or a duplicate ratio.
     """
-    if not train_ratios or not test_ratios:
-        raise ConfigError("both ratio lists must be non-empty")
-    train_cfgs = [axis_config(config, "r_train", rt) for rt in train_ratios]
-    test_cfgs = [axis_config(config, "r_test", rs) for rs in test_ratios]
+    train_cfgs = [axis_config(config, "r_train", rt) for rt in _axis_values("r_train", train_ratios)]
+    test_cfgs = [axis_config(config, "r_test", rs) for rs in _axis_values("r_test", test_ratios)]
     per_seed = []
     for seed in config.seeds:
         train_pool, test_pool = build_pools(config, seed)

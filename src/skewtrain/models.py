@@ -347,14 +347,15 @@ def save_model(path, sizes, raw: np.ndarray, ema: np.ndarray, **meta) -> None:
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint back.
 
-    Unknown format versions, malformed documents (JSON nested past the
-    recursion limit included), tensor values other than a flat list of
-    JSON numbers, and non-finite values raise ValueError.
+    Unknown format versions, malformed documents (undecodable text and
+    JSON nested past the recursion limit included), tensor values other
+    than a flat list of JSON numbers, and non-finite values raise
+    ValueError naming path.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except RecursionError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: checkpoint must be a JSON object")

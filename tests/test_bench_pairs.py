@@ -7,9 +7,16 @@ from pathlib import Path
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def _load_tool(path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load_tool(_PATH)
 
 METRICS = ["wall_rel", "peak_rss_mb"]
 
@@ -111,3 +118,38 @@ def test_pairs_alternate_and_stop_at_the_first_bad_run(monkeypatch, tmp_path, ca
     captured = capsys.readouterr()
     assert "seed 6" not in captured.out
     assert captured.err.endswith("stopped: parent ratio_grid seed 6 pair 0: 1 failed operations\n")
+
+
+@pytest.mark.parametrize("declared", [
+    None,  # the repository's own
+    {"workloads": [{"name": "toy_sweep"}, {"name": "a_new_workload"}],
+     "end_to_end": [{"name": "wall_rel"}, {"name": "a_new_metric"}]},
+], ids=["repository", "added"])
+def test_workloads_and_default_metrics_come_from_benchmark_json(monkeypatch, tmp_path, capsys,
+                                                                declared):
+    tool, benchmark = bench_pairs, declared
+    if benchmark is not None:
+        # a copy of the tool beside a BENCHMARK.json that lists one more workload and metric
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "bench_pairs.py").write_bytes(_PATH.read_bytes())
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        tool = _load_tool(tmp_path / "tools" / "bench_pairs.py")
+    else:
+        benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    end_to_end = [m["name"] for m in benchmark["end_to_end"]]
+    parent, change = _checkout(tmp_path / "pa"), _checkout(tmp_path / "ch")
+    seen = []
+
+    def fake_run_pairs(checkouts, workload, seed, pairs, seconds, metrics):
+        seen.append((workload, metrics))
+        return {side: [dict.fromkeys(metrics, 1.0)] for side in tool.SIDES}
+
+    monkeypatch.setattr(tool, "run_pairs", fake_run_pairs)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    for workload in workloads:
+        assert tool.main([str(parent), str(change), "--workload", workload]) == 0
+    assert seen == [(workload, end_to_end) for workload in workloads]
+    with pytest.raises(SystemExit) as info:
+        tool.main([str(parent), str(change), "--workload", "no_such_workload"])
+    assert info.value.code == 2
+    assert "invalid choice: 'no_such_workload'" in capsys.readouterr().err

@@ -533,6 +533,34 @@ def test_checkpoint_errors_name_the_file(tmp_path, capsys, version, message):
     assert not (tmp_path / "g.csv").exists()
 
 
+# (command, file flag, file bytes, the message after "config error: <file>: ")
+_MALFORMED_FILES = {
+    "truncated_checkpoint": (["boundary"], "--checkpoint", b'{"format_version": 1, "tensors": [',
+                             "invalid JSON (Expecting value: line 1 column 35 (char 34))"),
+    "utf16_checkpoint": (["boundary"], "--checkpoint", b"\xff\xfe{}",
+                         "invalid JSON ('utf-8' codec can't decode byte 0xff in position 0: "
+                         "invalid start byte)"),
+    "utf16_config": (["train"], "--config", b"\xff\xfe{}",
+                     "invalid JSON ('utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte)"),
+    "non_utf8_csv": (["curate", "--ratio", "0.5"], "--in", b"f0,label\n1.0,a\n\xff2.0,b\n",
+                     "cannot decode the text ('utf-8' codec can't decode byte 0xff in position 15: "
+                     "invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_FILES))
+def test_malformed_file_errors_name_the_file(tmp_path, capsys, case):
+    command, flag, content, message = _MALFORMED_FILES[case]
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    code = main(command + [flag, str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"config error: {path}: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sizes", [5, None, [], [5], [2, "3"], [2, 0], [2.0, 3], [2, True]],
                          ids=["int", "missing", "empty", "one", "str", "zero", "float", "bool"])
 def test_boundary_malformed_mlp_sizes(tmp_path, capsys, sizes):

@@ -247,6 +247,19 @@ def test_overflowing_pre_activation_is_named():
             _fused(params, None, **kwargs)
 
 
+def test_non_finite_focal_power_rule_gradient_is_named():
+    # p_t underflows to 0 and -log p_t is 1e308: at gamma 2 the power-rule
+    # term 1e308 * 2 * (1 - p_t) overflows on both paths (at gamma 0.5 it stays finite)
+    method = MethodSpec(loss="focal", focal=FocalSpec(gamma=2.0))
+    params, kwargs = _one_layer([[0.0, -1e308]], [1], method)
+    with pytest.raises(NumericalError, match=r"^non-finite gradient in backward of 'powc'"):
+        _tape_loss_and_grads(params, None, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^non-finite focal power-rule gradient$"):
+            _fused(params, None, **kwargs)
+
+
 def test_joint_ssl_divergence_is_reported_at_the_tape_step():
     # The tape objective diverged here too, at the same epoch and step.
     cfg = apply_method(config_from_dict({

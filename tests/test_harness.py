@@ -90,6 +90,35 @@ def test_config_from_dict_unknown_keys():
         config_from_dict({"method": {"sam": {"radius": 0.1}}})
 
 
+# (document, the whole ConfigError message): each value refusal of a
+# nested spec is reported under that spec's field path
+_REFUSED_CONFIGS = {
+    "data_kind": ({"data": {"kind": "parquet"}}, "data: kind must be gaussian or csv, got 'parquet'"),
+    "csv_without_train_path": ({"data": {"kind": "csv"}}, "data: csv data needs train_path"),
+    "test_frac": ({"data": {"test_frac": 1.0}}, "data: test_frac must be in (0, 1)"),
+    "loss": ({"method": {"loss": "hinge"}},
+             f"method: loss must be one of {SUPERVISED_LOSSES}, got 'hinge'"),
+    "no_seeds": ({"seeds": []}, "config: at least one seed required"),
+    "epsilon_max": ({"method": {"smoothing": {"epsilon_max": 1.0}}},
+                    "method.smoothing: epsilon_max must be in [0, 1)"),
+    "defer_epoch": ({"method": {"reweight": {"defer_epoch": -1}}},
+                    "method.reweight: defer_epoch must be >= 0"),
+    **{name: ({"method": {"vicreg": {name: -1.0}}}, f"method.vicreg: {name} must be >= 0")
+       for name in ("var_weight", "cov_weight", "inv_weight", "margin", "eps_num")},
+    "lam": ({"method": {"joint": {"lam": -0.5}}}, "method.joint: lam must be >= 0"),
+    "weight_decay": ({"train": {"weight_decay": -1e-4}}, "train: weight_decay must be >= 0"),
+    "epochs": ({"train": {"epochs": 0}}, "train: epochs must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_CONFIGS))
+def test_config_from_dict_names_the_field_path_of_a_refused_value(case):
+    doc, message = _REFUSED_CONFIGS[case]
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_config_from_dict_bad_values_carry_path():
     with pytest.raises(ConfigError, match="train: lr0"):
         config_from_dict({"train": {"lr0": -1.0}})
@@ -1257,3 +1286,46 @@ def test_sweep_csv_failure_keeps_previous_file(tmp_path):
 def test_run_ratio_grid_empty_lists():
     with pytest.raises(ConfigError, match="non-empty"):
         run_ratio_grid(_tiny_config(), [], [0.5])
+
+
+@pytest.mark.parametrize("train_ratios, test_ratios, axis", [
+    ([1, 1.0, 0.5], [0.5], "r_train"),
+    ([0.5], [0.5, 0.5], "r_test"),
+], ids=["train", "test"])
+def test_run_ratio_grid_refuses_duplicate_ratios(monkeypatch, tmp_path, train_ratios, test_ratios,
+                                                 axis):
+    trained = []
+    monkeypatch.setattr(harness, "train_model",
+                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+    with pytest.raises(ConfigError, match=rf"^{axis}: duplicate sweep values \["):
+        run_ratio_grid(_tiny_config(), train_ratios, test_ratios, out_dir=tmp_path / "out")
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_defaults_come_from_the_axis_table():
+    defaults = {axis: (spec.baseline, spec.improvement_mode) for axis, spec in harness.AXES.items()}
+    assert defaults == {
+        "batch_size": (128, "paper_a1"),
+        "r_train": (None, "relative_to_baseline"),
+        "r_test": (None, "relative_to_baseline"),
+        "n_majority": (None, "relative_to_baseline"),
+        "method": ("erm", "relative_to_baseline"),
+    }
+
+
+@pytest.mark.parametrize("axis, values", [("batch_size", []), ("method", []), ("r_test", ())])
+def test_an_empty_sweep_is_refused(axis, values):
+    with pytest.raises(ConfigError, match=rf"^{axis}: sweep values must be a non-empty list$"):
+        run_sweep(_tiny_config(), axis, values)
+
+
+def test_run_sweep_refuses_an_unknown_improvement_mode(monkeypatch, tmp_path):
+    trained = []
+    monkeypatch.setattr(harness, "train_model",
+                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+    with pytest.raises(ConfigError, match=r"^improvement_mode must be one of \('paper_a1', "):
+        run_sweep(_tiny_config(), "batch_size", [16, 32], out_dir=tmp_path / "out",
+                  improvement_mode="absolute")
+    assert trained == []
+    assert not (tmp_path / "out").exists()

@@ -17,9 +17,10 @@ peak_rss_mb (see CHANGES.md). The script stops at the first run that
 exits non-zero, fails an operation, or reports outputs_changed other
 than 0 (seeds without a reference report n/a, which also stops it).
 
-Per seed and listed metric it prints the median and quartiles of each
-side, the median's relative change, and in how many pairs the change
-read lower. Exit code 0 when every run passed, 1 when one stopped the
+The workload choices and the default metrics (the end-to-end ones) are
+read from the BENCHMARK.json beside tools/. Per seed and listed metric
+it prints the median and quartiles of each side, the median's relative
+change, and in how many pairs the change read lower. Exit code 0 when every run passed, 1 when one stopped the
 script, 2 for bad arguments.
 """
 
@@ -33,6 +34,11 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# The workload names and the end-to-end metric names, from the BENCHMARK.json beside tools/
+_BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in _BENCHMARK["workloads"])
+END_TO_END = [m["name"] for m in _BENCHMARK["end_to_end"]]
 
 
 class RunError(Exception):
@@ -134,11 +140,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="checkout of the parent commit")
     p.add_argument("change", help="checkout of the change")
-    p.add_argument("--workload", required=True, choices=("toy_sweep", "ratio_grid", "probe"))
+    p.add_argument("--workload", required=True, choices=WORKLOADS)
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--metrics", nargs="+", default=["setup_s", "wall_rel", "peak_rss_mb"])
+    p.add_argument("--metrics", nargs="+", default=END_TO_END)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
