@@ -27,7 +27,9 @@ import numpy as np
 
 
 class NumericalError(RuntimeError):
-    """A non-finite value appeared during evaluation or backprop."""
+    """A non-finite value appeared during evaluation or backprop; in a stack, in trial trial."""
+
+    trial = 0
 
 
 def _as_float64(values) -> np.ndarray:

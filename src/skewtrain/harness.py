@@ -81,8 +81,8 @@ from .losses import (
 )
 from .models import (
     MLPParams,
-    all_finite,
     atomic_write,
+    check_finite,
     forward_stack,
     mlp_backward,
     mlp_forward,
@@ -596,14 +596,14 @@ def supervised_loss_and_grad(
     targets are the batch's rows of supervised_targets; focal loss reads
     them as its one-hot rows. adjoint is the gradient of the objective
     at this term (lam in the joint objective). Value and gradient match
-    the tape bit for bit.
+    the tape bit for bit, and a stack of trials gets each trial's.
     """
     reweight = method.loss == "reweighted" and epoch >= method.reweight.defer_epoch
     # The tape weights each example by 1.0 where nothing reweights; x * 1.0
     # is x bit for bit, so here a missing weight is not multiplied in.
     w = class_w[labels] if reweight else None
     if example_weights is None:
-        inv_total = 1.0 / labels.size
+        inv_total = 1.0 / labels.shape[-1]
     else:
         w = example_weights if w is None else w * example_weights
         inv_total = 1.0 / float(np.add.reduce(example_weights))
@@ -614,23 +614,23 @@ def supervised_loss_and_grad(
         vec, g_logits = focal_and_grad(logits, targets, method.focal, g)
     else:
         vec, g_logits = cross_entropy_and_grad(logits, targets, g)
-    return np.add.reduce(vec if w is None else vec * w) * inv_total, g_logits
+    return np.add.reduce(vec if w is None else vec * w, axis=-1) * inv_total, g_logits
 
 
 class StepPlan:
     """A trial's parameter and gradient buffers with their stack views, built once.
 
-    theta is the trial's parameter vector, which sgd_update updates in
-    place. grad is the one gradient buffer that every batch_loss_and_grads
-    call refills, and perturbed, under SAM, the buffer that sam_perturb
-    writes the moved parameters into. Each buffer is unpacked once, here,
-    into the stacks of sizes (models.unpack); stacks(vec) looks the views
-    of one of these buffers up.
+    theta is the trial's parameter vector, or a (T, P) stack of trials',
+    which sgd_update updates in place. grad is the one gradient buffer
+    that every batch_loss_and_grads call refills, and perturbed, under
+    SAM, the buffer that sam_perturb writes the moved parameters into.
+    Each buffer is unpacked once, here, into the stacks of sizes
+    (models.unpack); stacks(vec) looks the views of one of these buffers up.
     """
 
     def __init__(self, theta: np.ndarray, sizes, sam: bool = False):
         self.theta = theta
-        self.grad = np.zeros(theta.size)
+        self.grad = np.zeros(theta.shape)
         self.perturbed = np.empty(theta.size) if sam else None
         buffers = [b for b in (self.theta, self.grad, self.perturbed) if b is not None]
         self._stacks = {id(b): unpack(b, sizes) for b in buffers}
@@ -651,7 +651,9 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
     plan's stacks, and a stack the objective does not use gets a
     zero gradient. The returned gradient is valid until the next call.
     targets are the batch's rows of supervised_targets; xb and the views
-    are float64 and C-contiguous.
+    are float64 and C-contiguous. Trials in lockstep stack theta, the
+    batch and the gradient on a leading axis and get a (T,) loss, each
+    trial's bytes its lone call's; only lone trials take views or SAM.
     The stacks are the plan's views of theta, and mlp_backward writes into
     its views of the gradient buffer, so no call unpacks a vector or
     allocates a gradient.
@@ -661,9 +663,10 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
     over supervised_loss and, for the joint objective, forward_stack,
     vicreg_loss and joint_loss.
     A non-finite pre-activation, loss or gradient raises NumericalError
-    naming the stage. The caller ignores overflow: train_model enters
-    that numpy errstate once per epoch.
+    naming the stage, and its trial in a stack. The caller ignores
+    overflow: train_model enters that numpy errstate once per epoch.
     """
+    stacked = theta.ndim > 1
     stacks = plan.stacks(theta)
     grad = plan.grad
     grad.fill(0.0)
@@ -675,8 +678,7 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
     loss, g_logits = supervised_loss_and_grad(
         logits, yb, targets, method, class_w, epoch, example_weights, lam,
     )
-    if not math.isfinite(loss):
-        raise NumericalError("non-finite supervised loss")
+    check_finite(loss, stacked, "non-finite supervised loss")
     if method.joint_ssl:
         proj, proj_grads = stacks[1], stack_grads[1]
         proj_written = 0
@@ -696,17 +698,32 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
                          mlp_written)
             proj_written, mlp_written = len(proj_inputs), len(view_inputs) - 1
     mlp_backward(mlp, inputs, g_logits, mlp_grads, mlp_written)
-    if not all_finite(grad):
-        raise NumericalError("non-finite gradient")
-    return float(loss), grad
+    check_finite(grad, stacked, "non-finite gradient")
+    return loss, grad
 
 
-def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
-                track_train_acc: bool = True) -> TrainedModel:
-    """Train one (config, seed) trial on the caller's curated train_split.
+def _stackable(config: ExperimentConfig, splits: list[Dataset]) -> bool:
+    """Whether trials on splits can train in lockstep.
 
-    Callers build it with build_pools and curate_train_split, once per seed.
-    What stays fixed over the trial is built here once: sizes, the layer
+    That takes the plain step, no early stop, and splits of one shape and class counts.
+    """
+    m = config.method
+    shapes = [(s.X.shape, np.bincount(s.y, minlength=s.num_classes).tolist()) for s in splits]
+    return (m.sam.mode == "off" and not m.joint_ssl and not m.resample
+            and config.stop_at_train_acc is None and all(s == shapes[0] for s in shapes))
+
+
+def train_model(config: ExperimentConfig, seeds: list[int], splits: list[Dataset], *,
+                track_train_acc: bool = True) -> list[TrainedModel]:
+    """Train the (config, seed) trial of each seed on its curated split; one model per seed.
+
+    Callers build each split with build_pools and curate_train_split, once per seed.
+    Several seeds, which _stackable must allow, train in lockstep: theta,
+    velocity, EMA and scratch are (T, P), and each step runs once on the
+    T trials' batches, each gathered into its slice of a (T, b, d) stack.
+    Each seed keeps its own SeedSequence children, init, batch order and
+    target rows, so each trial's raw and EMA bytes equal its lone run's.
+    What stays fixed over the trials is built here once: sizes, the layer
     sizes of the classifier and the projector, which fix theta's layout
     and SAM's tensor bounds; the StepPlan and the velocity, EMA and
     scratch vectors, which every step reuses; the target rows and, for a
@@ -720,25 +737,29 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
     over as the step expects it: float64, C-contiguous rows and views.
     The numpy errstate that ignores overflow is entered once per epoch,
     around its batches, so an overflow in sgd_update or sam_perturb
-    warns nothing and the next step raises NumericalError, as does the
-    epoch-end predict (mlp_predict) when the weights it reads overflow.
+    warns nothing and the next step raises NumericalError naming the
+    seed, as does the epoch-end predict (mlp_predict) when the weights
+    it reads overflow.
 
-    Each epoch ends by predicting the train split for the train accuracy
+    Each epoch ends by predicting each train split for the train accuracy
     trajectory, unless track_train_acc is False and no stop_at_train_acc
     reads it; the weights trained are the same bit for bit either way.
     """
-    ss = _seed_children(seed)
-    profile = class_profile(train_split)
-    k = train_split.num_classes
-    sizes = [[train_split.d] + list(config.hidden) + [k]]
+    stacked = len(seeds) > 1
+    if stacked and not _stackable(config, splits):
+        raise ValueError(f"seeds {seeds} cannot train in lockstep on this config and splits")
+    children = [_seed_children(seed) for seed in seeds]
+    first = splits[0]
+    profile = class_profile(first)
+    sizes = [[first.d] + list(config.hidden) + [first.num_classes]]
     proj_sizes = _projector_sizes(config)
     if proj_sizes is not None:
         sizes.append(proj_sizes)
-    init_rng = np.random.default_rng(ss["init"])
     method = config.method
     sam = method.sam
-    plan = StepPlan(pack([mlp_init(s, seed=init_rng.integers(2**32)) for s in sizes]), sizes,
-                    sam=sam.mode != "off")
+    init_rngs = [np.random.default_rng(ss["init"]) for ss in children]
+    thetas = [pack([mlp_init(s, seed=rng.integers(2**32)) for s in sizes]) for rng in init_rngs]
+    plan = StepPlan(np.stack(thetas) if stacked else thetas[0], sizes, sam=sam.mode != "off")
     theta = plan.theta
     bounds = tensor_bounds(sizes)
     velocity = np.zeros_like(theta)
@@ -749,39 +770,44 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
         rho_per_class(profile, sam) if sam.mode not in ("off", "sam") and sam.rho > 0.0 else None
     )
     tc = config.train
-    batch_rng = np.random.default_rng(ss["batches"])
-    augment_rng = np.random.default_rng(ss["augment"])
+    batch_rngs = [np.random.default_rng(ss["batches"]) for ss in children]
+    augment_rng = np.random.default_rng(children[0]["augment"])
     class_w = reweight_class_weights(profile)
-    X, y = train_split.X, train_split.y
-    targets = supervised_targets(y, method, profile)
-    steps_per_epoch = math.ceil(train_split.n / tc.batch_size)
+    # A stack's rows are its splits' rows in turn; trial t's row i is row t * n + i.
+    data = [(s.X, s.y, supervised_targets(s.y, method, profile)) for s in splits]
+    X, y, targets = (np.concatenate(a) for a in zip(*data)) if stacked else data[0]
+    offsets = np.arange(len(seeds))[:, None] * first.n
+    steps_per_epoch = math.ceil(first.n / tc.batch_size)
     sampler = (
-        make_balanced_sampler(train_split, tc.batch_size, seed=ss["batches"])
+        make_balanced_sampler(first, tc.batch_size, seed=children[0]["batches"])
         if method.resample
         else None
     )
     min_batch = 2 if method.joint_ssl else 1
     track_train_acc = track_train_acc or config.stop_at_train_acc is not None
 
-    trajectory: list[float] = []
-    epochs_to_full_fit = None
+    trajectories: list[list[float]] = [[] for _ in seeds]
+    full_fit: list[int | None] = [None] * len(seeds)
+    mlps = [unpack(vec, sizes)[0] for vec in theta] if stacked else [plan.stacks(theta)[0]]
     for epoch in range(tc.epochs):
         lr = cosine_lr(epoch, tc)
         if sampler is not None:
-            batches = [next(sampler) for _ in range(steps_per_epoch)]
+            batches = [(next(sampler),) for _ in range(steps_per_epoch)]
         else:
-            batches = _iter_batches(train_split.n, tc.batch_size, batch_rng, min_batch)
+            # equal split sizes give every trial the same chunk sizes
+            batches = zip(*[_iter_batches(first.n, tc.batch_size, rng, min_batch)
+                            for rng in batch_rngs])
         # The step's overflow surfaces as NumericalError, so the epoch's
         # batches run in one errstate.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for step, batch_idx in enumerate(batches):
-                xb = X.take(batch_idx, axis=0)
-                yb = y[batch_idx]
+            for step, chunks in enumerate(batches):
+                # a stack gathers each trial's batch into its slice of (T, b, ...)
+                idx = np.array(chunks) + offsets if stacked else chunks[0]
+                xb, yb, tb = X.take(idx, axis=0), y[idx], targets.take(idx, axis=0)
                 views = None
                 if method.joint_ssl:
                     views = augment_two_views(xb, method.augment, augment_rng)
-                batch = (plan, xb, yb, targets.take(batch_idx, axis=0), views, epoch, method,
-                         class_w)
+                batch = (plan, xb, yb, tb, views, epoch, method, class_w)
                 try:
                     if sam.mode == "off":
                         _, grad = batch_loss_and_grads(*batch, theta, None)
@@ -791,32 +817,30 @@ def train_model(config: ExperimentConfig, seed: int, train_split: Dataset, *,
                         _, grad, _ = sam_step(theta, loss_and_grads, sam.rho, radii, bounds,
                                               plan.perturbed)
                 except NumericalError as exc:
-                    raise NumericalError(
-                        f"training diverged at epoch {epoch}, step {step} (seed {seed}): {exc}"
-                    ) from exc
+                    raise NumericalError(f"training diverged at epoch {epoch}, step {step} "
+                                         f"(seed {seeds[exc.trial]}): {exc}") from exc
                 sgd_update(theta, grad, lr, tc, velocity, scratch)
                 ema_update(ema, theta, config.ema_decay, scratch)
         if not track_train_acc:
             continue
-        acc = _accuracy(plan.stacks(theta)[0], train_split,
-                        f"training diverged at epoch {epoch}, predicting the train split (seed {seed})")
-        trajectory.append(acc)
-        logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)
-        if epochs_to_full_fit is None and acc == 1.0:
-            epochs_to_full_fit = epoch + 1
+        for t, (seed, mlp, split) in enumerate(zip(seeds, mlps, splits)):
+            acc = _accuracy(mlp, split, f"training diverged at epoch {epoch}, "
+                                        f"predicting the train split (seed {seed})")
+            trajectories[t].append(acc)
+            logger.debug("seed %d epoch %d lr %.4f train_acc %.4f", seed, epoch, lr, acc)
+            if full_fit[t] is None and acc == 1.0:
+                full_fit[t] = epoch + 1
+        # a trial that stops early trains alone, so acc is its accuracy
         if config.stop_at_train_acc is not None and acc >= config.stop_at_train_acc:
             break
 
-    return TrainedModel(
-        sizes=sizes,
-        raw=theta,
-        ema=ema,
-        use_ema_eval=config.use_ema_eval,
-        train_split=train_split,
-        profile=profile,
-        train_acc_trajectory=trajectory,
-        epochs_to_full_fit=epochs_to_full_fit,
-    )
+    raws, emas = (theta, ema) if stacked else ([theta], [ema])
+    return [
+        TrainedModel(sizes=sizes, raw=raw, ema=trial_ema, use_ema_eval=config.use_ema_eval,
+                     train_split=split, profile=profile, train_acc_trajectory=traj,
+                     epochs_to_full_fit=fit)
+        for raw, trial_ema, split, traj, fit in zip(raws, emas, splits, trajectories, full_fit)
+    ]
 
 
 def _predict(mlp: MLPParams, split: Dataset, stage: str):
@@ -850,7 +874,7 @@ def evaluate_model(model: TrainedModel, test_split: Dataset) -> tuple[MetricsRep
 def run_training(config: ExperimentConfig, seed: int) -> TrialResult:
     """Train and evaluate one (config, seed) trial on pools built once."""
     train_pool, test_pool = build_pools(config, seed)
-    model = train_model(config, seed, curate_train_split(config, train_pool, seed))
+    model = train_model(config, [seed], [curate_train_split(config, train_pool, seed)])[0]
     test_split = curate_test_split(config, test_pool, seed)
     try:
         metrics, collapse = evaluate_model(model, test_split)
@@ -1163,6 +1187,13 @@ class RatioGridResult:
         return doc
 
 
+# run_ratio_grid stacks seeds below this hidden width. A stack's train_model time over
+# its T lone trials' at T = 2 and 5 (2 features, batch 128, 7500 rows, 2 shared cores,
+# OpenBLAS at 1 thread): [16] 0.71 0.53, [32] 0.80 0.57, [64] 0.88 0.73, [128] 0.82
+# 1.47; with 5 classes, [64, 64] 0.82 0.82 and [128, 128] 1.01 1.06.
+_STACK_WIDTH = 128
+
+
 def run_ratio_grid(
     config: ExperimentConfig,
     train_ratios: list[float],
@@ -1174,36 +1205,51 @@ def run_ratio_grid(
     Each (seed, r_train) model is trained once, without the train accuracy
     trajectory that nothing here reads, and evaluated against every
     curated test split. The ratios change no data setting, so
-    each seed's pools are built once: every train ratio curates its
-    split from the shared train pool, and the test splits are curated
-    once, before the models train. The per-ratio configs come from the
-    r_train and r_test sweep axes and are all validated before any
-    training; _axis_values refuses an empty list or a duplicate ratio.
+    each seed's pools are built once, all first, in seed order: every
+    train ratio curates its split from the seed's train pool, and the
+    test splits are curated once, before the models train. The per-ratio
+    configs come from the r_train and r_test sweep axes and are all
+    validated before any training; _axis_values refuses an empty list or
+    a duplicate ratio, and a test ratio off the train-ratio ladder
+    raises ConfigError. A train ratio's seeds train as one stack when
+    the model is narrower than _STACK_WIDTH and _stackable allows, with
+    each trial's bytes unchanged; so of several failing cells, the first
+    in (train ratio, step) order is named, not the first in seed order.
     """
-    train_cfgs = [axis_config(config, "r_train", rt) for rt in _axis_values("r_train", train_ratios)]
-    test_cfgs = [axis_config(config, "r_test", rs) for rs in _axis_values("r_test", test_ratios)]
-    per_seed = []
-    for seed in config.seeds:
-        train_pool, test_pool = build_pools(config, seed)
-        test_splits = [curate_test_split(cfg, test_pool, seed) for cfg in test_cfgs]
-        grid: dict[tuple[float, float], float] = {}
-        for cfg in train_cfgs:
-            split = curate_train_split(cfg, train_pool, seed)
-            mlp = train_model(cfg, seed, split, track_train_acc=False).eval_mlp()
-            for test_cfg, test_split in zip(test_cfgs, test_splits):
-                grid[(cfg.r_train, test_cfg.r_test)] = _accuracy(
-                    mlp, test_split, f"evaluation failed predicting the test split (seed {seed}, "
-                                     f"r_train {cfg.r_train}, r_test {test_cfg.r_test})")
-        per_seed.append(grid)
+    train_ratios = _axis_values("r_train", train_ratios)
+    test_ratios = _axis_values("r_test", test_ratios)
+    train_cfgs = [axis_config(config, "r_train", rt) for rt in train_ratios]
+    test_cfgs = [axis_config(config, "r_test", rs) for rs in test_ratios]
+    off_ladder = sorted(set(test_ratios) - set(train_ratios))
+    if off_ladder:
+        raise ConfigError(f"test ratios {off_ladder} not on the training-ratio ladder")
+    seeds = list(config.seeds)
+    pools = [build_pools(config, seed) for seed in seeds]
+    test_splits = [[curate_test_split(cfg, test_pool, seed) for cfg in test_cfgs]
+                   for seed, (_, test_pool) in zip(seeds, pools)]
+    per_seed: list[dict[tuple[float, float], float]] = [{} for _ in seeds]
+    for cfg in train_cfgs:
+        splits = [curate_train_split(cfg, pool, seed) for seed, (pool, _) in zip(seeds, pools)]
+        stack = max(cfg.hidden) < _STACK_WIDTH and _stackable(cfg, splits)
+        for group in [range(len(seeds))] if stack else [[i] for i in range(len(seeds))]:
+            models = train_model(cfg, [seeds[i] for i in group], [splits[i] for i in group],
+                                 track_train_acc=False)
+            for i, model in zip(group, models):
+                mlp = model.eval_mlp()
+                for test_cfg, test_split in zip(test_cfgs, test_splits[i]):
+                    per_seed[i][(cfg.r_train, test_cfg.r_test)] = _accuracy(
+                        mlp, test_split, f"evaluation failed predicting the test split (seed "
+                                         f"{seeds[i]}, r_train {cfg.r_train}, "
+                                         f"r_test {test_cfg.r_test})")
     mean_grid = {
         key: float(np.mean([g[key] for g in per_seed])) for key in per_seed[0]
     }
     mis = [misalignment(g) for g in per_seed]
     steps = [misalignment_steps(g) for g in per_seed]
     result = RatioGridResult(
-        train_ratios=[cfg.r_train for cfg in train_cfgs],
-        test_ratios=[cfg.r_test for cfg in test_cfgs],
-        seeds=list(config.seeds),
+        train_ratios=train_ratios,
+        test_ratios=test_ratios,
+        seeds=seeds,
         per_seed=per_seed,
         mean_grid=mean_grid,
         misalignment_per_seed=mis,

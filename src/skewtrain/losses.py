@@ -14,8 +14,10 @@ together. They repeat the tape's operations in its order, and their
 backward passes walk the tape's reverse node order, so values and
 gradients match the tape bit for bit. Their row reductions go through
 models.row_max and row_sum, numpy's reductions bit for bit, made cheap
-for short rows. The tape forms (cross_entropy_vec, focal_vec,
-vicreg_loss, joint_loss) are the reference those are tested against.
+for short rows. cross_entropy_and_grad and focal_and_grad also take
+(T, B, K) stacks of trials. The tape forms (cross_entropy_vec,
+focal_vec, vicreg_loss, joint_loss) are the reference those are tested
+against.
 
 Class-conditional label smoothing has two modes because the source
 material is ambiguous about direction: `paper_formula` uses
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    NumericalError,
     Tape,
     Var,
     add_row_bias,
@@ -45,7 +46,7 @@ from .autodiff import (
     row_sums,
 )
 from .data import ClassProfile
-from .models import row_max, row_sum
+from .models import check_finite, row_max, row_sum
 
 SMOOTHING_MODES = ("paper_formula", "inverse_proportion")
 
@@ -133,7 +134,7 @@ def _check_targets(logits: Var, targets: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax of a (B, K) array, shifted by the row maximum."""
+    """Row-wise log softmax of a (..., B, K) array, shifted by the row maximum."""
     shifted = x - row_max(x)
     return shifted - np.log(row_sum(np.exp(shifted), keepdims=True))
 
@@ -145,15 +146,15 @@ def _log_softmax_grad(g: np.ndarray, lsm: np.ndarray) -> np.ndarray:
 def cross_entropy_and_grad(logits: np.ndarray, targets: np.ndarray, g):
     """Numpy cross_entropy_vec: (per-example losses, logit gradient).
 
-    g is the adjoint of the (B,) losses: a (B,) vector or, when every
-    example has the same one, a scalar. Each product is the same either
-    way, so the gradients match bit for bit.
+    g is the adjoint of the (..., B) losses: an array of their shape or,
+    when every example has the same one, a scalar. Each product is the
+    same either way, so the gradients match bit for bit.
     """
     lsm = _log_softmax(logits)
     vec = row_sum(lsm * targets) * -1.0
     g = g * -1.0
     if isinstance(g, np.ndarray):
-        g = g[:, None]
+        g = g[..., None]
     return vec, _log_softmax_grad(g * targets, lsm)
 
 
@@ -181,10 +182,9 @@ def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec, g):
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.power(one_minus_pt, gamma - 1.0)
             g_base = np.where(g_pow == 0.0, g_pow * gamma, g_pow * gamma * slope)
-    if not np.logical_and.reduce(np.isfinite(g_base)):
-        raise NumericalError("non-finite focal power-rule gradient")
+    check_finite(g_base, lsm.ndim > 2, "non-finite focal power-rule gradient")
     g_log_pt = g * weight * -1.0 + g_base * -1.0 * pt
-    return weight * neg_log_pt, _log_softmax_grad(g_log_pt[:, None] * hot, lsm)
+    return weight * neg_log_pt, _log_softmax_grad(g_log_pt[..., None] * hot, lsm)
 
 
 def cross_entropy_vec(tape: Tape, logits: Var, targets: np.ndarray) -> Var:

@@ -19,8 +19,10 @@ mlp_predict share and which checks every pre-activation; mlp_backward
 is its closed-form backward and writes the gradients into views of the
 caller's gradient vector. forward_stack runs the same stack on a tape:
 it is the reference the numpy pair is tested against, bit for bit.
-row_max and row_sum are numpy's reductions over the rows of a 2-D
-array, bit for bit, made cheap for the short rows of class scores; the
+The numpy pair, unpack and the row reductions also take trials that
+train in lockstep, stacked on a leading axis, and give each trial its
+lone bytes. row_max and row_sum are numpy's reductions over the last
+axis, bit for bit, made cheap for the short rows of class scores; the
 closed-form losses, mlp_predict's softmax and the diagnostics reduce
 rows through them, the tape through numpy itself.
 Checkpoints are JSON documents written atomically.
@@ -94,16 +96,17 @@ def pack(stacks) -> np.ndarray:
 def unpack(vec: np.ndarray, sizes) -> list[MLPParams]:
     """The inverse of pack: the stacks of layer sizes in sizes, as views of vec.
 
-    Nothing is copied or checked, as mlp_init fixed the layout of training's vectors.
+    A (T, P) stack of vectors gives (T, ...) views. Nothing is copied or
+    checked, as mlp_init fixed the layout of training's vectors.
     """
-    stacks, start = [], 0
+    stacks, start, lead = [], 0, vec.shape[:-1]
     for layer_sizes in sizes:
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             stop = start + fan_in * fan_out
-            weights.append(vec[start:stop].reshape(fan_in, fan_out))
+            weights.append(vec[..., start:stop].reshape(*lead, fan_in, fan_out))
             start = stop + fan_out
-            biases.append(vec[stop:start])
+            biases.append(vec[..., stop:start])
         stacks.append(MLPParams(layer_sizes, weights, biases))
     return stacks
 
@@ -154,6 +157,8 @@ def forward_stack(x: Var, leaves: dict[str, Var], n_layers: int, prefix: str):
 def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False):
     """Affine layers with ReLU between them, in plain numpy.
 
+    x and params are one trial's, or T trials' stacked on a leading
+    axis, whose products matmul runs one by one, as a lone trial's.
     Returns (out, inputs). inputs[i] is the input of layer i, so
     inputs[0] is x and inputs[-1] is the penultimate features (x itself
     for a stack without hidden layers); out is the output layer's
@@ -169,11 +174,9 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False):
         # In place, so a layer holds one new array: large predicts
         # (boundary grids) keep their memory peak.
         z = h @ params.weights[i]
-        z += params.biases[i]
-        if not all_finite(z):
-            raise NumericalError(
-                f"non-finite pre-activation in layer {i} of a {params.layer_sizes} stack"
-            )
+        z += params.biases[i][..., None, :]
+        check_finite(z, x.ndim > 2, "non-finite pre-activation in layer %d of a %s stack",
+                     i, params.layer_sizes)
         if i == n - 1:
             return z, inputs
         h = np.maximum(z, 0.0, out=z)
@@ -192,30 +195,47 @@ def all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
+def check_finite(a, stacked: bool, stage: str, *args) -> None:
+    """NumericalError(stage % args) unless every value of a is finite; the caller ignores overflow.
+
+    stacked: a stacks trials' values on its leading axis, and the error's
+    trial is the first holding a non-finite one. A float, a lone loss,
+    goes to math.isfinite, which costs a fraction of a reduce. The
+    message is formatted only for the error.
+    """
+    if math.isfinite(a) if isinstance(a, float) else all_finite(a):
+        return
+    exc = NumericalError(stage % args)
+    if stacked:
+        exc.trial = int(np.argmin(np.isfinite(a).reshape(len(a), -1).all(axis=1)))
+    raise exc
+
+
 def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, grads: MLPParams, written: int,
                  input_grad: bool = False):
     """Backpropagate g, the gradient at the pre-activation of layer len(inputs) - 1.
 
     inputs are the layer inputs that mlp_forward returned, cut to the
-    layers to run back through. grads holds views of the caller's
-    gradient buffer, shaped like params. Layers below written already
-    hold a gradient from an earlier call, and the new one is added to it
-    in place: existing + new, the order in which the tape accumulates
-    fan-out. The other layers' gradients are computed straight into
-    their views (out=), which keeps a -0.0 that adding it into the
-    buffer's zeros would turn into +0.0. Returns the gradient at the
-    stack input when input_grad, else None.
+    layers to run back through, for one trial or a stack as in
+    mlp_forward. grads holds views of the caller's gradient buffer,
+    shaped like params. Layers below written already hold a gradient
+    from an earlier call, and the new one is added to it in place:
+    existing + new, the order in which the tape accumulates fan-out.
+    The other layers' gradients are computed straight into their views
+    (out=), which keeps a -0.0 that adding it into the buffer's zeros
+    would turn into +0.0. Returns the gradient at the stack input when
+    input_grad, else None.
     """
     for i in reversed(range(len(inputs))):
         if i < written:
-            grads.biases[i] += np.add.reduce(g, axis=0)
-            grads.weights[i] += inputs[i].T @ g
+            grads.biases[i] += np.add.reduce(g, axis=-2)
+            grads.weights[i] += inputs[i].swapaxes(-1, -2) @ g
         else:
-            np.add.reduce(g, axis=0, out=grads.biases[i])
-            np.matmul(inputs[i].T, g, out=grads.weights[i])
+            np.add.reduce(g, axis=-2, out=grads.biases[i])
+            np.matmul(inputs[i].swapaxes(-1, -2), g, out=grads.weights[i])
         if i == 0 and not input_grad:
             return None
-        g = g @ params.weights[i].T
+        g = g @ params.weights[i].swapaxes(-1, -2)
         if i > 0:
             # the tape's ReLU mask; inputs[i] > 0 exactly where its
             # pre-activation is
@@ -224,7 +244,7 @@ def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, grads: MLPParam
 
 
 def row_max(x: np.ndarray) -> np.ndarray:
-    """np.maximum.reduce(x, axis=1, keepdims=True) of a 2-D array, bit for bit.
+    """np.maximum.reduce(x, axis=-1, keepdims=True) of a 2-D array or a 3-D stack, bit for bit.
 
     Below 8 columns the rows are reduced by one np.maximum call per
     column into a copy of column 0, which costs a fraction of numpy's
@@ -233,31 +253,31 @@ def row_max(x: np.ndarray) -> np.ndarray:
     row holding NaN gives: numpy's reduce returns a +NaN of its own once
     a NaN enters its vector registers, whose width depends on the CPU.
     """
-    if x.shape[1] >= 8:
-        return np.maximum.reduce(x, axis=1, keepdims=True)
-    m = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        np.maximum(m, x[:, j], out=m)
-    return m[:, None]
+    if x.shape[-1] >= 8:
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
+    m = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j], out=m)
+    return m[..., None]
 
 
 def row_sum(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """np.add.reduce(x, axis=1, keepdims=keepdims) of a 2-D array, bit for bit.
+    """np.add.reduce(x, axis=-1, keepdims=keepdims) of a 2-D array or a 3-D stack, bit for bit.
 
     Below 8 columns the rows are summed by one np.add call per column
     into column 0 plus +0.0. That is numpy's own order below its
     8-element pairwise block: sequential, from the +0.0 identity, which
-    turns a row of -0.0 into +0.0. A single row, or 8 columns and more,
-    go to numpy's reduce: on one element an np.add whose out= is its
-    first input runs numpy's reduce loop, which keeps the other
-    operand's NaN when both are NaN.
+    turns a row of -0.0 into +0.0. Single rows (x.shape[-2] < 2), or 8
+    columns and more, go to numpy's reduce: on one element an np.add
+    whose out= is its first input runs numpy's reduce loop, which keeps
+    the other operand's NaN when both are NaN.
     """
-    if x.shape[1] >= 8 or len(x) < 2:
-        return np.add.reduce(x, axis=1, keepdims=keepdims)
-    s = x[:, 0] + 0.0
-    for j in range(1, x.shape[1]):
-        np.add(s, x[:, j], out=s)
-    return s[:, None] if keepdims else s
+    if x.shape[-1] >= 8 or x.shape[-2] < 2:
+        return np.add.reduce(x, axis=-1, keepdims=keepdims)
+    s = x[..., 0] + 0.0
+    for j in range(1, x.shape[-1]):
+        np.add(s, x[..., j], out=s)
+    return s[..., None] if keepdims else s
 
 
 def mlp_predict(params: MLPParams, x: np.ndarray):

@@ -109,7 +109,7 @@ _TRIALS: dict[str, list] = {}
 def _train(config: ExperimentConfig, seed: int):
     """train_model on the curated train split of (config, seed), as run_training builds it."""
     train_pool, _ = build_pools(config, seed)
-    return train_model(config, seed, curate_train_split(config, train_pool, seed))
+    return train_model(config, [seed], [curate_train_split(config, train_pool, seed)])[0]
 
 
 def _toy_trials(preset: str):

@@ -8,7 +8,9 @@ name fails here and not only in the benchmark's own, slower smoke
 tests. Training builds no tape, so the tape's layers must stay silent
 during a trial. bench/run.py and bench/workloads.py read further names
 through a namespace of the modules (sk.harness.run_ratio_grid and the
-like); a test checks that each of them still resolves. The last tests
+like); a test checks that each of them still resolves. A ratio grid
+whose seeds train in lockstep must keep the step clock's cuts and step
+counts. The last tests
 run every workload of bench/workloads.py at its smoke size, set-up,
 warm-up and one checked round, because the benchmark stops when
 anything outside a timed operation raises.
@@ -251,3 +253,38 @@ def test_the_full_size_toy_sweep_sets_up_and_warms_up(tmp_path):
     workload, _, work = _workload("toy_sweep", tmp_path, smoke=False)
     assert sorted(p.name for p in (work / "warmup").iterdir()) == [
         "joint_ssl", "joint_ssl.json", "sweep", "toy.json"]
+
+
+def test_a_stacked_ratio_grid_keeps_the_step_clock_and_the_tracer():
+    # ratio_grid's wall_rel is cut at each harness.train_model call and its
+    # ms_per_step.erm divides a trial's time by its sgd_update calls. A
+    # grid whose seeds train in lockstep must still enter training through
+    # the harness.train_model attribute, once per train ratio, and step
+    # through sgd_update as looked up on harness: once per stacked step.
+    tracing = _load_bench("tracing")
+    sk = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
+    cfg = ExperimentConfig(
+        data=DataSpec(classes=2, train_per_class=40, test_per_class=10, sigma=2.0),
+        train=TrainConfig(lr0=0.1, epochs=2, warmup_epochs=1, batch_size=16),
+        hidden=[16],
+        seeds=[0, 1],
+    )
+    ratios = [1.0, 0.5]
+    batches = sum(math.ceil(harness.curate_train_split(
+        harness.axis_config(cfg, "r_train", r), harness.build_pools(cfg, 0)[0], 0).n / 16)
+        for r in ratios)
+    before = _bindings()
+    cuts = []
+    clock = tracing.StepClock(types.SimpleNamespace(cutting=True, cut=lambda: cuts.append(1)))
+    tracer = tracing.Tracer()
+    with ExitStack() as stack:
+        clock.install(stack, sk)
+        tracing.install_tracing(stack, tracer, sk)
+        harness.run_ratio_grid(cfg, ratios, ratios)
+    assert _bindings() == before
+    assert tracer.top() is None
+    # one stacked trial of both seeds per train ratio
+    assert [p for p, _, steps in clock.trials] == ["erm"] * len(ratios)
+    assert len(cuts) == len(ratios) == tracer.counts["harness.trials"]
+    assert clock.steps == tracer.counts["harness.steps"] == cfg.train.epochs * batches
+    assert set(clock.ms_per_step()) == {"erm"}

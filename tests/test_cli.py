@@ -228,7 +228,7 @@ def test_sweep_duplicate_values(tmp_path, capsys):
 
 
 def _refuse_training(monkeypatch):
-    def train_model(config, seed, train_split):
+    def train_model(config, seeds, splits, **kwargs):
         raise AssertionError("a sweep with a bad value started training")
 
     monkeypatch.setattr(harness, "train_model", train_model)

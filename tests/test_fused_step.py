@@ -5,7 +5,9 @@ the training objective and its gradients in plain numpy. The tape
 (forward_stack, supervised_loss, vicreg_loss, joint_loss and backward)
 is kept as the reference: the numpy step must reproduce it bit for bit,
 signed zeros included, and must raise NumericalError wherever the tape
-does.
+does. Seeds that train in lockstep run the same step on stacked arrays;
+each trial of a stack must have its lone run's bytes, and a non-finite
+stack must name the seed of the trial that diverged.
 """
 
 import warnings
@@ -15,6 +17,7 @@ import pytest
 
 from skewtrain.autodiff import NumericalError, Tape, backward, finite_diff_check
 from skewtrain.data import ClassProfile, Dataset
+from skewtrain import harness
 from skewtrain.harness import (
     MethodSpec,
     StepPlan,
@@ -22,6 +25,9 @@ from skewtrain.harness import (
     batch_loss_and_grads,
     build_pools,
     config_from_dict,
+    curate_train_split,
+    derive_config,
+    run_ratio_grid,
     supervised_loss,
     supervised_targets,
     train_model,
@@ -271,7 +277,7 @@ def test_joint_ssl_divergence_is_reported_at_the_tape_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=r"training diverged at epoch 1, step 0 \(seed 0\)"):
-            train_model(cfg, 0, build_pools(cfg, 0)[0])  # uncurated: the pool is the split
+            train_model(cfg, [0], [build_pools(cfg, 0)[0]])  # uncurated: the pool is the split
 
 
 def _stage_call(stage):
@@ -338,7 +344,7 @@ def test_train_model_names_each_non_finite_stage(stage):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=message):
-            train_model(cfg, seed, split)
+            train_model(cfg, [seed], [split])
 
 
 @pytest.mark.parametrize("outer", [{}, {"over": "raise", "divide": "raise", "invalid": "raise"}],
@@ -359,11 +365,11 @@ def test_train_model_restores_numpys_error_state(ends, outer):
     with np.errstate(**outer):
         before = np.geterr()
         if ends == "returns":
-            train_model(cfg, 0, split)
+            train_model(cfg, [0], [split])
         else:
             # the step that diverges is the first of epoch 1
             with pytest.raises(NumericalError, match=r"epoch 1, step 0"):
-                train_model(cfg, 0, split)
+                train_model(cfg, [0], [split])
         assert np.geterr() == before
 
 
@@ -397,3 +403,114 @@ def test_mlp_predict_is_bitwise_unchanged(sizes):
         assert a.tobytes() == b.tobytes()
     if len(sizes) == 2:
         assert got[2].tobytes() == x.tobytes()  # no hidden layer: the penultimate is the input
+
+
+# ---------------------------------------------------------------------------
+# Seeds trained in lockstep: one stacked step per batch
+# ---------------------------------------------------------------------------
+
+LOCKSTEP_BATCH = 16
+
+
+def _lockstep_trials(preset, n_seeds, hidden):
+    """(config, seeds, curated splits) of n_seeds trials that train as one stack.
+
+    Train ratio 0.32 curates 60, 34 and 19 rows, so every epoch ends with
+    a one-row batch: the stack's single-row row_sum branch.
+    """
+    cfg = apply_method(config_from_dict({
+        "data": {"classes": 3, "train_per_class": 60, "test_per_class": 10, "sigma": 1.0},
+        "train": {"lr0": 0.1, "epochs": 4, "warmup_epochs": 1, "batch_size": LOCKSTEP_BATCH},
+        "hidden": hidden,
+        "r_train": 0.32,
+        "seeds": list(range(n_seeds)),
+    }), preset)
+    splits = [curate_train_split(cfg, build_pools(cfg, seed)[0], seed) for seed in cfg.seeds]
+    return cfg, cfg.seeds, splits
+
+
+@pytest.mark.parametrize("hidden", [[16], [16, 16]], ids=["one_hidden", "two_hidden"])
+@pytest.mark.parametrize("n_seeds", [2, 5])
+@pytest.mark.parametrize("preset", ["erm", "smoothed", "focal", "reweight", "drw"])
+def test_each_stacked_trial_has_its_lone_bytes(preset, n_seeds, hidden):
+    # drw reweights from epoch 2 of 4, so its trials run both sides of defer_epoch
+    cfg, seeds, splits = _lockstep_trials(preset, n_seeds, hidden)
+    assert splits[0].n % LOCKSTEP_BATCH == 1
+    stacked = train_model(cfg, seeds, splits, track_train_acc=preset == "erm")
+    assert len(stacked) == n_seeds
+    for seed, split, model in zip(seeds, splits, stacked):
+        [lone] = train_model(cfg, [seed], [split], track_train_acc=preset == "erm")
+        assert model.raw.tobytes() == lone.raw.tobytes()
+        assert model.ema.tobytes() == lone.ema.tobytes()
+        assert model.train_split is split
+        assert model.train_acc_trajectory == lone.train_acc_trajectory
+        assert model.epochs_to_full_fit == lone.epochs_to_full_fit
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("sam", {}), ("joint_ssl", {"train": {"lr0": 5e-4}}), ("resample", {}),
+    ("erm", {"stop_at_train_acc": 0.9}),
+])
+def test_a_step_that_does_not_stack_is_refused(preset, overrides):
+    cfg, seeds, splits = _lockstep_trials(preset, 2, [16])
+    cfg = derive_config(cfg, overrides)
+    with pytest.raises(ValueError, match=r"cannot train in lockstep"):
+        train_model(cfg, seeds, splits)
+
+
+def test_splits_of_unequal_class_counts_do_not_stack():
+    cfg, seeds, splits = _lockstep_trials("erm", 2, [16])
+    short = splits[1]
+    # the same size, one row moved from class 2 to class 1
+    y = short.y.copy()
+    y[np.flatnonzero(y == 2)[0]] = 1
+    splits[1] = Dataset(short.X, y, short.class_names)
+    with pytest.raises(ValueError, match=r"cannot train in lockstep"):
+        train_model(cfg, seeds, splits)
+
+
+def _poisoned_stack(stage):
+    """(config, seeds, splits) of a stack whose second trial is _STAGE_TRIALS[stage]'s."""
+    cfg, seed, split = _stage_trial(stage)
+    ordinary = Dataset(np.ones_like(split.X), split.y, split.class_names)
+    return derive_config(cfg, {"seeds": [seed + 1, seed]}), [seed + 1, seed], [ordinary, split]
+
+
+@pytest.mark.parametrize("stage", ["supervised loss", "gradient"])
+def test_a_diverged_stack_names_its_seed_and_stage(stage):
+    cfg, seeds, splits = _poisoned_stack(stage)
+    message = rf"^training diverged at epoch 0, step 0 \(seed {seeds[1]}\): non-finite {stage}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            train_model(cfg, seeds, splits)
+        # the ordinary trial alone trains
+        train_model(cfg, seeds[:1], splits[:1])
+
+
+def test_a_diverged_stack_reads_as_its_lone_trial(monkeypatch, tmp_path):
+    # one seed's train split scaled to 1e300: its forward overflows, and
+    # the stack raises the lone trial's message before anything is written
+    cfg, seeds, splits = _lockstep_trials("erm", 3, [16])
+    real = harness.curate_train_split
+
+    def curate_train_split(config, pool, seed):
+        split = real(config, pool, seed)
+        return Dataset(split.X * 1e300, split.y, split.class_names) if seed == 1 else split
+
+    monkeypatch.setattr(harness, "curate_train_split", curate_train_split)
+    with pytest.raises(NumericalError) as lone:
+        train_model(cfg, [1], [curate_train_split(cfg, build_pools(cfg, 1)[0], 1)])
+    assert "(seed 1): non-finite" in str(lone.value)
+    trained = []
+    real_train = harness.train_model
+    monkeypatch.setattr(harness, "train_model",
+                        lambda config, seeds, splits, **kwargs: trained.append(seeds)
+                        or real_train(config, seeds, splits, **kwargs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as stacked:
+            run_ratio_grid(cfg, [0.32, 1.0], [0.32, 1.0], out_dir=tmp_path / "out")
+    assert str(stacked.value) == str(lone.value)
+    assert trained == [[0, 1, 2]]
+    assert not (tmp_path / "out").exists()

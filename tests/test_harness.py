@@ -855,11 +855,11 @@ def test_a_forward_that_overflows_after_the_last_step_diverges():
     cfg = config_from_dict({"hidden": [1], "seeds": [1],
                             "train": {"epochs": 1, "warmup_epochs": 0, "lr0": 0.1}})
     with pytest.raises(NumericalError) as info:
-        harness.train_model(cfg, 1, split)
+        harness.train_model(cfg, [1], [split])
     assert str(info.value) == ("training diverged at epoch 0, predicting the train split "
                                "(seed 1): non-finite pre-activation in layer 0 of a [1, 1, 2] stack")
     # untracked, the trial trains, and evaluating it raises instead of scoring
-    model = harness.train_model(cfg, 1, split, track_train_acc=False)
+    model = harness.train_model(cfg, [1], [split], track_train_acc=False)[0]
     with pytest.raises(NumericalError, match=r"layer 0 of a \[1, 1, 2\] stack"):
         harness.evaluate_model(model, split)
 
@@ -868,7 +868,7 @@ def test_a_forward_that_overflows_at_evaluation_names_the_seed_and_the_split(tmp
     huge = Dataset(np.full((16, 1), 1e300), np.repeat([0, 1], 8), ["a", "b"])
     cfg = config_from_dict({"hidden": [1], "seeds": [1],
                             "train": {"epochs": 1, "warmup_epochs": 0, "lr0": 0.1}})
-    model = harness.train_model(cfg, 1, huge, track_train_acc=False)
+    model = harness.train_model(cfg, [1], [huge], track_train_acc=False)[0]
     layer = "non-finite pre-activation in layer 0 of a [1, 1, 2] stack"
     with pytest.raises(NumericalError) as info:
         harness.evaluate_model(model, huge)
@@ -987,10 +987,10 @@ def _record_trained_profiles(monkeypatch):
     seen = []
     real = harness.train_model
 
-    def train_model(config, seed, train_split, **kwargs):
-        model = real(config, seed, train_split, **kwargs)
-        seen.append(model.profile.counts.tolist())
-        return model
+    def train_model(config, seeds, splits, **kwargs):
+        models = real(config, seeds, splits, **kwargs)
+        seen.extend(model.profile.counts.tolist() for model in models)
+        return models
 
     monkeypatch.setattr(harness, "train_model", train_model)
     return seen
@@ -1045,7 +1045,7 @@ def test_result_documents_are_their_fields(tmp_path):
 def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
     trained = []
     monkeypatch.setattr(harness, "train_model",
-                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+                        lambda config, seeds, splits, **kwargs: trained.append(seeds))
     for values in ([16, 0], [16, -4]):
         with pytest.raises(ConfigError, match=f"batch_size value {values[1]}"):
             run_sweep(_tiny_config(), "batch_size", values, out_dir=tmp_path / "out")
@@ -1058,7 +1058,7 @@ def test_run_sweep_bad_value_fails_before_training(monkeypatch, tmp_path):
 def test_joint_ssl_sweep_with_a_batch_of_one_fails_before_training(monkeypatch, tmp_path):
     trained = []
     monkeypatch.setattr(harness, "train_model",
-                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+                        lambda config, seeds, splits, **kwargs: trained.append(seeds))
     cfg = apply_method(_tiny_config(), "joint_ssl")
     with pytest.raises(ConfigError, match="batch_size value 1: .*joint_ssl needs train.batch_size"):
         run_sweep(cfg, "batch_size", [8, 1], out_dir=tmp_path / "out")
@@ -1069,7 +1069,7 @@ def test_joint_ssl_sweep_with_a_batch_of_one_fails_before_training(monkeypatch, 
 def test_run_sweep_checks_values_after_the_cast(monkeypatch, tmp_path):
     trained = []
     monkeypatch.setattr(harness, "train_model",
-                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+                        lambda config, seeds, splits, **kwargs: trained.append(seeds))
     for axis, values in (("r_test", [1, 1.0]), ("batch_size", [16, 16.0])):
         with pytest.raises(ConfigError, match="duplicate sweep values"):
             run_sweep(_tiny_config(), axis, values, out_dir=tmp_path / "out")
@@ -1159,10 +1159,23 @@ def test_run_ratio_grid_clears_majority_size(monkeypatch):
 def test_run_ratio_grid_bad_ratio_fails_before_training(monkeypatch):
     trained = []
     monkeypatch.setattr(harness, "train_model",
-                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+                        lambda config, seeds, splits, **kwargs: trained.append(seeds))
     with pytest.raises(ConfigError, match="r_test value 0.0"):
         run_ratio_grid(_tiny_config(), [1.0], [1.0, 0.0])
     assert trained == []
+
+
+def test_run_ratio_grid_refuses_an_off_ladder_test_ratio_before_training(monkeypatch, tmp_path):
+    # misalignment_steps needs every test ratio among the train ratios;
+    # the grid checks that before it trains a model
+    trained = []
+    monkeypatch.setattr(harness, "train_model",
+                        lambda config, seeds, splits, **kwargs: trained.append(seeds))
+    with pytest.raises(ConfigError, match=r"^test ratios \[0\.3\] not on the training-ratio "
+                                          r"ladder$"):
+        run_ratio_grid(_tiny_config(), [1.0, 0.5], [0.3, 0.5], out_dir=tmp_path / "out")
+    assert trained == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_ratio_grid_predicts_only_its_cells(monkeypatch):
@@ -1195,8 +1208,8 @@ def test_untracked_training_keeps_every_weight(preset):
     # skipping the epoch-end predicts changes no trained byte
     cfg = _preset_config(preset)
     split = build_pools(cfg, 0)[0]
-    tracked = harness.train_model(cfg, 0, split)
-    untracked = harness.train_model(cfg, 0, split, track_train_acc=False)
+    [tracked] = harness.train_model(cfg, [0], [split])
+    [untracked] = harness.train_model(cfg, [0], [split], track_train_acc=False)
     assert untracked.raw.tobytes() == tracked.raw.tobytes()
     assert untracked.ema.tobytes() == tracked.ema.tobytes()
     assert len(tracked.train_acc_trajectory) == cfg.train.epochs
@@ -1207,7 +1220,7 @@ def test_stop_at_train_acc_still_predicts_when_untracked():
     # the early stop reads the train accuracy, so it is computed anyway
     cfg = _tiny_config(stop_at_train_acc=0.0)
     split = build_pools(cfg, 0)[0]
-    model = harness.train_model(cfg, 0, split, track_train_acc=False)
+    [model] = harness.train_model(cfg, [0], [split], track_train_acc=False)
     assert len(model.train_acc_trajectory) == 1
 
 
@@ -1229,7 +1242,7 @@ def test_train_model_hands_the_step_float64_c_contiguous_arrays(monkeypatch, pre
     monkeypatch.setattr(harness, "batch_loss_and_grads", step)
     cfg = _preset_config(preset)
     split = build_pools(cfg, 0)[0]
-    harness.train_model(cfg, 0, split, track_train_acc=False)
+    harness.train_model(cfg, [0], [split], track_train_acc=False)
     steps = cfg.train.epochs * math.ceil(split.n / cfg.train.batch_size)
     assert calls == [arrays] * steps * (2 if preset.startswith("sam") else 1)
 
@@ -1247,7 +1260,7 @@ def test_a_trial_unpacks_each_buffer_once(monkeypatch, preset, buffers):
 
     monkeypatch.setattr(harness, "unpack", unpack)
     cfg = _preset_config(preset)
-    harness.train_model(cfg, 0, build_pools(cfg, 0)[0], track_train_acc=False)
+    harness.train_model(cfg, [0], [build_pools(cfg, 0)[0]], track_train_acc=False)
     assert len(calls) == len(set(calls)) == buffers
 
 
@@ -1296,7 +1309,7 @@ def test_run_ratio_grid_refuses_duplicate_ratios(monkeypatch, tmp_path, train_ra
                                                  axis):
     trained = []
     monkeypatch.setattr(harness, "train_model",
-                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+                        lambda config, seeds, splits, **kwargs: trained.append(seeds))
     with pytest.raises(ConfigError, match=rf"^{axis}: duplicate sweep values \["):
         run_ratio_grid(_tiny_config(), train_ratios, test_ratios, out_dir=tmp_path / "out")
     assert trained == []
@@ -1323,7 +1336,7 @@ def test_an_empty_sweep_is_refused(axis, values):
 def test_run_sweep_refuses_an_unknown_improvement_mode(monkeypatch, tmp_path):
     trained = []
     monkeypatch.setattr(harness, "train_model",
-                        lambda config, seed, train_split, **kwargs: trained.append(seed))
+                        lambda config, seeds, splits, **kwargs: trained.append(seeds))
     with pytest.raises(ConfigError, match=r"^improvement_mode must be one of \('paper_a1', "):
         run_sweep(_tiny_config(), "batch_size", [16, 32], out_dir=tmp_path / "out",
                   improvement_mode="absolute")

@@ -170,33 +170,42 @@ _SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf
                      np.nan, -np.nan, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0])
 
 
-def _mixed_rows(n, k, extra, offset, seed, specials_only):
-    """An (n, k) array of special and ordinary values, or a column slice of a wider one."""
+def _mixed_rows(n, k, extra, offset, seed, specials_only, trials=None):
+    """An (n, k) array, or a (trials, n, k) stack, of special and ordinary values.
+
+    The array may be a column slice of a wider one.
+    """
     rng = np.random.default_rng(seed)
-    shape = (n, k + extra)
+    shape = (n, k + extra) if trials is None else (trials, n, k + extra)
     ordinary = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
     huge = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
     values = np.where(rng.random(shape) < 0.5, ordinary, huge)
     pick = np.ones(shape, dtype=bool) if specials_only else rng.random(shape) < 0.3
     wide = np.where(pick, rng.choice(_SPECIAL, size=shape), values)
-    return wide[:, offset:offset + k]
+    return wide[..., offset:offset + k]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(n=st.integers(0, 300), k=st.integers(1, 12), extra=st.integers(0, 3), data=st.data(),
-       seed=st.integers(0, 2**32 - 1), specials_only=st.booleans(), view=st.booleans())
-def test_row_reductions_are_numpys_bit_for_bit(n, k, extra, data, seed, specials_only, view):
+       seed=st.integers(0, 2**32 - 1), specials_only=st.booleans(), view=st.booleans(),
+       trials=st.sampled_from([None, 1, 2, 5]))
+def test_row_reductions_are_numpys_bit_for_bit(n, k, extra, data, seed, specials_only, view,
+                                               trials):
+    # trials stacks that many (n, k) arrays on a leading axis, as seeds
+    # trained in lockstep do; None is one trial's 2-D array
     offset = data.draw(st.integers(0, extra))
-    x = _mixed_rows(n, k, extra, offset, seed, specials_only)
+    if trials is not None:
+        n = data.draw(st.integers(0, 12))  # one-row trials often
+    x = _mixed_rows(n, k, extra, offset, seed, specials_only, trials)
     if not view:
         x = np.ascontiguousarray(x)
     with np.errstate(all="ignore"):
-        got, want = row_max(x), np.maximum.reduce(x, axis=1, keepdims=True)
-        assert got.shape == want.shape == (n, 1)
+        got, want = row_max(x), np.maximum.reduce(x, axis=-1, keepdims=True)
+        assert got.shape == want.shape == (*x.shape[:-1], 1)
         # numpy's max reduce may hand back a +NaN of its own (row_max's docstring)
         assert _nan_as_one(got).tobytes() == _nan_as_one(want).tobytes()
         for keepdims in (False, True):
-            got, want = row_sum(x, keepdims=keepdims), np.add.reduce(x, axis=1, keepdims=keepdims)
+            got, want = row_sum(x, keepdims=keepdims), np.add.reduce(x, axis=-1, keepdims=keepdims)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -221,6 +230,10 @@ def test_row_sum_of_one_row_keeps_numpys_nan(row):
     # on one element, an in-place np.add keeps the other operand's NaN
     x = np.array([row])
     assert row_sum(x).tobytes() == np.add.reduce(x, axis=1).tobytes()
+    # a stack of one-row trials: each trial's sum is its lone sum
+    stack = np.array([[row], [row[::-1]], [row]])
+    assert row_sum(stack).tobytes() == np.add.reduce(stack, axis=-1).tobytes()
+    assert row_sum(stack)[2].tobytes() == row_sum(x).tobytes()
 
 
 def test_named_round_trip():
