@@ -27,9 +27,9 @@ import numpy as np
 
 
 class NumericalError(RuntimeError):
-    """A non-finite value appeared during evaluation or backprop; in a stack, in trial trial."""
+    """A non-finite value in evaluation or backprop; index locates it where check_finite raised."""
 
-    trial = 0
+    index = None
 
 
 def _as_float64(values) -> np.ndarray:

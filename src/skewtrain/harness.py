@@ -663,10 +663,9 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
     over supervised_loss and, for the joint objective, forward_stack,
     vicreg_loss and joint_loss.
     A non-finite pre-activation, loss or gradient raises NumericalError
-    naming the stage, and its trial in a stack. The caller ignores
-    overflow: train_model enters that numpy errstate once per epoch.
+    naming the stage (in a stack, its index's first entry is the trial).
+    The caller ignores overflow: train_model enters that errstate per epoch.
     """
-    stacked = theta.ndim > 1
     stacks = plan.stacks(theta)
     grad = plan.grad
     grad.fill(0.0)
@@ -678,7 +677,7 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
     loss, g_logits = supervised_loss_and_grad(
         logits, yb, targets, method, class_w, epoch, example_weights, lam,
     )
-    check_finite(loss, stacked, "non-finite supervised loss")
+    check_finite(loss, "non-finite supervised loss")
     if method.joint_ssl:
         proj, proj_grads = stacks[1], stack_grads[1]
         proj_written = 0
@@ -689,8 +688,7 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
             branches.append((view_inputs, emb, proj_inputs))
         ssl, g_emb, g_emb_prime = vicreg_and_grads(branches[0][1], branches[1][1], method.vicreg)
         loss = ssl + loss * lam
-        if not math.isfinite(loss):
-            raise NumericalError("non-finite joint objective")
+        check_finite(loss, "non-finite joint objective")
         # The tape walks the second view's branch back before the first.
         for (view_inputs, _, proj_inputs), g in zip(branches[::-1], (g_emb_prime, g_emb)):
             g_pen = mlp_backward(proj, proj_inputs, g, proj_grads, proj_written, input_grad=True)
@@ -698,29 +696,40 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
                          mlp_written)
             proj_written, mlp_written = len(proj_inputs), len(view_inputs) - 1
     mlp_backward(mlp, inputs, g_logits, mlp_grads, mlp_written)
-    check_finite(grad, stacked, "non-finite gradient")
+    check_finite(grad, "non-finite gradient")
     return loss, grad
 
 
-def _stackable(config: ExperimentConfig, splits: list[Dataset]) -> bool:
-    """Whether trials on splits can train in lockstep.
+# Seeds stack only below this hidden width. A stack's train_model time over its T lone
+# trials' at T = 2 and 5 (2 features, batch 128, 7500 rows, 2 shared cores, OpenBLAS at
+# 1 thread): [16] 0.71 0.53, [32] 0.80 0.57, [64] 0.88 0.73, [128] 0.82 1.47; with 5
+# classes, [64, 64] 0.82 0.82 and [128, 128] 1.01 1.06.
+_STACK_WIDTH = 128
 
-    That takes the plain step, no early stop, and splits of one shape and class counts.
+
+def _stackable(config: ExperimentConfig, splits: list[Dataset]) -> bool:
+    """Whether the trials on splits train in lockstep; the one rule that decides it.
+
+    That takes two trials or more, a model narrower than _STACK_WIDTH, the plain step (no
+    SAM, joint objective, resampler or early stop), and splits of one shape and class counts.
     """
     m = config.method
-    shapes = [(s.X.shape, np.bincount(s.y, minlength=s.num_classes).tolist()) for s in splits]
-    return (m.sam.mode == "off" and not m.joint_ssl and not m.resample
-            and config.stop_at_train_acc is None and all(s == shapes[0] for s in shapes))
+    shapes = [(s.X.shape, class_profile(s).counts.tolist()) for s in splits]
+    return (len(splits) > 1 and max(config.hidden) < _STACK_WIDTH and m.sam.mode == "off"
+            and not m.joint_ssl and not m.resample and config.stop_at_train_acc is None
+            and all(s == shapes[0] for s in shapes))
 
 
 def train_model(config: ExperimentConfig, seeds: list[int], splits: list[Dataset], *,
                 track_train_acc: bool = True) -> list[TrainedModel]:
     """Train the (config, seed) trial of each seed on its curated split; one model per seed.
 
-    Callers build each split with build_pools and curate_train_split, once per seed.
-    Several seeds, which _stackable must allow, train in lockstep: theta,
-    velocity, EMA and scratch are (T, P), and each step runs once on the
-    T trials' batches, each gathered into its slice of a (T, b, d) stack.
+    Callers build each split with build_pools and curate_train_split, once per seed, and
+    may pass any number of seeds. Only this function knows lockstep: where _stackable
+    allows, the seeds train as one stack (theta, velocity, EMA and scratch are (T, P),
+    and each step runs once on the T trials' batches, each gathered into its slice of a
+    (T, b, d) stack); else one after another through _train_trials, not through this
+    module's attribute, which the benchmark's step clock wraps once per call.
     Each seed keeps its own SeedSequence children, init, batch order and
     target rows, so each trial's raw and EMA bytes equal its lone run's.
     What stays fixed over the trials is built here once: sizes, the layer
@@ -745,9 +754,16 @@ def train_model(config: ExperimentConfig, seeds: list[int], splits: list[Dataset
     trajectory, unless track_train_acc is False and no stop_at_train_acc
     reads it; the weights trained are the same bit for bit either way.
     """
+    if not _stackable(config, splits):
+        return [model for seed, split in zip(seeds, splits)
+                for model in _train_trials(config, [seed], [split], track_train_acc)]
+    return _train_trials(config, seeds, splits, track_train_acc)
+
+
+def _train_trials(config: ExperimentConfig, seeds: list[int], splits: list[Dataset],
+                  track_train_acc: bool) -> list[TrainedModel]:
+    """train_model's one loop, over one seed alone or over a stack that _stackable allows."""
     stacked = len(seeds) > 1
-    if stacked and not _stackable(config, splits):
-        raise ValueError(f"seeds {seeds} cannot train in lockstep on this config and splits")
     children = [_seed_children(seed) for seed in seeds]
     first = splits[0]
     profile = class_profile(first)
@@ -817,8 +833,9 @@ def train_model(config: ExperimentConfig, seeds: list[int], splits: list[Dataset
                         _, grad, _ = sam_step(theta, loss_and_grads, sam.rho, radii, bounds,
                                               plan.perturbed)
                 except NumericalError as exc:
+                    seed = seeds[exc.index[0]] if stacked else seeds[0]
                     raise NumericalError(f"training diverged at epoch {epoch}, step {step} "
-                                         f"(seed {seeds[exc.trial]}): {exc}") from exc
+                                         f"(seed {seed}): {exc}") from exc
                 sgd_update(theta, grad, lr, tc, velocity, scratch)
                 ema_update(ema, theta, config.ema_decay, scratch)
         if not track_train_acc:
@@ -1187,13 +1204,6 @@ class RatioGridResult:
         return doc
 
 
-# run_ratio_grid stacks seeds below this hidden width. A stack's train_model time over
-# its T lone trials' at T = 2 and 5 (2 features, batch 128, 7500 rows, 2 shared cores,
-# OpenBLAS at 1 thread): [16] 0.71 0.53, [32] 0.80 0.57, [64] 0.88 0.73, [128] 0.82
-# 1.47; with 5 classes, [64, 64] 0.82 0.82 and [128, 128] 1.01 1.06.
-_STACK_WIDTH = 128
-
-
 def run_ratio_grid(
     config: ExperimentConfig,
     train_ratios: list[float],
@@ -1211,10 +1221,10 @@ def run_ratio_grid(
     configs come from the r_train and r_test sweep axes and are all
     validated before any training; _axis_values refuses an empty list or
     a duplicate ratio, and a test ratio off the train-ratio ladder
-    raises ConfigError. A train ratio's seeds train as one stack when
-    the model is narrower than _STACK_WIDTH and _stackable allows, with
-    each trial's bytes unchanged; so of several failing cells, the first
-    in (train ratio, step) order is named, not the first in seed order.
+    raises ConfigError. Each train ratio makes one train_model call with
+    all its seeds, which train as one stack where train_model can stack
+    them; so of several failing cells, the first in (train ratio, step)
+    order may be named, not the first in seed order.
     """
     train_ratios = _axis_values("r_train", train_ratios)
     test_ratios = _axis_values("r_test", test_ratios)
@@ -1230,17 +1240,13 @@ def run_ratio_grid(
     per_seed: list[dict[tuple[float, float], float]] = [{} for _ in seeds]
     for cfg in train_cfgs:
         splits = [curate_train_split(cfg, pool, seed) for seed, (pool, _) in zip(seeds, pools)]
-        stack = max(cfg.hidden) < _STACK_WIDTH and _stackable(cfg, splits)
-        for group in [range(len(seeds))] if stack else [[i] for i in range(len(seeds))]:
-            models = train_model(cfg, [seeds[i] for i in group], [splits[i] for i in group],
-                                 track_train_acc=False)
-            for i, model in zip(group, models):
-                mlp = model.eval_mlp()
-                for test_cfg, test_split in zip(test_cfgs, test_splits[i]):
-                    per_seed[i][(cfg.r_train, test_cfg.r_test)] = _accuracy(
-                        mlp, test_split, f"evaluation failed predicting the test split (seed "
-                                         f"{seeds[i]}, r_train {cfg.r_train}, "
-                                         f"r_test {test_cfg.r_test})")
+        models = train_model(cfg, seeds, splits, track_train_acc=False)
+        for seed, model, cells, seed_tests in zip(seeds, models, per_seed, test_splits):
+            mlp = model.eval_mlp()
+            for test_cfg, test_split in zip(test_cfgs, seed_tests):
+                cells[(cfg.r_train, test_cfg.r_test)] = _accuracy(
+                    mlp, test_split, f"evaluation failed predicting the test split (seed "
+                                     f"{seed}, r_train {cfg.r_train}, r_test {test_cfg.r_test})")
     mean_grid = {
         key: float(np.mean([g[key] for g in per_seed])) for key in per_seed[0]
     }

@@ -166,7 +166,7 @@ def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec, g):
     (1 - p_t)^(gamma - 1) is 0 where g * -log p_t is 0, as on the tape:
     with gamma < 1 the power is infinite once p_t rounds to 1, where
     -log p_t is 0 and the term's limit is 0. Any other non-finite term
-    raises NumericalError.
+    raises NumericalError, for one trial's (B, K) logits or a stack's alike.
     """
     lsm = _log_softmax(logits)
     log_pt = row_sum(lsm * hot)
@@ -182,7 +182,7 @@ def focal_and_grad(logits: np.ndarray, hot: np.ndarray, spec: FocalSpec, g):
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.power(one_minus_pt, gamma - 1.0)
             g_base = np.where(g_pow == 0.0, g_pow * gamma, g_pow * gamma * slope)
-    check_finite(g_base, lsm.ndim > 2, "non-finite focal power-rule gradient")
+    check_finite(g_base, "non-finite focal power-rule gradient")
     g_log_pt = g * weight * -1.0 + g_base * -1.0 * pt
     return weight * neg_log_pt, _log_softmax_grad(g_log_pt[..., None] * hot, lsm)
 

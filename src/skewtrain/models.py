@@ -164,8 +164,8 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False):
     for a stack without hidden layers); out is the output layer's
     pre-activation. skip_last does not run the output layer and returns
     out None: a projector branch needs only the penultimate features.
-    Every pre-activation is checked: a non-finite one raises
-    NumericalError naming its layer. The caller ignores overflow.
+    Every pre-activation of any rank is checked: a non-finite one raises
+    NumericalError naming its layer (check_finite). The caller ignores overflow.
     """
     h = x
     inputs = [x]
@@ -175,7 +175,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False):
         # (boundary grids) keep their memory peak.
         z = h @ params.weights[i]
         z += params.biases[i][..., None, :]
-        check_finite(z, x.ndim > 2, "non-finite pre-activation in layer %d of a %s stack",
+        check_finite(z, "non-finite pre-activation in layer %d of a %s stack",
                      i, params.layer_sizes)
         if i == n - 1:
             return z, inputs
@@ -184,30 +184,22 @@ def mlp_forward(params: MLPParams, x: np.ndarray, skip_last: bool = False):
     return None, inputs
 
 
-def all_finite(a: np.ndarray) -> bool:
-    """Whether every value of a is finite, without a temporary the size of a.
-
-    An inf or NaN makes the sum inf or NaN, so only a sum that overflows
-    on finite values needs the elementwise test. Large predicts (boundary
-    grids) thus keep their memory peak, and a training step checks its
-    gradient without allocating. The caller ignores overflow.
-    """
-    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
-
-
-def check_finite(a, stacked: bool, stage: str, *args) -> None:
+def check_finite(a, stage: str, *args) -> None:
     """NumericalError(stage % args) unless every value of a is finite; the caller ignores overflow.
 
-    stacked: a stacks trials' values on its leading axis, and the error's
-    trial is the first holding a non-finite one. A float, a lone loss,
-    goes to math.isfinite, which costs a fraction of a reduce. The
-    message is formatted only for the error.
+    The error's index is that of a's first non-finite value. A float, a
+    lone loss, goes to math.isfinite, which costs a fraction of a reduce.
+    An array is summed first: an inf or NaN makes the sum inf or NaN, so
+    only a sum that overflows on finite values needs the elementwise
+    test and its temporary the size of a. Large predicts (boundary grids)
+    thus keep their memory peak, and a training step checks its gradient
+    without allocating. The message is formatted only for the error.
     """
-    if math.isfinite(a) if isinstance(a, float) else all_finite(a):
+    if math.isfinite(a) if isinstance(a, float) else (
+            math.isfinite(np.add.reduce(a, axis=None)) or np.isfinite(a).all()):
         return
     exc = NumericalError(stage % args)
-    if stacked:
-        exc.trial = int(np.argmin(np.isfinite(a).reshape(len(a), -1).all(axis=1)))
+    exc.index = np.unravel_index(np.argmin(np.isfinite(a)), np.shape(a))
     raise exc
 
 

@@ -10,7 +10,8 @@ during a trial. bench/run.py and bench/workloads.py read further names
 through a namespace of the modules (sk.harness.run_ratio_grid and the
 like); a test checks that each of them still resolves. A ratio grid
 whose seeds train in lockstep must keep the step clock's cuts and step
-counts. The last tests
+counts, and one whose model is too wide to stack must train its seeds
+one after another inside that one clocked call. The last tests
 run every workload of bench/workloads.py at its smoke size, set-up,
 warm-up and one checked round, because the benchmark stops when
 anything outside a timed operation raises.
@@ -255,24 +256,26 @@ def test_the_full_size_toy_sweep_sets_up_and_warms_up(tmp_path):
         "joint_ssl", "joint_ssl.json", "sweep", "toy.json"]
 
 
-def test_a_stacked_ratio_grid_keeps_the_step_clock_and_the_tracer():
-    # ratio_grid's wall_rel is cut at each harness.train_model call and its
-    # ms_per_step.erm divides a trial's time by its sgd_update calls. A
-    # grid whose seeds train in lockstep must still enter training through
-    # the harness.train_model attribute, once per train ratio, and step
-    # through sgd_update as looked up on harness: once per stacked step.
+GRID_RATIOS = [1.0, 0.5]
+
+
+def _clocked_grid(hidden):
+    """A 2-seed ratio grid under the step clock and the tracer: (clock, tracer, steps).
+
+    steps is the grid's optimizer steps for one seed: epochs x batches over
+    the train ratios.
+    """
     tracing = _load_bench("tracing")
     sk = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
     cfg = ExperimentConfig(
         data=DataSpec(classes=2, train_per_class=40, test_per_class=10, sigma=2.0),
         train=TrainConfig(lr0=0.1, epochs=2, warmup_epochs=1, batch_size=16),
-        hidden=[16],
+        hidden=hidden,
         seeds=[0, 1],
     )
-    ratios = [1.0, 0.5]
     batches = sum(math.ceil(harness.curate_train_split(
         harness.axis_config(cfg, "r_train", r), harness.build_pools(cfg, 0)[0], 0).n / 16)
-        for r in ratios)
+        for r in GRID_RATIOS)
     before = _bindings()
     cuts = []
     clock = tracing.StepClock(types.SimpleNamespace(cutting=True, cut=lambda: cuts.append(1)))
@@ -280,11 +283,32 @@ def test_a_stacked_ratio_grid_keeps_the_step_clock_and_the_tracer():
     with ExitStack() as stack:
         clock.install(stack, sk)
         tracing.install_tracing(stack, tracer, sk)
-        harness.run_ratio_grid(cfg, ratios, ratios)
+        harness.run_ratio_grid(cfg, GRID_RATIOS, GRID_RATIOS)
     assert _bindings() == before
     assert tracer.top() is None
-    # one stacked trial of both seeds per train ratio
-    assert [p for p, _, steps in clock.trials] == ["erm"] * len(ratios)
-    assert len(cuts) == len(ratios) == tracer.counts["harness.trials"]
-    assert clock.steps == tracer.counts["harness.steps"] == cfg.train.epochs * batches
+    # one clocked harness.train_model call of both seeds per train ratio
+    assert [p for p, _, _ in clock.trials] == ["erm"] * len(GRID_RATIOS)
+    assert len(cuts) == len(GRID_RATIOS) == tracer.counts["harness.trials"]
     assert set(clock.ms_per_step()) == {"erm"}
+    return clock, tracer, cfg.train.epochs * batches
+
+
+def test_a_stacked_ratio_grid_keeps_the_step_clock_and_the_tracer():
+    # ratio_grid's wall_rel is cut at each harness.train_model call and its
+    # ms_per_step.erm divides a trial's time by its sgd_update calls. A
+    # grid whose seeds train in lockstep must still enter training through
+    # the harness.train_model attribute, once per train ratio, and step
+    # through sgd_update as looked up on harness: once per stacked step.
+    clock, tracer, steps = _clocked_grid([16])
+    assert clock.steps == tracer.counts["harness.steps"] == steps
+
+
+@pytest.mark.parametrize("width, trained_apart", [(127, False), (128, True)])
+def test_the_stack_width_decides_steps_inside_one_clocked_call(width, trained_apart):
+    # Seeds stack below a hidden width of 128. At 128 train_model trains
+    # them one after another within the call the clock wraps, so each
+    # train ratio is still one cut and one clocked trial, with twice the
+    # optimizer steps; calling back through harness.train_model would
+    # clock each seed a second time.
+    clock, tracer, steps = _clocked_grid([width])
+    assert clock.steps == tracer.counts["harness.steps"] == steps * (2 if trained_apart else 1)

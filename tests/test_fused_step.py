@@ -7,7 +7,9 @@ is kept as the reference: the numpy step must reproduce it bit for bit,
 signed zeros included, and must raise NumericalError wherever the tape
 does. Seeds that train in lockstep run the same step on stacked arrays;
 each trial of a stack must have its lone run's bytes, and a non-finite
-stack must name the seed of the trial that diverged.
+stack must name the seed of the trial that diverged. Seeds that cannot
+stack still go to train_model together and train one after another,
+each to its lone run's bytes.
 """
 
 import warnings
@@ -133,6 +135,9 @@ SHAPES = {
     "wide": ([64, 64], 5, 128, [12, 10]),
     # 10 classes: the loss reduces its rows through numpy's reduce
     "ten_class": ([16], 10, 30, [6, 5]),
+    # an epoch's last batch may be one row, which row_sum reduces by numpy's
+    # own reduce; VICReg needs two rows, so joint methods skip it
+    "one_row": ([16], 3, 1, [6, 5]),
 }
 
 
@@ -160,8 +165,10 @@ def _instance(shape: str, method: MethodSpec, ascent: bool, epoch: int, seed: in
 
 @pytest.mark.parametrize("epoch", [0, 1], ids=["before_defer", "at_defer"])
 @pytest.mark.parametrize("ascent", [False, True], ids=["plain", "sam_ascent"])
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("name, shape", [
+    (name, shape) for name in METHODS for shape in SHAPES
+    if SHAPES[shape][2] > 1 or not METHODS[name].joint_ssl
+])
 def test_fused_step_is_bitwise_the_tape(name, shape, ascent, epoch):
     params, weights, kwargs = _instance(shape, METHODS[name], ascent, epoch)
     want_loss, want = _tape_loss_and_grads(params, weights, **kwargs)
@@ -429,17 +436,12 @@ def _lockstep_trials(preset, n_seeds, hidden):
     return cfg, cfg.seeds, splits
 
 
-@pytest.mark.parametrize("hidden", [[16], [16, 16]], ids=["one_hidden", "two_hidden"])
-@pytest.mark.parametrize("n_seeds", [2, 5])
-@pytest.mark.parametrize("preset", ["erm", "smoothed", "focal", "reweight", "drw"])
-def test_each_stacked_trial_has_its_lone_bytes(preset, n_seeds, hidden):
-    # drw reweights from epoch 2 of 4, so its trials run both sides of defer_epoch
-    cfg, seeds, splits = _lockstep_trials(preset, n_seeds, hidden)
-    assert splits[0].n % LOCKSTEP_BATCH == 1
-    stacked = train_model(cfg, seeds, splits, track_train_acc=preset == "erm")
-    assert len(stacked) == n_seeds
-    for seed, split, model in zip(seeds, splits, stacked):
-        [lone] = train_model(cfg, [seed], [split], track_train_acc=preset == "erm")
+def _assert_each_has_its_lone_bytes(cfg, seeds, splits, track_train_acc=True):
+    """train_model on all seeds gives one model per seed, in order, each its lone run's."""
+    models = train_model(cfg, seeds, splits, track_train_acc=track_train_acc)
+    assert len(models) == len(seeds)
+    for seed, split, model in zip(seeds, splits, models):
+        [lone] = train_model(cfg, [seed], [split], track_train_acc=track_train_acc)
         assert model.raw.tobytes() == lone.raw.tobytes()
         assert model.ema.tobytes() == lone.ema.tobytes()
         assert model.train_split is split
@@ -447,15 +449,23 @@ def test_each_stacked_trial_has_its_lone_bytes(preset, n_seeds, hidden):
         assert model.epochs_to_full_fit == lone.epochs_to_full_fit
 
 
+@pytest.mark.parametrize("hidden", [[16], [16, 16]], ids=["one_hidden", "two_hidden"])
+@pytest.mark.parametrize("n_seeds", [2, 5])
+@pytest.mark.parametrize("preset", ["erm", "smoothed", "focal", "reweight", "drw"])
+def test_each_stacked_trial_has_its_lone_bytes(preset, n_seeds, hidden):
+    # drw reweights from epoch 2 of 4, so its trials run both sides of defer_epoch
+    cfg, seeds, splits = _lockstep_trials(preset, n_seeds, hidden)
+    assert splits[0].n % LOCKSTEP_BATCH == 1
+    _assert_each_has_its_lone_bytes(cfg, seeds, splits, track_train_acc=preset == "erm")
+
+
 @pytest.mark.parametrize("preset, overrides", [
     ("sam", {}), ("joint_ssl", {"train": {"lr0": 5e-4}}), ("resample", {}),
-    ("erm", {"stop_at_train_acc": 0.9}),
+    ("erm", {"stop_at_train_acc": 0.9}), ("erm", {"hidden": [128]}),
 ])
-def test_a_step_that_does_not_stack_is_refused(preset, overrides):
+def test_a_step_that_does_not_stack_trains_each_seed_alone(preset, overrides):
     cfg, seeds, splits = _lockstep_trials(preset, 2, [16])
-    cfg = derive_config(cfg, overrides)
-    with pytest.raises(ValueError, match=r"cannot train in lockstep"):
-        train_model(cfg, seeds, splits)
+    _assert_each_has_its_lone_bytes(derive_config(cfg, overrides), seeds, splits)
 
 
 def test_splits_of_unequal_class_counts_do_not_stack():
@@ -465,8 +475,7 @@ def test_splits_of_unequal_class_counts_do_not_stack():
     y = short.y.copy()
     y[np.flatnonzero(y == 2)[0]] = 1
     splits[1] = Dataset(short.X, y, short.class_names)
-    with pytest.raises(ValueError, match=r"cannot train in lockstep"):
-        train_model(cfg, seeds, splits)
+    _assert_each_has_its_lone_bytes(cfg, seeds, splits)
 
 
 def _poisoned_stack(stage):

@@ -39,6 +39,7 @@ from skewtrain.harness import (
     config_hash,
     config_to_dict,
     curate_test_split,
+    curate_train_split,
     derive_config,
     load_config,
     misalignment,
@@ -1105,6 +1106,21 @@ def test_run_ratio_grid_structure(tmp_path):
     doc = json.loads((tmp_path / "ratio_grid.json").read_text())
     assert len(doc["mean_grid"]) == 4
     assert doc["train_ratios"] == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("preset, stacks", [("erm", True), ("sam", False)])
+def test_a_multi_seed_grid_is_its_one_seed_grids_cell_for_cell(preset, stacks):
+    # one train_model call per train ratio with both seeds, which stack
+    # (erm) or train one after another (sam); either way each seed's cells
+    # are its own grid's
+    cfg = apply_method(_tiny_config(seeds=[0, 1]), preset)
+    splits = [curate_train_split(cfg, build_pools(cfg, seed)[0], seed) for seed in cfg.seeds]
+    assert harness._stackable(cfg, splits) == stacks
+    grid = run_ratio_grid(cfg, [1.0, 0.5], [1.0, 0.5])
+    for seed, cells in zip(cfg.seeds, grid.per_seed):
+        alone = run_ratio_grid(derive_config(cfg, {"seeds": [seed]}), [1.0, 0.5], [1.0, 0.5])
+        assert cells == alone.per_seed[0]
+    assert grid.per_seed[0] != grid.per_seed[1]
 
 
 def test_run_ratio_grid_curates_each_test_split_once_per_seed(monkeypatch):
