@@ -3,6 +3,8 @@
 The package root exports nothing; import the module you need. The
 modules are layered bottom-up:
 
+- config: the experiment config's dataclasses, their checks, the strict
+  parser and the hash; it imports no other skewtrain module
 - autodiff: a tape-based reverse-mode engine, kept as the gradient
   reference, and the finite-difference oracle
 - models: MLP layer stacks for the classifier and the projector, their
@@ -11,7 +13,7 @@ modules are layered bottom-up:
 - losses: supervised and self-supervised loss terms
 - optim: SGD/SAM optimizers with EMA
 - diagnostics: evaluation and collapse diagnostics
-- harness: configs, the training objective and loop, seeds, sweeps and
-  ratio grids
+- harness: presets and sweep axes, the training objective and loop,
+  seeds, sweeps and ratio grids
 - cli: the command-line front end
 """

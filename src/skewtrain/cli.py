@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NumericalError
+from .config import ConfigError, load_config
 from .data import class_profile, curate_exponential, load_csv, save_csv
 from .diagnostics import boundary_grid, check_bounds, collapse_report
 from .harness import (
-    ConfigError,
     SWEEP_AXES,
-    load_config,
     run_all_seeds,
     run_sweep,
     _jsonify,

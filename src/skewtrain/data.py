@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import AugmentSpec
 from .models import atomic_write
 
 # Rows per block of text that save_csv writes and of Python objects that
@@ -83,20 +84,6 @@ class ClassProfile:
     @property
     def imbalance_ratio(self) -> float:
         return float(self.counts.min() / self.counts.max())
-
-
-@dataclass
-class AugmentSpec:
-    """Gaussian jitter plus per-feature dropout for view generation."""
-
-    sigma: float = 0.1
-    feature_dropout_prob: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if not 0.0 <= self.feature_dropout_prob < 1.0:
-            raise ValueError("feature_dropout_prob must be in [0, 1)")
 
 
 def class_profile(dataset: Dataset) -> ClassProfile:

@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, training runs, sweeps, grids.
+"""Experiment orchestration: presets, training runs, sweeps, grids.
 
 A run is fully determined by (config, seed). All randomness, including
 data generation, curation draws, init, shuffling, and augmentation, is
@@ -10,9 +10,10 @@ method overrides, and AXES maps each sweep axis to its value type, its
 overrides and run_sweep's defaults (baseline, improvement mode). Every
 derived config (a preset, a sweep value, a ratio-grid cell) goes
 through derive_config, which merges the overrides into the config's
-dict form and rebuilds it with config_from_dict, so derived configs are
-validated exactly like config files. _axis_values checks a sweep's
-values and each of the ratio grid's lists, so neither trains a duplicate.
+dict form and rebuilds it with config.config_from_dict, so derived
+configs are validated exactly like config files. _axis_values checks a
+sweep's values and each of the ratio grid's lists, so neither trains a
+duplicate.
 
 The training objective is computed in closed form by one function,
 batch_loss_and_grads, which train_model calls for every step: it runs
@@ -38,20 +39,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import hashlib
 import json
 import logging
 import math
-import reprlib
 import typing
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, ExperimentConfig, MethodSpec, config_from_dict, config_hash, config_to_dict
 from .data import (
-    AugmentSpec,
     ClassProfile,
     Dataset,
     augment_two_views,
@@ -64,11 +62,6 @@ from .data import (
 )
 from .diagnostics import CollapseReport, MetricsReport, collapse_report, metrics_report
 from .losses import (
-    FocalSpec,
-    JointLossSpec,
-    ReweightSpec,
-    SmoothingSpec,
-    VicRegSpec,
     cross_entropy_and_grad,
     cross_entropy_vec,
     focal_and_grad,
@@ -94,7 +87,7 @@ from .models import (
     tensor_bounds,
     unpack,
 )
-from .optim import SamSpec, TrainConfig, cosine_lr, ema_update, rho_per_class, sam_step, sgd_update
+from .optim import cosine_lr, ema_update, rho_per_class, sam_step, sgd_update
 from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
 
 # Training builds no tape and names no tensors, so backward, forward_stack, vicreg_loss
@@ -103,196 +96,6 @@ from .autodiff import NumericalError, Tape, Var, backward, reduce_sum
 logger = logging.getLogger(__name__)
 
 IMPROVEMENT_MODES = ("paper_a1", "relative_to_baseline")
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent experiment configuration."""
-
-
-@dataclass
-class DataSpec:
-    """Where samples come from: a synthetic mixture or CSV files."""
-
-    kind: str = "gaussian"
-    classes: int = 5
-    train_per_class: int = 500
-    test_per_class: int = 200
-    dim: int = 2
-    mean_radius: float = 3.0
-    sigma: float = 0.75
-    train_path: str | None = None
-    test_path: str | None = None
-    label_col: str = "label"
-    test_frac: float = 0.2
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "csv"):
-            raise ValueError(f"kind must be gaussian or csv, got {self.kind!r}")
-        if self.kind == "csv" and not self.train_path:
-            raise ValueError("csv data needs train_path")
-        if not 0.0 < self.test_frac < 1.0:
-            raise ValueError("test_frac must be in (0, 1)")
-
-
-SUPERVISED_LOSSES = ("ce", "smoothed", "focal", "reweighted")
-
-
-@dataclass
-class MethodSpec:
-    """Exactly one supervised loss plus optional add-ons."""
-
-    loss: str = "ce"
-    smoothing: SmoothingSpec = field(default_factory=SmoothingSpec)
-    focal: FocalSpec = field(default_factory=FocalSpec)
-    reweight: ReweightSpec = field(default_factory=ReweightSpec)
-    sam: SamSpec = field(default_factory=SamSpec)
-    joint_ssl: bool = False
-    vicreg: VicRegSpec = field(default_factory=VicRegSpec)
-    joint: JointLossSpec = field(default_factory=JointLossSpec)
-    augment: AugmentSpec = field(default_factory=AugmentSpec)
-    projector: list[int] | None = None
-    resample: bool = False
-
-    def __post_init__(self):
-        if self.loss not in SUPERVISED_LOSSES:
-            raise ValueError(f"loss must be one of {SUPERVISED_LOSSES}, got {self.loss!r}")
-        if self.projector is not None and len(self.projector) < 2:
-            raise ValueError("projector needs at least input and output sizes")
-        if self.projector is not None and any(s < 1 for s in self.projector):
-            raise ValueError(f"projector sizes must be positive, got {reprlib.repr(self.projector)}")
-
-
-@dataclass
-class ExperimentConfig:
-    data: DataSpec = field(default_factory=DataSpec)
-    method: MethodSpec = field(default_factory=MethodSpec)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    hidden: list[int] = field(default_factory=lambda: [64, 64])
-    r_train: float | None = None
-    r_test: float | None = None
-    majority_size: int | None = None
-    n_minority: int = 200
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    ema_decay: float = 0.999
-    use_ema_eval: bool = True
-    stop_at_train_acc: float | None = None
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("at least one seed required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("duplicate seeds")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("hidden sizes must be positive")
-        for name in ("r_train", "r_test"):
-            r = getattr(self, name)
-            if r is not None and not 0.0 < r <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {r}")
-        if self.majority_size is not None and self.r_train is not None:
-            raise ValueError("majority_size and r_train are mutually exclusive")
-        if self.majority_size is not None and self.majority_size < 1:
-            raise ValueError(f"majority_size must be >= 1, got {self.majority_size}")
-        if self.n_minority < 1:
-            raise ValueError(f"n_minority must be >= 1, got {self.n_minority}")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise ValueError("ema_decay must be in [0, 1]")
-        if self.stop_at_train_acc is not None and not 0.0 <= self.stop_at_train_acc <= 1.0:
-            raise ValueError(f"stop_at_train_acc must be in [0, 1], got {self.stop_at_train_acc}")
-        if self.method.joint_ssl and self.train.batch_size < 2:
-            # VICReg's variance term needs two samples in every batch
-            raise ValueError(f"joint_ssl needs train.batch_size >= 2, got {self.train.batch_size}")
-        projector = self.method.projector
-        if self.method.joint_ssl and projector is not None and projector[0] != self.hidden[-1]:
-            raise ValueError(
-                f"projector input {projector[0]} does not match last hidden width {self.hidden[-1]}"
-            )
-        if self.method.resample and self.method.loss == "reweighted":
-            warnings.warn("combining the balanced resampler with reweighted loss double-counts rarity")
-
-
-@functools.cache
-def _field_hints(cls) -> dict:
-    """{field name: resolved type} of a config dataclass, computed once per class."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints.get(f.name) for f in dataclasses.fields(cls)}
-
-
-_KIND_NAMES = {
-    bool: "a bool", int: "an int", float: "a finite number", str: "a string", list[int]: "a list of ints",
-}
-
-
-def _is_kind(value, kind) -> bool:
-    """value fits the scalar field type kind: only bools are bools, a float is any finite number."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, kind)
-
-
-def _check_value(value, hint, name: str) -> None:
-    """ConfigError unless value has the field's type; nothing is converted.
-
-    The message names the field in full and shortens the value (reprlib).
-    """
-    args = typing.get_args(hint)
-    if type(None) in args:  # every optional field is written X | None
-        if value is None:
-            return
-        hint = args[0]
-    if typing.get_origin(hint) is list:
-        ok = isinstance(value, list) and all(_is_kind(v, typing.get_args(hint)[0]) for v in value)
-    else:
-        ok = _is_kind(value, hint)
-    if not ok:
-        raise ConfigError(f"{name}: expected {_KIND_NAMES[hint]}, got {reprlib.repr(value)}")
-
-
-def _strict_from_dict(cls, doc, path: str):
-    """cls built from doc, each value checked against its field type; paths name fields."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object, got {type(doc).__name__}")
-    hints = _field_hints(cls)
-    kwargs = {}
-    for key, value in doc.items():
-        name = f"{path}.{key}" if path else key
-        if key not in hints:
-            raise ConfigError(f"unknown config key {name}")
-        if dataclasses.is_dataclass(hints[key]):
-            kwargs[key] = _strict_from_dict(hints[key], value, name)
-        else:
-            _check_value(value, hints[key], name)
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path or 'config'}: {exc}") from exc
-
-
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from a JSON document; unknown keys are errors."""
-    return _strict_from_dict(ExperimentConfig, doc, "")
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-def config_hash(config: ExperimentConfig) -> str:
-    canon = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(doc)
 
 
 def derive_config(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
@@ -763,6 +566,9 @@ def train_model(config: ExperimentConfig, seeds: list[int], splits: list[Dataset
 def _train_trials(config: ExperimentConfig, seeds: list[int], splits: list[Dataset],
                   track_train_acc: bool) -> list[TrainedModel]:
     """train_model's one loop, over one seed alone or over a stack that _stackable allows."""
+    # One seed trains on plain vectors, not as a (1, P) stack. A stack of one keeps the bytes,
+    # but a leading axis of one slows every ufunc of the step: +3% on the toy erm trial and
+    # +17% on a [16] one (medians of 5 processes, each the min of 7 train_model calls).
     stacked = len(seeds) > 1
     children = [_seed_children(seed) for seed in seeds]
     first = splits[0]

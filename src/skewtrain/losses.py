@@ -18,17 +18,9 @@ for short rows. cross_entropy_and_grad and focal_and_grad also take
 (T, B, K) stacks of trials. The tape forms (cross_entropy_vec,
 focal_vec, vicreg_loss, joint_loss) are the reference those are tested
 against.
-
-Class-conditional label smoothing has two modes because the source
-material is ambiguous about direction: `paper_formula` uses
-eps_i = eps / (1 - p_i), which grows with class share, while
-`inverse_proportion` uses eps_i = eps * (1/K) / p_i, which shrinks
-with it. Both clamp to epsilon_max.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,68 +37,9 @@ from .autodiff import (
     reduce_sum,
     row_sums,
 )
+from .config import FocalSpec, JointLossSpec, SmoothingSpec, VicRegSpec
 from .data import ClassProfile
 from .models import check_finite, row_max, row_sum
-
-SMOOTHING_MODES = ("paper_formula", "inverse_proportion")
-
-
-@dataclass
-class SmoothingSpec:
-    epsilon: float = 0.1
-    mode: str = "paper_formula"
-    epsilon_max: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must be in [0, 1)")
-        if self.mode not in SMOOTHING_MODES:
-            raise ValueError(f"mode must be one of {SMOOTHING_MODES}, got {self.mode!r}")
-        if not 0.0 <= self.epsilon_max < 1.0:
-            raise ValueError("epsilon_max must be in [0, 1)")
-
-
-@dataclass
-class FocalSpec:
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-
-
-@dataclass
-class ReweightSpec:
-    defer_epoch: int = 0
-
-    def __post_init__(self):
-        if self.defer_epoch < 0:
-            raise ValueError("defer_epoch must be >= 0")
-
-
-@dataclass
-class VicRegSpec:
-    var_weight: float = 25.0
-    cov_weight: float = 1.0
-    inv_weight: float = 25.0
-    margin: float = 1.0
-    eps_num: float = 1e-4
-
-    def __post_init__(self):
-        for name in ("var_weight", "cov_weight", "inv_weight", "margin"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.eps_num < 0:
-            raise ValueError("eps_num must be >= 0")
-
-
-@dataclass
-class JointLossSpec:
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

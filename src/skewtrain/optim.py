@@ -26,45 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SamSpec, TrainConfig
 from .data import ClassProfile
-
-SAM_MODES = ("off", "sam", "sam_a_paper", "sam_a_inverse")
-
-
-@dataclass
-class TrainConfig:
-    lr0: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 2e-4
-    epochs: int = 200
-    warmup_epochs: int = 5
-    batch_size: int = 32
-
-    def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 <= self.warmup_epochs < self.epochs:
-            raise ValueError("warmup_epochs must be in [0, epochs)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
-
-@dataclass
-class SamSpec:
-    rho: float = 0.05
-    mode: str = "off"
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-        if self.mode not in SAM_MODES:
-            raise ValueError(f"mode must be one of {SAM_MODES}, got {self.mode!r}")
 
 
 @dataclass

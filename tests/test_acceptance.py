@@ -17,6 +17,17 @@ import numpy as np
 import pytest
 
 from skewtrain.autodiff import Tape, backward, check_gradients, reduce_sum
+from skewtrain.config import (
+    DataSpec,
+    ExperimentConfig,
+    FocalSpec,
+    JointLossSpec,
+    MethodSpec,
+    ReweightSpec,
+    SmoothingSpec,
+    TrainConfig,
+    VicRegSpec,
+)
 from skewtrain.data import (
     class_profile,
     curate_exponential,
@@ -30,10 +41,6 @@ from skewtrain.diagnostics import (
     minority_margin,
 )
 from skewtrain.harness import (
-    DataSpec,
-    ExperimentConfig,
-    MethodSpec,
-    TrainConfig,
     _jsonify,
     aggregate,
     apply_method,
@@ -49,11 +56,6 @@ from skewtrain.harness import (
     train_model,
 )
 from skewtrain.losses import (
-    FocalSpec,
-    JointLossSpec,
-    ReweightSpec,
-    SmoothingSpec,
-    VicRegSpec,
     cross_entropy_vec,
     joint_loss,
     one_hot,

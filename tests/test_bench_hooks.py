@@ -30,7 +30,8 @@ import numpy as np
 import pytest
 
 from skewtrain import autodiff, cli, data, diagnostics, harness, losses, models, optim
-from skewtrain.harness import DataSpec, ExperimentConfig, TrainConfig, apply_method
+from skewtrain.config import DataSpec, ExperimentConfig, TrainConfig
+from skewtrain.harness import apply_method
 
 MODULES = (autodiff, cli, data, diagnostics, harness, losses, models, optim)
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -64,9 +64,9 @@ def test_summary_gives_medians_quartiles_and_pairs_lower():
     lines = bench_pairs.summarize({"parent": parent, "change": change}, METRICS)
     assert lines == [
         "wall_rel: parent 135 [130, 140] IQR 10, change 120 [119, 121] IQR 2, "
-        "median -11.1%, change lower in 4/5 pairs",
+        "median -11.1%, change lower in 4/5 pairs; within bound 0.2",
         "peak_rss_mb: parent 40 [40, 40] IQR 0, change 40 [40, 40] IQR 0, "
-        "median +0.0%, change lower in 1/5 pairs",
+        "median +0.0%, change lower in 1/5 pairs; within bound 0.1",
     ]
 
 
@@ -74,7 +74,41 @@ def test_summary_of_one_pair():
     lines = bench_pairs.summarize({"parent": [{"wall_rel": 2.0}], "change": [{"wall_rel": 1.0}]},
                                   ["wall_rel"])
     assert lines == ["wall_rel: parent 2 [2, 2] IQR 0, change 1 [1, 1] IQR 0, "
-                     "median -50.0%, change lower in 1/1 pairs"]
+                     "median -50.0%, change lower in 1/1 pairs; within bound 0.2"]
+
+
+def test_only_end_to_end_metrics_get_a_verdict():
+    runs = {"parent": [{"ms_per_step.erm": 0.3}], "change": [{"ms_per_step.erm": 0.6}]}
+    assert bench_pairs.summarize(runs, ["ms_per_step.erm"]) == [
+        "ms_per_step.erm: parent 0.3 [0.3, 0.3] IQR 0, change 0.6 [0.6, 0.6] IQR 0, "
+        "median +100.0%, change lower in 0/1 pairs"]
+
+
+# Ten fabricated runs a side; a bound is relative to the parent's median.
+# The parent reads 0.132 [0.114, 0.164], as ratio_grid's setup_s once did.
+_PARENT = [0.1, 0.11, 0.114, 0.114, 0.13, 0.134, 0.164, 0.164, 0.17, 0.18]
+
+
+@pytest.mark.parametrize("parent, change, bound, better, expected", [
+    # the median 31% worse against a 0.25 bound, however wide the parent's spread
+    (_PARENT, [0.173] * 10, 0.25, "lower", "worse than bound 0.25"),
+    # 20% better, but the parent's IQR is over a quarter of its median and two change
+    # runs read above the parent's fastest
+    (_PARENT, [0.1056] * 8 + [0.2, 0.2], 0.25, "lower",
+     "unresolved: parent IQR 0.05 over 0.25 of its median"),
+    # as wide a parent, but every change run beats every parent run
+    (_PARENT, [0.09] * 10, 0.25, "lower", "within bound 0.25"),
+    # a narrow parent and a change 10% worse: inside a 0.2 bound
+    ([100.0] * 10, [110.0] * 10, 0.2, "lower", "within bound 0.2"),
+    ([100.0] * 10, [121.0] * 10, 0.2, "lower", "worse than bound 0.2"),
+    # where higher is better, lower is worse
+    ([100.0] * 10, [79.0] * 10, 0.2, "higher", "worse than bound 0.2"),
+    ([100.0] * 10, [121.0] * 10, 0.2, "higher", "within bound 0.2"),
+], ids=["worse", "unresolved", "beats_every_run", "within", "worse_narrow", "higher_worse",
+        "higher_within"])
+def test_verdict_against_the_bound(parent, change, bound, better, expected):
+    assert bench_pairs.verdict(parent, change, bound, better) == expected
+
 
 
 def _checkout(path):
@@ -109,7 +143,7 @@ def test_pairs_alternate_and_stop_at_the_first_bad_run(monkeypatch, tmp_path, ca
     out = capsys.readouterr().out
     assert out == ("ratio_grid seed 5, 3 pairs of 2 s:\n"
                    "  wall_rel: parent 100 [100, 100] IQR 0, change 93 [92.5, 94.5] IQR 2, "
-                   "median -7.0%, change lower in 3/3 pairs\n")
+                   "median -7.0%, change lower in 3/3 pairs; within bound 0.2\n")
 
     # the seventh run, the second seed's first, fails an operation
     calls.clear()
@@ -123,7 +157,8 @@ def test_pairs_alternate_and_stop_at_the_first_bad_run(monkeypatch, tmp_path, ca
 @pytest.mark.parametrize("declared", [
     None,  # the repository's own
     {"workloads": [{"name": "toy_sweep"}, {"name": "a_new_workload"}],
-     "end_to_end": [{"name": "wall_rel"}, {"name": "a_new_metric"}]},
+     "end_to_end": [{"name": "wall_rel", "bound": 0.2, "better": "lower"},
+                    {"name": "a_new_metric", "bound": 0.1, "better": "higher"}]},
 ], ids=["repository", "added"])
 def test_workloads_and_default_metrics_come_from_benchmark_json(monkeypatch, tmp_path, capsys,
                                                                 declared):

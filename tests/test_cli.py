@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import skewtrain
 from skewtrain import cli, harness
 from skewtrain.cli import _build_parser, main
+from skewtrain.config import config_from_dict, config_to_dict
 from skewtrain.data import Dataset, gen_gaussian_mixture, load_csv, save_csv
 from skewtrain.diagnostics import boundary_grid
 from skewtrain.models import MLPParams, mlp_init, params_to_named, save_checkpoint
@@ -780,7 +781,7 @@ _WRONG_KIND = {
     ),
     type(None): st.one_of(_NON_FINITE, st.just({"a": 1}), st.just([["a"]])),
 }
-_FULL_TINY = harness.config_to_dict(harness.config_from_dict(TINY_CONFIG))
+_FULL_TINY = config_to_dict(config_from_dict(TINY_CONFIG))
 _NODES = list(_config_nodes(_FULL_TINY))
 
 

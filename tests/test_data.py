@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewtrain import data
+from skewtrain.config import AugmentSpec
 from skewtrain.data import (
-    AugmentSpec,
     Dataset,
     augment_two_views,
     class_profile,

@@ -18,15 +18,22 @@ import numpy as np
 import pytest
 
 from skewtrain.autodiff import NumericalError, Tape, backward, finite_diff_check
+from skewtrain.config import (
+    FocalSpec,
+    JointLossSpec,
+    MethodSpec,
+    ReweightSpec,
+    SamSpec,
+    SmoothingSpec,
+    config_from_dict,
+)
 from skewtrain.data import ClassProfile, Dataset
 from skewtrain import harness
 from skewtrain.harness import (
-    MethodSpec,
     StepPlan,
     apply_method,
     batch_loss_and_grads,
     build_pools,
-    config_from_dict,
     curate_train_split,
     derive_config,
     run_ratio_grid,
@@ -34,15 +41,7 @@ from skewtrain.harness import (
     supervised_targets,
     train_model,
 )
-from skewtrain.losses import (
-    FocalSpec,
-    JointLossSpec,
-    ReweightSpec,
-    SmoothingSpec,
-    joint_loss,
-    reweight_class_weights,
-    vicreg_loss,
-)
+from skewtrain.losses import joint_loss, reweight_class_weights, vicreg_loss
 from skewtrain.models import (
     MLPParams,
     forward_stack,
@@ -53,7 +52,7 @@ from skewtrain.models import (
     params_to_named,
     unpack,
 )
-from skewtrain.optim import SamSpec, rho_per_class
+from skewtrain.optim import rho_per_class
 
 
 def _tape_loss_and_grads(

@@ -33,14 +33,11 @@ import numpy as np
 import pytest
 
 from skewtrain import cli
+from skewtrain.config import DataSpec, ExperimentConfig, TrainConfig, config_hash
 from skewtrain.data import Dataset, gen_gaussian_mixture, save_csv
 from skewtrain.harness import (
     METHOD_PRESETS,
-    DataSpec,
-    ExperimentConfig,
-    TrainConfig,
     apply_method,
-    config_hash,
     derive_config,
     run_all_seeds,
     run_ratio_grid,

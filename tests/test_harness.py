@@ -10,20 +10,28 @@ from hypothesis import strategies as st
 
 from skewtrain.autodiff import NumericalError, Tape, check_gradients
 from skewtrain import harness, models
+from skewtrain.config import (
+    SUPERVISED_LOSSES,
+    ConfigError,
+    DataSpec,
+    ExperimentConfig,
+    MethodSpec,
+    ReweightSpec,
+    SamSpec,
+    TrainConfig,
+    config_from_dict,
+    config_hash,
+    config_to_dict,
+    load_config,
+)
 from skewtrain.data import ClassProfile, Dataset, gen_gaussian_mixture, save_csv
 from skewtrain.diagnostics import CollapseReport, MetricsReport, metrics_report
 from skewtrain.harness import (
     AGGREGATED_METRICS,
     METHOD_PRESETS,
-    SUPERVISED_LOSSES,
     SWEEP_AXES,
-    ConfigError,
-    DataSpec,
-    ExperimentConfig,
-    MethodSpec,
     SweepResult,
     SweepRow,
-    TrainConfig,
     TrialAggregate,
     _iter_batches,
     _projector_sizes,
@@ -35,13 +43,9 @@ from skewtrain.harness import (
     apply_method,
     axis_config,
     build_pools,
-    config_from_dict,
-    config_hash,
-    config_to_dict,
     curate_test_split,
     curate_train_split,
     derive_config,
-    load_config,
     misalignment,
     misalignment_steps,
     percent_improvement,
@@ -51,9 +55,9 @@ from skewtrain.harness import (
     run_training,
     supervised_loss,
 )
-from skewtrain.losses import ReweightSpec, cross_entropy_vec, one_hot, reweight_class_weights
+from skewtrain.losses import cross_entropy_vec, one_hot, reweight_class_weights
 from skewtrain.models import load_checkpoint, mlp_init, mlp_predict, named_to_mlp, pack, unpack
-from skewtrain.optim import SamSpec, rho_per_class
+from skewtrain.optim import rho_per_class
 
 
 def _tiny_config(**kw):

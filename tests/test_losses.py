@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewtrain.autodiff import Tape, backward, check_gradients, reduce_sum
-from skewtrain.data import ClassProfile
-from skewtrain.harness import MethodSpec, supervised_loss
-from skewtrain.losses import (
+from skewtrain.config import (
     FocalSpec,
     JointLossSpec,
+    MethodSpec,
     ReweightSpec,
     SmoothingSpec,
     VicRegSpec,
+)
+from skewtrain.data import ClassProfile
+from skewtrain.harness import supervised_loss
+from skewtrain.losses import (
     class_epsilons,
     cross_entropy_and_grad,
     cross_entropy_vec,

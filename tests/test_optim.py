@@ -4,11 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from skewtrain.config import SamSpec, TrainConfig
 from skewtrain.data import ClassProfile
 from skewtrain.optim import (
-    SamSpec,
     StepInfo,
-    TrainConfig,
     cosine_lr,
     ema_update,
     rho_per_class,

@@ -20,7 +20,13 @@ than 0 (seeds without a reference report n/a, which also stops it).
 The workload choices and the default metrics (the end-to-end ones) are
 read from the BENCHMARK.json beside tools/. Per seed and listed metric
 it prints the median and quartiles of each side, the median's relative
-change, and in how many pairs the change read lower. Exit code 0 when every run passed, 1 when one stopped the
+change, and in how many pairs the change read lower. An end-to-end
+metric also gets a verdict against its BENCHMARK.json bound and
+direction: "worse than bound" when the change's median is worse than
+the parent's by more than the bound (relative to the parent's median);
+else "unresolved" when the parent's IQR over its median exceeds the
+bound and not every change run beats every parent run; else "within
+bound". Exit code 0 when every run passed, 1 when one stopped the
 script, 2 for bad arguments.
 """
 
@@ -35,10 +41,12 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 
-# The workload names and the end-to-end metric names, from the BENCHMARK.json beside tools/
+# The workload names, the end-to-end metric names and each one's (bound, better), from the
+# BENCHMARK.json beside tools/
 _BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in _BENCHMARK["workloads"])
 END_TO_END = [m["name"] for m in _BENCHMARK["end_to_end"]]
+BOUNDS = {m["name"]: (m["bound"], m["better"]) for m in _BENCHMARK["end_to_end"]}
 
 
 class RunError(Exception):
@@ -94,10 +102,23 @@ def _quartiles(values) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """Whether the change's runs hold a metric within its relative bound; see the module doc."""
+    sign = 1.0 if better == "lower" else -1.0
+    p25, p50, p75 = _quartiles(parent)
+    if sign * (statistics.median(change) - p50) > bound * abs(p50):
+        return f"worse than bound {bound:g}"
+    beats_every_run = max(sign * c for c in change) < min(sign * p for p in parent)
+    if p75 - p25 > bound * abs(p50) and not beats_every_run:
+        return f"unresolved: parent IQR {p75 - p25:.3g} over {bound:g} of its median"
+    return f"within bound {bound:g}"
+
+
 def summarize(runs: dict[str, list[dict[str, float]]], metrics) -> list[str]:
     """One line per metric: each side's median [q25, q75], the change, and pairs lower.
 
-    runs["parent"][i] and runs["change"][i] are pair i's metrics.
+    An end-to-end metric's line ends with its verdict. runs["parent"][i]
+    and runs["change"][i] are pair i's metrics.
     """
     lines = []
     pairs = len(runs["parent"])
@@ -108,9 +129,12 @@ def summarize(runs: dict[str, list[dict[str, float]]], metrics) -> list[str]:
         c25, c50, c75 = _quartiles(change)
         lower = sum(c < p for p, c in zip(parent, change))
         rel = f"{(c50 / p50 - 1.0) * 100.0:+.1f}%" if p50 else "n/a"
-        lines.append(f"{name}: parent {p50:.6g} [{p25:.6g}, {p75:.6g}] IQR {p75 - p25:.3g}, "
-                     f"change {c50:.6g} [{c25:.6g}, {c75:.6g}] IQR {c75 - c25:.3g}, "
-                     f"median {rel}, change lower in {lower}/{pairs} pairs")
+        line = (f"{name}: parent {p50:.6g} [{p25:.6g}, {p75:.6g}] IQR {p75 - p25:.3g}, "
+                f"change {c50:.6g} [{c25:.6g}, {c75:.6g}] IQR {c75 - c25:.3g}, "
+                f"median {rel}, change lower in {lower}/{pairs} pairs")
+        if name in BOUNDS:
+            line += f"; {verdict(parent, change, *BOUNDS[name])}"
+        lines.append(line)
     return lines
 
 
