@@ -4,7 +4,7 @@ The corpus runs in-process, in a fresh directory:
 
 - the 13 method presets through run_all_seeds (joint_ssl at lr0 5e-4),
   and focal at gamma 0.5;
-- a batch_size sweep and an n_majority sweep;
+- a batch_size sweep, an n_majority sweep and an r_test sweep;
 - a 2x2 ratio grid, and a 3x3 one over two seeds, whose train ratio
   0.32 ends each epoch with a one-row batch;
 - CSV data with and without a test file;
@@ -99,6 +99,7 @@ def write_corpus() -> None:
                   out_dir="focal")
     run_sweep(BASE, "batch_size", ["8", "16"], out_dir="sweep_batch")
     run_sweep(BASE, "n_majority", ["20", "40"], out_dir="sweep_majority")
+    run_sweep(BASE, "r_test", ["1.0", "0.5"], out_dir="sweep_r_test")
     run_ratio_grid(BASE, [0.5, 1.0], [0.5, 1.0], out_dir="grid")
     ratios = [0.32, 0.5, 1.0]
     run_ratio_grid(derive_config(BASE, {"seeds": [0, 1]}), ratios, ratios, out_dir="grid_seeds")
@@ -151,6 +152,7 @@ def test_corpus_covers_every_preset_and_file_writing_command():
         assert f"presets/{config_hash(_preset_config(name))}/checkpoint_seed_0.json" in files
     for path in ("cli/curated.csv", "cli/grid.csv", "cli/grid_raw.csv", "cli/collapse.json",
                  "sweep_batch/sweep_batch_size.csv", "sweep_majority/sweep_n_majority.csv",
+                 "sweep_r_test/sweep_r_test.csv",
                  "grid/ratio_grid.json", "grid_seeds/ratio_grid.json", "data/train.csv"):
         assert path in files
 
