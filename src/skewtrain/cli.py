@@ -20,14 +20,8 @@ import numpy as np
 from .autodiff import NumericalError
 from .config import ConfigError, load_config
 from .data import class_profile, curate_exponential, load_csv, save_csv
-from .diagnostics import boundary_grid, check_bounds, collapse_report
-from .harness import (
-    SWEEP_AXES,
-    run_all_seeds,
-    run_sweep,
-    _jsonify,
-    _write_json,
-)
+from .diagnostics import boundary_grid, check_bounds, collapse_report, jsonify
+from .harness import SWEEP_AXES, run_all_seeds, run_sweep, _write_json
 from .models import load_checkpoint, mlp_predict, named_to_mlp
 
 
@@ -128,6 +122,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_boundary(args) -> int:
     mlp = _load_model(args)
+    if mlp.layer_sizes[0] != 2:
+        raise ConfigError(f"{args.checkpoint}: boundary grids need a 2-d input model, "
+                          f"got d_in={mlp.layer_sizes[0]}")
     try:
         bounds = tuple(float(s) for s in args.bounds.split(","))
         if len(bounds) != 4:
@@ -145,6 +142,9 @@ def _cmd_boundary(args) -> int:
 def _cmd_collapse(args) -> int:
     mlp = _load_model(args)
     dataset = load_csv(args.data, args.label_col)
+    if dataset.d != mlp.layer_sizes[0]:
+        raise ConfigError(f"{args.data} has {dataset.d} features; {args.checkpoint} takes "
+                          f"d_in={mlp.layer_sizes[0]}")
     k, width = dataset.num_classes, mlp.layer_sizes[-1]
     if not 2 <= k <= width:
         # One class has no CDNV pair, and a class past the output width
@@ -158,7 +158,7 @@ def _cmd_collapse(args) -> int:
         _write_json(args.out, report)
         print(f"wrote collapse report to {args.out}")
     else:
-        print(json.dumps(_jsonify(report), indent=2))
+        print(json.dumps(jsonify(report), indent=2))
     return 0
 
 

@@ -12,12 +12,15 @@ with population variances (mean squared distance to the class mean);
 values near zero indicate collapse of within-class variation. The
 nearest-class-mean classifier assigns each sample to the class with the
 closest feature mean, ties to the lowest class id.
+
+jsonify is the package's one serializer: a report's JSON document is its
+dataclass fields, and the harness writes every result file through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -26,6 +29,29 @@ from .models import MLPParams, atomic_write, mlp_predict, row_max, row_sum
 
 FEW_SHOT_MAX = 19
 MANY_SHOT_MIN = 101
+
+
+def jsonify(obj):
+    """Make a document strictly JSON-serializable; NaN becomes null.
+
+    A report's document is its fields: a dataclass becomes a dict of its
+    fields in declaration order, and an array becomes nested lists.
+    """
+    if is_dataclass(obj):
+        return {f.name: jsonify(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return jsonify(obj.tolist())
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, (np.floating,)):
+        return jsonify(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {k: jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify(v) for v in obj]
+    return obj
 
 
 def minority_majority_split(profile: ClassProfile) -> tuple[list[int], list[int]]:
@@ -281,11 +307,7 @@ class MarginReport:
     lower_bound: np.ndarray  # (m,) bool, True when no differing cell existed
 
     def to_dict(self) -> dict:
-        return {
-            "margins": [float(v) for v in self.margins],
-            "median": self.median,
-            "lower_bound": [bool(v) for v in self.lower_bound],
-        }
+        return jsonify(self)
 
 
 def minority_margin(grid: BoundaryGrid, points: np.ndarray) -> MarginReport:

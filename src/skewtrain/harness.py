@@ -26,10 +26,11 @@ step and acceptance criterion 1 check against.
 
 Results land as JSON: per (config hash, seed) one file and one
 checkpoint, which models.save_model names and writes; one aggregate per
-config; and per-sweep tables. _jsonify writes all but the checkpoints,
-and a report's document is its dataclass fields; only a document that
-adds or drops values (a trial, an aggregate, a ratio grid) is built by
-a to_dict. Aggregates report per-seed values, their mean, and the
+config; and per-sweep tables. _write_json writes all but the
+checkpoints through diagnostics.jsonify, the one serializer, so a
+result's document is its dataclass fields; only a document that adds
+or drops values (a trial, an aggregate, a ratio grid) is built by a
+to_dict. Aggregates report per-seed values, their mean, and the
 standard error (sample std / sqrt(n_seeds)); a single seed yields
 stderr 0 flagged as single_trial.
 """
@@ -60,7 +61,7 @@ from .data import (
     load_csv,
     make_balanced_sampler,
 )
-from .diagnostics import CollapseReport, MetricsReport, collapse_report, metrics_report
+from .diagnostics import CollapseReport, MetricsReport, collapse_report, jsonify, metrics_report
 from .losses import (
     cross_entropy_and_grad,
     cross_entropy_vec,
@@ -424,9 +425,10 @@ class StepPlan:
     """A trial's parameter and gradient buffers with their stack views, built once.
 
     theta is the trial's parameter vector, or a (T, P) stack of trials',
-    which sgd_update updates in place. grad is the one gradient buffer
-    that every batch_loss_and_grads call refills, and perturbed, under
-    SAM, the buffer that sam_perturb writes the moved parameters into.
+    which sgd_update updates in place. grad is the one gradient buffer,
+    allocated zeroed here once, that every batch_loss_and_grads call
+    overwrites, and perturbed, under SAM, the buffer that sam_perturb
+    writes the moved parameters into.
     Each buffer is unpacked once, here, into the stacks of sizes
     (models.unpack); stacks(vec) looks the views of one of these buffers up.
     """
@@ -450,9 +452,10 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
     The batch comes first, so functools.partial(batch_loss_and_grads,
     *batch) is the f(theta, example_weights) that sam_step calls.
     theta is plan.theta or plan.perturbed, and the gradient returned is
-    plan.grad, refilled here: both are in models.pack's layout of the
-    plan's stacks, and a stack the objective does not use gets a
-    zero gradient. The returned gradient is valid until the next call.
+    plan.grad, both in models.pack's layout of the plan's stacks. Nothing
+    here clears it: mlp_backward overwrites every tensor of a stack the
+    objective uses, and an unused stack keeps StepPlan's zeros. The
+    returned gradient is valid until the next call.
     targets are the batch's rows of supervised_targets; xb and the views
     are float64 and C-contiguous. Trials in lockstep stack theta, the
     batch and the gradient on a leading axis and get a (T,) loss, each
@@ -471,7 +474,6 @@ def batch_loss_and_grads(plan, xb, yb, targets, views, epoch, method, class_w, t
     """
     stacks = plan.stacks(theta)
     grad = plan.grad
-    grad.fill(0.0)
     stack_grads = plan.stacks(grad)
     mlp, mlp_grads = stacks[0], stack_grads[0]
     mlp_written = 0
@@ -513,12 +515,13 @@ _STACK_WIDTH = 128
 def _stackable(config: ExperimentConfig, splits: list[Dataset]) -> bool:
     """Whether the trials on splits train in lockstep; the one rule that decides it.
 
-    That takes two trials or more, a model narrower than _STACK_WIDTH, the plain step (no
-    SAM, joint objective, resampler or early stop), and splits of one shape and class counts.
+    That takes a model narrower than _STACK_WIDTH, the plain step (no SAM, joint objective,
+    resampler or early stop), and splits of one shape and class counts; a lone seed then
+    trains on plain vectors, as _train_trials decides.
     """
     m = config.method
     shapes = [(s.X.shape, class_profile(s).counts.tolist()) for s in splits]
-    return (len(splits) > 1 and max(config.hidden) < _STACK_WIDTH and m.sam.mode == "off"
+    return (max(config.hidden) < _STACK_WIDTH and m.sam.mode == "off"
             and not m.joint_ssl and not m.resample and config.stop_at_train_acc is None
             and all(s == shapes[0] for s in shapes))
 
@@ -538,11 +541,11 @@ def train_model(config: ExperimentConfig, seeds: list[int], splits: list[Dataset
     What stays fixed over the trials is built here once: sizes, the layer
     sizes of the classifier and the projector, which fix theta's layout
     and SAM's tensor bounds; the StepPlan and the velocity, EMA and
-    scratch vectors, which every step reuses; the target rows and, for a
-    class-conditional SAM mode with rho > 0, the per-class radii that
-    each step indexes. Every step ends with one sgd_update and one
-    ema_update, which write theta, velocity and EMA in place; SAM only
-    picks the gradient they apply.
+    scratch vectors, which every step reuses; the target rows and
+    optim.rho_per_class's per-class radii (None outside a
+    class-conditional SAM mode at rho > 0), which each step indexes.
+    Every step ends with one sgd_update and one ema_update, which write
+    theta, velocity and EMA in place; SAM only picks the gradient they apply.
 
     The plain step calls batch_loss_and_grads directly; only SAM binds
     the batch with functools.partial, for sam_step. Each batch is handed
@@ -588,9 +591,7 @@ def _train_trials(config: ExperimentConfig, seeds: list[int], splits: list[Datas
     ema = theta.copy()
     scratch = np.empty_like(theta)
 
-    class_radii = (
-        rho_per_class(profile, sam) if sam.mode not in ("off", "sam") and sam.rho > 0.0 else None
-    )
+    class_radii = rho_per_class(profile, sam)
     tc = config.train
     batch_rngs = [np.random.default_rng(ss["batches"]) for ss in children]
     augment_rng = np.random.default_rng(children[0]["augment"])
@@ -773,32 +774,9 @@ class AggregateResult:
         }
 
 
-def _jsonify(obj):
-    """Make a document strictly JSON-serializable; NaN becomes null.
-
-    A report's document is its fields: a dataclass becomes a dict of its
-    fields in declaration order, and an array becomes nested lists.
-    """
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, (np.floating,)):
-        return _jsonify(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def _write_json(path, doc) -> None:
     with atomic_write(path) as fh:
-        json.dump(_jsonify(doc), fh, indent=2, allow_nan=False)
+        json.dump(jsonify(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

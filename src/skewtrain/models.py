@@ -210,13 +210,14 @@ def mlp_backward(params: MLPParams, inputs: list, g: np.ndarray, grads: MLPParam
     inputs are the layer inputs that mlp_forward returned, cut to the
     layers to run back through, for one trial or a stack as in
     mlp_forward. grads holds views of the caller's gradient buffer,
-    shaped like params. Layers below written already hold a gradient
-    from an earlier call, and the new one is added to it in place:
-    existing + new, the order in which the tape accumulates fan-out.
-    The other layers' gradients are computed straight into their views
-    (out=), which keeps a -0.0 that adding it into the buffer's zeros
-    would turn into +0.0. Returns the gradient at the stack input when
-    input_grad, else None.
+    shaped like params, whose contents this function owns: nothing
+    clears the buffer between steps. Layers below written already hold
+    a gradient from an earlier call of this step, and the new one is
+    added to it in place: existing + new, the order in which the tape
+    accumulates fan-out. The other layers' gradients are written
+    straight into their views (out=), over whatever they held, which
+    also keeps a -0.0 that adding into zeros would turn into +0.0.
+    Returns the gradient at the stack input when input_grad, else None.
     """
     for i in reversed(range(len(inputs))):
         if i < written:

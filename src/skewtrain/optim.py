@@ -69,14 +69,14 @@ def ema_update(ema: np.ndarray, theta: np.ndarray, decay: float, scratch: np.nda
     np.add(np.multiply(decay, ema, out=ema), np.multiply(1.0 - decay, theta, out=scratch), out=ema)
 
 
-def rho_per_class(profile: ClassProfile, spec: SamSpec) -> np.ndarray:
-    """Per-class ascent radii for the class-conditional modes.
+def rho_per_class(profile: ClassProfile, spec: SamSpec) -> np.ndarray | None:
+    """Per-class ascent radii of a class-conditional mode at rho > 0; None for any other.
 
     paper mode:   rho_c = rho / (1 - p_c)
     inverse mode: rho_c = min(10 * rho, rho * (1/K) / p_c)
     """
-    if spec.mode not in ("sam_a_paper", "sam_a_inverse"):
-        raise ValueError(f"per-class radii undefined for mode {spec.mode!r}")
+    if spec.mode not in ("sam_a_paper", "sam_a_inverse") or not spec.rho > 0.0:
+        return None
     p = profile.proportions
     if profile.num_classes < 2:
         raise ValueError("class-conditional radii need at least two classes")
@@ -110,8 +110,8 @@ def sam_step(theta: np.ndarray, loss_and_grads, rho: float, radii: np.ndarray | 
     """The sharpness-aware gradient at theta: (descent_loss, descent_grad, StepInfo).
 
     loss_and_grads(theta, example_weights) -> (loss_value, grad), grad in
-    theta's layout. radii holds the batch examples' per-class radii for a
-    class-conditional mode with rho > 0, and is None otherwise. The ascent
+    theta's layout. radii holds the batch examples' rows of
+    rho_per_class's radii, or None where rho_per_class gives None. The ascent
     pass then weights example i by radii[i] / rho (the callee averages
     s_i * l_i / sum(s_i)), and rho_eff is the batch mean radius; without
     radii the ascent is unweighted and rho_eff is rho. bounds, the

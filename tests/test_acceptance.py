@@ -37,11 +37,11 @@ from skewtrain.data import (
 from skewtrain.diagnostics import (
     boundary_grid,
     collapse_report,
+    jsonify,
     minority_majority_split,
     minority_margin,
 )
 from skewtrain.harness import (
-    _jsonify,
     aggregate,
     apply_method,
     build_pools,
@@ -616,7 +616,7 @@ def test_report_arithmetic_and_collapse_summaries(verdict):
         )
         # The serialized form must survive a strict JSON round trip: the
         # writer maps the nan diagonal to null.
-        doc = _jsonify(rep)
+        doc = jsonify(rep)
         json.loads(json.dumps(doc, allow_nan=False))
 
     verdict(

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -156,7 +157,8 @@ def test_pairs_alternate_and_stop_at_the_first_bad_run(monkeypatch, tmp_path, ca
 
 @pytest.mark.parametrize("declared", [
     None,  # the repository's own
-    {"workloads": [{"name": "toy_sweep"}, {"name": "a_new_workload"}],
+    {"command": ["python3", "bench/run.py"], "run_seconds": 30,
+     "workloads": [{"name": "toy_sweep"}, {"name": "a_new_workload"}],
      "end_to_end": [{"name": "wall_rel", "bound": 0.2, "better": "lower"},
                     {"name": "a_new_metric", "bound": 0.1, "better": "higher"}]},
 ], ids=["repository", "added"])
@@ -188,3 +190,29 @@ def test_workloads_and_default_metrics_come_from_benchmark_json(monkeypatch, tmp
         tool.main([str(parent), str(change), "--workload", "no_such_workload"])
     assert info.value.code == 2
     assert "invalid choice: 'no_such_workload'" in capsys.readouterr().err
+
+
+def test_runs_use_benchmark_json_command_and_run_seconds(monkeypatch, tmp_path, capsys):
+    # a copy of the tool beside a BENCHMARK.json with another command and run length
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "bench_pairs.py").write_bytes(_PATH.read_bytes())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "bench/other.py", "--quiet"], "run_seconds": 7,
+        "workloads": [{"name": "probe"}],
+        "end_to_end": [{"name": "wall_rel", "bound": 0.2, "better": "lower"}],
+    }))
+    tool = _load_tool(tmp_path / "tools" / "bench_pairs.py")
+    parent, change = _checkout(tmp_path / "pa"), _checkout(tmp_path / "ch")
+    started = []
+
+    def fake_run(cmd, *, cwd, capture_output, text):
+        started.append((cmd, cwd.name))
+        return subprocess.CompletedProcess(cmd, 0, _stdout(100.0), "")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.main([str(parent), str(change), "--workload", "probe", "--pairs", "1",
+                      "--metrics", "wall_rel"]) == 0
+    cmd = ["python3", "bench/other.py", "--quiet", "--workload", "probe", "--seed", "0",
+           "--seconds", "7.0"]
+    assert started == [(cmd, "pa"), (cmd, "ch")]
+    assert capsys.readouterr().out.startswith("probe seed 0, 1 pairs of 7 s:\n")

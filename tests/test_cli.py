@@ -483,6 +483,42 @@ def test_boundary_rejects_non_planar_model(tmp_path, capsys):
     assert "2-d input" in capsys.readouterr().err
 
 
+def _refuse_predicting(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("predicted before the width check")
+
+    monkeypatch.setattr(cli, "mlp_predict", refuse)
+    monkeypatch.setattr(cli, "boundary_grid", refuse)
+
+
+def test_boundary_names_the_checkpoint_whose_input_is_not_planar(tmp_path, capsys, monkeypatch):
+    _refuse_predicting(monkeypatch)
+    ckpt = _untrained_checkpoint(tmp_path / "ckpt.json", sizes=(3, 4, 3))
+    out = tmp_path / "g.csv"
+    code = main(["boundary", "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"config error: {ckpt}: boundary grids need a 2-d input model, got d_in=3\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d_in, features", [(2, 3), (3, 2)])
+def test_collapse_names_both_files_when_their_widths_differ(tmp_path, capsys, monkeypatch, d_in,
+                                                             features):
+    _refuse_predicting(monkeypatch)
+    ckpt = _untrained_checkpoint(tmp_path / "ckpt.json", sizes=(d_in, 4, 3))
+    data = tmp_path / "eval.csv"
+    save_csv(data, Dataset(np.ones((6, features)), np.repeat([0, 1, 2], 2), ["a", "b", "c"]))
+    out = tmp_path / "collapse.json"
+    for extra in ([], ["--out", str(out)]):
+        capsys.readouterr()
+        code = main(["collapse", "--checkpoint", str(ckpt), "--data", str(data)] + extra)
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {data} has {features} features; {ckpt} takes d_in={d_in}\n")
+        assert not out.exists()
+
+
 def _stack_checkpoint(path, tensor_sizes, mlp_sizes):
     """Raw and EMA tensors for tensor_sizes, labelled in the metadata as mlp_sizes."""
     named = {}

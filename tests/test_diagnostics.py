@@ -13,11 +13,11 @@ from skewtrain.diagnostics import (
     _sq_distances,
     boundary_grid,
     collapse_report,
+    jsonify,
     metrics_report,
     minority_majority_split,
     minority_margin,
 )
-from skewtrain.harness import _jsonify
 from skewtrain.models import named_to_mlp
 
 
@@ -358,7 +358,7 @@ def test_collapse_report_to_dict_roundtrips():
     features = np.concatenate([rng.normal(size=(5, 2)), rng.normal(size=(5, 2)) + 4])
     labels = np.repeat([0, 1], 5)
     rep = collapse_report(features, labels, labels, ClassProfile(np.array([50, 10])))
-    d = _jsonify(rep)
+    d = jsonify(rep)
     assert d["minority_classes"] == [1]
     assert len(d["cdnv_pairs"]) == 2 and len(d["cdnv_pairs"][0]) == 2
     assert d["mean_cdnv"] == rep.mean_cdnv

@@ -15,6 +15,7 @@ from skewtrain.config import (
     ConfigError,
     DataSpec,
     ExperimentConfig,
+    FocalSpec,
     MethodSpec,
     ReweightSpec,
     SamSpec,
@@ -25,7 +26,7 @@ from skewtrain.config import (
     load_config,
 )
 from skewtrain.data import ClassProfile, Dataset, gen_gaussian_mixture, save_csv
-from skewtrain.diagnostics import CollapseReport, MetricsReport, metrics_report
+from skewtrain.diagnostics import CollapseReport, MetricsReport, jsonify, metrics_report
 from skewtrain.harness import (
     AGGREGATED_METRICS,
     METHOD_PRESETS,
@@ -37,7 +38,6 @@ from skewtrain.harness import (
     _projector_sizes,
     _seed_children,
     _stratified_split,
-    _jsonify,
     _write_json,
     aggregate,
     apply_method,
@@ -56,8 +56,16 @@ from skewtrain.harness import (
     supervised_loss,
 )
 from skewtrain.losses import cross_entropy_vec, one_hot, reweight_class_weights
-from skewtrain.models import load_checkpoint, mlp_init, mlp_predict, named_to_mlp, pack, unpack
-from skewtrain.optim import rho_per_class
+from skewtrain.models import (
+    load_checkpoint,
+    mlp_init,
+    mlp_predict,
+    named_to_mlp,
+    pack,
+    tensor_bounds,
+    unpack,
+)
+from skewtrain.optim import rho_per_class, sam_step
 
 
 def _tiny_config(**kw):
@@ -823,7 +831,7 @@ def test_use_ema_eval_false_evaluates_the_raw_weights(tmp_path):
     _, test_pool = build_pools(cfg, 0)
     test_split = curate_test_split(cfg, test_pool, 0)
     preds, _, _ = mlp_predict(raw_mlp, test_split.X)
-    want = _jsonify(metrics_report(preds, test_split.y, model.profile))
+    want = jsonify(metrics_report(preds, test_split.y, model.profile))
     doc = json.loads((tmp_path / result.config_hash / "seed_0.json").read_text())
     assert doc["metrics"] == want
 
@@ -1284,21 +1292,64 @@ def test_a_trial_unpacks_each_buffer_once(monkeypatch, preset, buffers):
     assert len(calls) == len(set(calls)) == buffers
 
 
-def test_step_plan_refills_the_gradient_buffer():
-    # a dirty buffer must not leak into a stack the objective does not use
-    sizes = [[2, 4, 3], [4, 5]]
-    plan = harness.StepPlan(pack([mlp_init(s, seed=i) for i, s in enumerate(sizes)]), sizes)
-    xb = np.random.default_rng(0).normal(size=(6, 2))
-    yb = np.array([0, 1, 2, 0, 1, 2])
-    batch = (plan, xb, yb, one_hot(yb, 3), None, 0, MethodSpec(), np.ones(3))
+_WRITE_PROFILE = ClassProfile(np.array([30, 10, 3]))
+# name -> (method, epoch): every step shape, reweight on both sides of its defer epoch
+_WRITE_STEPS = {
+    "erm": (MethodSpec(), 0),
+    "focal_0.5": (MethodSpec(loss="focal", focal=FocalSpec(gamma=0.5)), 0),
+    "smoothed": (MethodSpec(loss="smoothed"), 0),
+    "reweight_deferred": (MethodSpec(loss="reweighted", reweight=ReweightSpec(defer_epoch=1)), 0),
+    "reweight_on": (MethodSpec(loss="reweighted", reweight=ReweightSpec(defer_epoch=1)), 1),
+    "sam_a": (MethodSpec(sam=SamSpec(rho=0.05, mode="sam_a_paper")), 0),
+    "joint_ssl": (MethodSpec(joint_ssl=True, projector=[8, 6, 5]), 0),
+}
+
+
+def _step_calls(name, trials, fill):
+    """(loss, gradient) bytes of each batch_loss_and_grads call of one step of name, run as
+    a lone trial or a stack of trials, with plan.grad filled with fill before each call."""
+    method, epoch = _WRITE_STEPS[name]
+    sizes = [[2, 8, 8, 3]] + ([method.projector] if method.joint_ssl else [])
+    thetas = [pack([mlp_init(s, seed=10 * t + i) for i, s in enumerate(sizes)])
+              for t in range(trials)]
+    plan = harness.StepPlan(np.stack(thetas) if trials > 1 else thetas[0], sizes,
+                            sam=method.sam.mode != "off")
+    yb = np.array([[0, 1, 2, 0, 1, 2], [2, 2, 1, 0, 0, 1]][:trials])
+    yb = yb if trials > 1 else yb[0]
+    rng = np.random.default_rng(0)
+    xb = rng.normal(size=yb.shape + (2,))
+    views = [rng.normal(size=xb.shape) for _ in range(2)] if method.joint_ssl else None
+    targets = harness.supervised_targets(yb.ravel(), method, _WRITE_PROFILE).reshape(*yb.shape, 3)
+    batch = (plan, xb, yb, targets, views, epoch, method, reweight_class_weights(_WRITE_PROFILE))
+    calls = []
+
+    def loss_and_grads(theta, example_weights):
+        plan.grad.fill(fill)
+        loss, grad = harness.batch_loss_and_grads(*batch, theta, example_weights)
+        assert grad is plan.grad
+        calls.append((np.asarray(loss).tobytes(), grad.tobytes()))
+        return loss, grad
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        loss, grad = harness.batch_loss_and_grads(*batch, plan.theta, None)
-        want = grad.copy()
-        grad.fill(np.nan)
-        loss_again, grad_again = harness.batch_loss_and_grads(*batch, plan.theta, None)
-    assert grad_again is plan.grad and loss_again == loss
-    assert grad_again.tobytes() == want.tobytes()
-    assert not want[-(4 * 5 + 5):].any()  # the unused stack's gradient is zero
+        if method.sam.mode == "off":
+            loss_and_grads(plan.theta, None)
+        else:
+            # a weighted ascent, then the descent at the moved point
+            radii = rho_per_class(_WRITE_PROFILE, method.sam)[yb]
+            sam_step(plan.theta, loss_and_grads, method.sam.rho, radii, tensor_bounds(sizes),
+                     plan.perturbed)
+    return calls
+
+
+@pytest.mark.parametrize("name, trials", [(name, 1) for name in _WRITE_STEPS] + [
+    (name, 2) for name in ("erm", "focal_0.5", "smoothed", "reweight_deferred", "reweight_on")
+], ids=lambda v: str(v))
+def test_every_step_shape_rewrites_the_gradient_tensors_it_uses(name, trials):
+    # nothing clears plan.grad between steps: mlp_backward writes every tensor the
+    # objective uses before adding into it, so a buffer of NaN gives a clean plan's bytes
+    clean = _step_calls(name, trials, 0.0)
+    assert len(clean) == (2 if name == "sam_a" else 1)
+    assert _step_calls(name, trials, np.nan) == clean
 
 
 def test_sweep_csv_failure_keeps_previous_file(tmp_path):

@@ -256,8 +256,10 @@ def test_rho_per_class_inverse_cap():
 
 def test_rho_per_class_mode_errors():
     profile = ClassProfile(np.array([10, 10]))
-    with pytest.raises(ValueError, match="undefined"):
-        rho_per_class(profile, SamSpec(rho=0.1, mode="sam"))
+    # only a class-conditional mode at rho > 0 has radii; the rest get None
+    for spec in (SamSpec(rho=0.1, mode="off"), SamSpec(rho=0.1, mode="sam"),
+                 SamSpec(rho=0.0, mode="sam_a_paper"), SamSpec(rho=0.0, mode="sam_a_inverse")):
+        assert rho_per_class(profile, spec) is None
     with pytest.raises(ValueError, match="two classes"):
         rho_per_class(ClassProfile(np.array([10])), SamSpec(rho=0.1, mode="sam_a_paper"))
 

@@ -4,11 +4,12 @@
         --pairs 10 --seconds 30 --metrics wall_rel setup_s peak_rss_mb ms_per_step.erm
 
 PARENT and CHANGE are checkouts of the repository. For each seed, pair i
-runs `python3 bench/run.py --workload W --seed S --seconds T` once in
-each, with the checkout as working directory: the parent first in even
-pairs, the change first in odd ones. The command is BENCHMARK.json's, and
-not this interpreter's path, because the launch environment moves
-peak_rss_mb through the heap layout. Each checkout's runs write their
+runs BENCHMARK.json's command (`python3 bench/run.py`) with
+`--workload W --seed S --seconds T` once in each, with the checkout as
+working directory: the parent first in even pairs, the change first in
+odd ones. T defaults to BENCHMARK.json's run_seconds. The command is
+BENCHMARK.json's, and not this interpreter's path, because the launch
+environment moves peak_rss_mb through the heap layout. Each checkout's runs write their
 records to its own .bench_work.
 
 Checkouts whose resolved paths differ in length are refused: the path's
@@ -17,8 +18,9 @@ peak_rss_mb (see CHANGES.md). The script stops at the first run that
 exits non-zero, fails an operation, or reports outputs_changed other
 than 0 (seeds without a reference report n/a, which also stops it).
 
-The workload choices and the default metrics (the end-to-end ones) are
-read from the BENCHMARK.json beside tools/. Per seed and listed metric
+The command, the run length, the workload choices and the default
+metrics (the end-to-end ones) are read from the BENCHMARK.json beside
+tools/. Per seed and listed metric
 it prints the median and quartiles of each side, the median's relative
 change, and in how many pairs the change read lower. An end-to-end
 metric also gets a verdict against its BENCHMARK.json bound and
@@ -41,9 +43,11 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 
-# The workload names, the end-to-end metric names and each one's (bound, better), from the
-# BENCHMARK.json beside tools/
+# The command, the run length, the workload names, the end-to-end metric names and each
+# one's (bound, better), from the BENCHMARK.json beside tools/
 _BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+COMMAND = _BENCHMARK["command"]
+RUN_SECONDS = float(_BENCHMARK["run_seconds"])
 WORKLOADS = tuple(w["name"] for w in _BENCHMARK["workloads"])
 END_TO_END = [m["name"] for m in _BENCHMARK["end_to_end"]]
 BOUNDS = {m["name"]: (m["bound"], m["better"]) for m in _BENCHMARK["end_to_end"]}
@@ -139,9 +143,8 @@ def summarize(runs: dict[str, list[dict[str, float]]], metrics) -> list[str]:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float):
-    """(exit code, stdout) of one bench/run.py run in checkout."""
-    cmd = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+    """(exit code, stdout) of one run of BENCHMARK.json's command in checkout."""
+    cmd = COMMAND + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     return proc.returncode, proc.stdout
 
@@ -167,7 +170,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True, choices=WORKLOADS)
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--seconds", type=float, default=RUN_SECONDS)
     p.add_argument("--metrics", nargs="+", default=END_TO_END)
     args = p.parse_args(argv)
     if args.pairs < 1:
