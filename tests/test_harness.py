@@ -1314,8 +1314,7 @@ def _step_calls(name, trials, fill):
               for t in range(trials)]
     plan = harness.StepPlan(np.stack(thetas) if trials > 1 else thetas[0], sizes,
                             sam=method.sam.mode != "off")
-    yb = np.array([[0, 1, 2, 0, 1, 2], [2, 2, 1, 0, 0, 1]][:trials])
-    yb = yb if trials > 1 else yb[0]
+    yb = np.array([[0, 1, 2, 0, 1, 2], [2, 2, 1, 0, 0, 1]] if trials > 1 else [0, 1, 2, 0, 1, 2])
     rng = np.random.default_rng(0)
     xb = rng.normal(size=yb.shape + (2,))
     views = [rng.normal(size=xb.shape) for _ in range(2)] if method.joint_ssl else None
@@ -1343,7 +1342,7 @@ def _step_calls(name, trials, fill):
 
 @pytest.mark.parametrize("name, trials", [(name, 1) for name in _WRITE_STEPS] + [
     (name, 2) for name in ("erm", "focal_0.5", "smoothed", "reweight_deferred", "reweight_on")
-], ids=lambda v: str(v))
+], ids=str)
 def test_every_step_shape_rewrites_the_gradient_tensors_it_uses(name, trials):
     # nothing clears plan.grad between steps: mlp_backward writes every tensor the
     # objective uses before adding into it, so a buffer of NaN gives a clean plan's bytes

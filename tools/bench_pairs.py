@@ -9,8 +9,8 @@ runs BENCHMARK.json's command (`python3 bench/run.py`) with
 working directory: the parent first in even pairs, the change first in
 odd ones. T defaults to BENCHMARK.json's run_seconds. The command is
 BENCHMARK.json's, and not this interpreter's path, because the launch
-environment moves peak_rss_mb through the heap layout. Each checkout's runs write their
-records to its own .bench_work.
+environment moves peak_rss_mb through the heap layout. Each checkout's
+runs write their records to its own .bench_work.
 
 Checkouts whose resolved paths differ in length are refused: the path's
 length alone moves toy_sweep's wall_rel by several percent and probe's
@@ -20,9 +20,9 @@ than 0 (seeds without a reference report n/a, which also stops it).
 
 The command, the run length, the workload choices and the default
 metrics (the end-to-end ones) are read from the BENCHMARK.json beside
-tools/. Per seed and listed metric
-it prints the median and quartiles of each side, the median's relative
-change, and in how many pairs the change read lower. An end-to-end
+tools/. Per seed and listed metric it prints the median and quartiles
+of each side, the median's relative change, and in how many pairs the
+change read lower. An end-to-end
 metric also gets a verdict against its BENCHMARK.json bound and
 direction: "worse than bound" when the change's median is worse than
 the parent's by more than the bound (relative to the parent's median);
