@@ -32,40 +32,6 @@ class NumericalError(RuntimeError):
     index = None
 
 
-def _as_float64(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True, order="C")
-    return arr
-
-
-class Tensor:
-    """Immutable dense float64 array with shape validation.
-
-    Construction from anything containing NaN or Inf is an error;
-    non-finite values arising *inside* the graph raise NumericalError
-    with the offending node id instead.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        arr = _as_float64(values)
-        if arr.ndim > 2:
-            raise ValueError(f"tensors are at most rank 2, got shape {arr.shape}")
-        if any(d < 1 for d in arr.shape):
-            raise ValueError(f"tensor dimensions must be positive, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor construction from non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-
 @dataclass
 class _Node:
     idx: int
@@ -157,9 +123,21 @@ class Tape:
         return Var(self, node.idx)
 
     def leaf(self, values, name: str | None = None) -> Var:
-        """Register an input tensor. Gradients are reported per leaf."""
-        t = values if isinstance(values, Tensor) else Tensor(values)
-        return self._append("leaf", (), {"name": name}, t.values)
+        """Register a float64 copy of values as an input. Gradients are reported per leaf.
+
+        Leaves are dense arrays of rank at most 2 with positive dimensions
+        and finite entries; anything else is a ValueError. Non-finite
+        values arising inside the graph raise NumericalError naming the
+        node instead. The copy is read-only; the caller's array is not.
+        """
+        arr = np.array(values, dtype=np.float64, copy=True, order="C")
+        if arr.ndim > 2:
+            raise ValueError(f"tensors are at most rank 2, got shape {arr.shape}")
+        if any(d < 1 for d in arr.shape):
+            raise ValueError(f"tensor dimensions must be positive, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("tensor construction from non-finite values")
+        return self._append("leaf", (), {"name": name}, arr)
 
     def constant(self, values) -> Var:
         """A leaf the caller does not intend to differentiate.

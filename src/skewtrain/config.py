@@ -30,7 +30,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataSpec:
-    """Where samples come from: a synthetic mixture or CSV files."""
+    """Where samples come from: a synthetic mixture or CSV files.
+
+    The mixture's fields are checked only for kind gaussian; a csv spec
+    reads none of them.
+    """
 
     kind: str = "gaussian"
     classes: int = 5
@@ -49,6 +53,15 @@ class DataSpec:
             raise ValueError(f"kind must be gaussian or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.train_path:
             raise ValueError("csv data needs train_path")
+        if self.kind == "gaussian":
+            for name, least in (("classes", 2), ("dim", 2), ("train_per_class", 1),
+                                ("test_per_class", 1)):
+                if getattr(self, name) < least:
+                    raise ValueError(f"{name} must be >= {least}")
+            if self.sigma <= 0:
+                raise ValueError("sigma must be > 0")
+            if self.mean_radius < 0:
+                raise ValueError("mean_radius must be >= 0")
         if not 0.0 < self.test_frac < 1.0:
             raise ValueError("test_frac must be in (0, 1)")
 

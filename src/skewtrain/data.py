@@ -313,7 +313,7 @@ def curate_exponential(dataset: Dataset, ratio: float, seed: int) -> Dataset:
     return _subsample_per_class(dataset, targets, seed)
 
 
-def grow_majority(pool: Dataset, n_majority: int, n_minority: int = 200, seed: int = 0) -> Dataset:
+def grow_majority(pool: Dataset, n_majority: int, n_minority: int, seed: int) -> Dataset:
     """Fix the minority class size and scale every other class.
 
     The rarest class in the pool (lowest id on ties) is the minority and

@@ -286,19 +286,20 @@ def curate_test_split(config: ExperimentConfig, pool: Dataset, seed: int) -> Dat
 
 @dataclass
 class TrainedModel:
-    """Everything needed to evaluate or probe a finished run.
+    """What training decided for one (config, seed) trial, and nothing evaluation decides.
 
     raw and ema are vectors in models.pack's layout of the stacks of sizes:
-    the classifier and, for joint_ssl, the projector. A model trained
-    with track_train_acc=False and no stop_at_train_acc has an empty
-    train_acc_trajectory and epochs_to_full_fit None, and no
+    the classifier and, for joint_ssl, the projector. eval_mlp(use_ema)
+    unpacks the classifier of the one the evaluating config picks. A model
+    trained with track_train_acc=False and no stop_at_train_acc has an
+    empty train_acc_trajectory and epochs_to_full_fit None, and no
     final_train_accuracy.
     """
 
+    seed: int
     sizes: list[list[int]]
     raw: np.ndarray
     ema: np.ndarray
-    use_ema_eval: bool
     train_split: Dataset
     profile: ClassProfile
     train_acc_trajectory: list[float]
@@ -308,17 +309,20 @@ class TrainedModel:
     def final_train_accuracy(self) -> float:
         return self.train_acc_trajectory[-1]
 
-    def eval_mlp(self):
-        return unpack(self.ema if self.use_ema_eval else self.raw, self.sizes)[0]
+    def eval_mlp(self, use_ema: bool) -> MLPParams:
+        return unpack(self.ema if use_ema else self.raw, self.sizes)[0]
 
 
 @dataclass
 class TrialResult:
-    seed: int
     config_hash: str
     metrics: MetricsReport
     collapse: CollapseReport
     model: TrainedModel
+
+    @property
+    def seed(self) -> int:
+        return self.model.seed
 
     def to_dict(self) -> dict:
         return {
@@ -660,10 +664,10 @@ def _train_trials(config: ExperimentConfig, seeds: list[int], splits: list[Datas
 
     raws, emas = (theta, ema) if stacked else ([theta], [ema])
     return [
-        TrainedModel(sizes=sizes, raw=raw, ema=trial_ema, use_ema_eval=config.use_ema_eval,
-                     train_split=split, profile=profile, train_acc_trajectory=traj,
-                     epochs_to_full_fit=fit)
-        for raw, trial_ema, split, traj, fit in zip(raws, emas, splits, trajectories, full_fit)
+        TrainedModel(seed=seed, sizes=sizes, raw=raw, ema=trial_ema, train_split=split,
+                     profile=profile, train_acc_trajectory=traj, epochs_to_full_fit=fit)
+        for seed, raw, trial_ema, split, traj, fit
+        in zip(seeds, raws, emas, splits, trajectories, full_fit)
     ]
 
 
@@ -681,32 +685,28 @@ def _accuracy(mlp: MLPParams, split: Dataset, stage: str) -> float:
     return float((preds == split.y).mean())
 
 
-def evaluate_model(model: TrainedModel, test_split: Dataset) -> tuple[MetricsReport, CollapseReport]:
-    """Test metrics plus collapse statistics on the training features.
+def evaluate_model(model: TrainedModel, test_split: Dataset, config: ExperimentConfig) -> TrialResult:
+    """The trial result of model under config: test metrics and collapse on the train split.
 
-    A non-finite forward raises NumericalError naming the split it predicted.
+    config.use_ema_eval picks the weights scored, and config_hash(config)
+    names the result. A non-finite forward raises NumericalError naming
+    the model's seed and the split it predicted.
     """
-    mlp = model.eval_mlp()
-    test_preds, _, _ = _predict(mlp, test_split, "evaluation failed predicting the test split")
+    mlp = model.eval_mlp(config.use_ema_eval)
+    stage = f"seed {model.seed}: evaluation failed predicting the"
+    test_preds, _, _ = _predict(mlp, test_split, f"{stage} test split")
     metrics = metrics_report(test_preds, test_split.y, model.profile)
-    train_preds, _, train_feats = _predict(mlp, model.train_split,
-                                           "evaluation failed predicting the train split")
+    train_preds, _, train_feats = _predict(mlp, model.train_split, f"{stage} train split")
     collapse = collapse_report(train_feats, model.train_split.y, train_preds, model.profile)
-    return metrics, collapse
+    return TrialResult(config_hash=config_hash(config), metrics=metrics, collapse=collapse,
+                       model=model)
 
 
 def run_training(config: ExperimentConfig, seed: int) -> TrialResult:
-    """Train and evaluate one (config, seed) trial on pools built once."""
+    """Build the pools of one (config, seed) trial once, train on its train split, evaluate."""
     train_pool, test_pool = build_pools(config, seed)
     model = train_model(config, [seed], [curate_train_split(config, train_pool, seed)])[0]
-    test_split = curate_test_split(config, test_pool, seed)
-    try:
-        metrics, collapse = evaluate_model(model, test_split)
-    except NumericalError as exc:
-        raise NumericalError(f"seed {seed}: {exc}") from exc
-    return TrialResult(
-        seed=seed, config_hash=config_hash(config), metrics=metrics, collapse=collapse, model=model,
-    )
+    return evaluate_model(model, curate_test_split(config, test_pool, seed), config)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +822,7 @@ def _write_trial(result: TrialResult, run_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def percent_improvement(acc: float, baseline_acc: float, mode: str = "paper_a1") -> float:
+def percent_improvement(acc: float, baseline_acc: float, mode: str) -> float:
     """Improvement of acc over a baseline accuracy.
 
     paper_a1 normalizes by the candidate: (acc - base) / acc.
@@ -1025,12 +1025,12 @@ def run_ratio_grid(
     for cfg in train_cfgs:
         splits = [curate_train_split(cfg, pool, seed) for seed, (pool, _) in zip(seeds, pools)]
         models = train_model(cfg, seeds, splits, track_train_acc=False)
-        for seed, model, cells, seed_tests in zip(seeds, models, per_seed, test_splits):
-            mlp = model.eval_mlp()
+        for model, cells, seed_tests in zip(models, per_seed, test_splits):
+            mlp = model.eval_mlp(cfg.use_ema_eval)
             for test_cfg, test_split in zip(test_cfgs, seed_tests):
                 cells[(cfg.r_train, test_cfg.r_test)] = _accuracy(
                     mlp, test_split, f"evaluation failed predicting the test split (seed "
-                                     f"{seed}, r_train {cfg.r_train}, r_test {test_cfg.r_test})")
+                                     f"{model.seed}, r_train {cfg.r_train}, r_test {test_cfg.r_test})")
     mean_grid = {
         key: float(np.mean([g[key] for g in per_seed])) for key in per_seed[0]
     }

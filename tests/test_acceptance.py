@@ -58,7 +58,6 @@ from skewtrain.harness import (
 from skewtrain.losses import (
     cross_entropy_vec,
     joint_loss,
-    one_hot,
     reweight_class_weights,
     vicreg_loss,
 )
@@ -525,10 +524,11 @@ def test_combined_method_holds_minority_accuracy(verdict, tmp_path):
 
 def test_minority_margins_widen_under_adaptive_ascent(verdict):
     bounds = (-5.0, 5.0, -5.0, 5.0)
+    use_ema = _toy_config().use_ema_eval
     medians = {"erm": [], "sam_a": []}
     for preset in medians:
         for trial in _toy_trials(preset):
-            grid = boundary_grid(trial.model.eval_mlp(), bounds, resolution=200)
+            grid = boundary_grid(trial.model.eval_mlp(use_ema), bounds, resolution=200)
             points = _minority_train_points(trial.model)
             medians[preset].append(minority_margin(grid, points).median)
     wins = sum(s > e for s, e in zip(medians["sam_a"], medians["erm"]))

@@ -1,4 +1,3 @@
-import math
 import zlib
 
 import numpy as np
@@ -11,7 +10,6 @@ from skewtrain.autodiff import (
     NumericalError,
     PRIMITIVES,
     Tape,
-    Tensor,
     backward,
     check_gradients,
     col_means,
@@ -33,37 +31,45 @@ def _np_softmax(z):
 
 
 # ---------------------------------------------------------------------------
-# Tensor construction
+# Leaf construction
 # ---------------------------------------------------------------------------
 
 
 def test_tensor_accepts_ranks_zero_through_two():
-    assert Tensor(3.0).shape == ()
-    assert Tensor([1.0, 2.0]).shape == (2,)
-    assert Tensor([[1.0], [2.0]]).shape == (2, 1)
+    tape = Tape()
+    assert tape.leaf(3.0).shape == ()
+    assert tape.leaf([1.0, 2.0]).shape == (2,)
+    assert tape.leaf([[1.0], [2.0]]).shape == (2, 1)
+    assert tape.leaf(np.array([1, 2])).value.dtype == np.float64
 
 
 def test_tensor_rejects_rank_three():
-    with pytest.raises(ValueError, match="rank 2"):
-        Tensor(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="^tensors are at most rank 2, got shape \\(2, 2, 2\\)$"):
+        Tape().leaf(np.zeros((2, 2, 2)))
 
 
 def test_tensor_rejects_empty_dimension():
-    with pytest.raises(ValueError, match="positive"):
-        Tensor(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="^tensor dimensions must be positive, got shape \\(0, 3\\)$"):
+        Tape().leaf(np.zeros((0, 3)))
 
 
 def test_tensor_rejects_nan_and_inf():
-    with pytest.raises(ValueError, match="non-finite"):
-        Tensor([1.0, float("nan")])
-    with pytest.raises(ValueError, match="non-finite"):
-        Tensor([[float("inf")]])
+    tape = Tape()
+    with pytest.raises(ValueError, match="^tensor construction from non-finite values$"):
+        tape.leaf([1.0, float("nan")])
+    with pytest.raises(ValueError, match="^tensor construction from non-finite values$"):
+        tape.leaf([[float("inf")]])
+    assert tape.nodes == []
 
 
 def test_tensor_is_immutable():
-    t = Tensor([1.0, 2.0])
+    # the leaf holds a read-only copy; the caller's array stays writeable and unshared
+    values = np.array([1.0, 2.0])
+    leaf = Tape().leaf(values)
     with pytest.raises(ValueError):
-        t.values[0] = 5.0
+        leaf.value[0] = 5.0
+    values[0] = 5.0
+    assert values.flags.writeable and leaf.value[0] == 1.0
 
 
 def test_scalar_nodes_stay_rank_zero():

@@ -9,7 +9,6 @@ import pytest
 
 from skewtrain.data import ClassProfile
 from skewtrain.diagnostics import (
-    BoundaryGrid,
     _sq_distances,
     boundary_grid,
     collapse_report,

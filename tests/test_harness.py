@@ -121,6 +121,12 @@ _REFUSED_CONFIGS = {
     "lam": ({"method": {"joint": {"lam": -0.5}}}, "method.joint: lam must be >= 0"),
     "weight_decay": ({"train": {"weight_decay": -1e-4}}, "train: weight_decay must be >= 0"),
     "epochs": ({"train": {"epochs": 0}}, "train: epochs must be >= 1"),
+    "classes": ({"data": {"classes": 1}}, "data: classes must be >= 2"),
+    "dim": ({"data": {"dim": 1}}, "data: dim must be >= 2"),
+    "train_per_class": ({"data": {"train_per_class": 0}}, "data: train_per_class must be >= 1"),
+    "test_per_class": ({"data": {"test_per_class": 0}}, "data: test_per_class must be >= 1"),
+    "sigma": ({"data": {"sigma": 0.0}}, "data: sigma must be > 0"),
+    "mean_radius": ({"data": {"mean_radius": -1.0}}, "data: mean_radius must be >= 0"),
 }
 
 
@@ -826,7 +832,7 @@ def test_use_ema_eval_false_evaluates_the_raw_weights(tmp_path):
     model = result.model
     assert not np.array_equal(model.raw, model.ema)
     raw_mlp = unpack(model.raw, model.sizes)[0]
-    assert pack([model.eval_mlp()]).tobytes() == pack([raw_mlp]).tobytes()
+    assert pack([model.eval_mlp(cfg.use_ema_eval)]).tobytes() == pack([raw_mlp]).tobytes()
     # the seed file's metrics are those of the raw weights on the test split
     _, test_pool = build_pools(cfg, 0)
     test_split = curate_test_split(cfg, test_pool, 0)
@@ -874,7 +880,7 @@ def test_a_forward_that_overflows_after_the_last_step_diverges():
     # untracked, the trial trains, and evaluating it raises instead of scoring
     model = harness.train_model(cfg, [1], [split], track_train_acc=False)[0]
     with pytest.raises(NumericalError, match=r"layer 0 of a \[1, 1, 2\] stack"):
-        harness.evaluate_model(model, split)
+        harness.evaluate_model(model, split, cfg)
 
 
 def test_a_forward_that_overflows_at_evaluation_names_the_seed_and_the_split(tmp_path):
@@ -884,13 +890,13 @@ def test_a_forward_that_overflows_at_evaluation_names_the_seed_and_the_split(tmp
     model = harness.train_model(cfg, [1], [huge], track_train_acc=False)[0]
     layer = "non-finite pre-activation in layer 0 of a [1, 1, 2] stack"
     with pytest.raises(NumericalError) as info:
-        harness.evaluate_model(model, huge)
-    assert str(info.value) == f"evaluation failed predicting the test split: {layer}"
+        harness.evaluate_model(model, huge, cfg)
+    assert str(info.value) == f"seed 1: evaluation failed predicting the test split: {layer}"
     # the test split of zeros predicts finitely; the train split does not
     zeros = Dataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), ["a", "b"])
     with pytest.raises(NumericalError) as info:
-        harness.evaluate_model(model, zeros)
-    assert str(info.value) == f"evaluation failed predicting the train split: {layer}"
+        harness.evaluate_model(model, zeros, cfg)
+    assert str(info.value) == f"seed 1: evaluation failed predicting the train split: {layer}"
 
     # trained on small values, a [1, 4, 2] model overflows on a test file of 1.7e308
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"

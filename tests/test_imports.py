@@ -127,3 +127,60 @@ def test_each_module_imports_the_config_names_it_uses_and_no_others():
         assert sorted(imported - used) == [], module
         assert sorted((used & config_names) - imported) == [], module
         assert sorted(_top_level_names(tree) & config_names) == [], module
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Imported and never used in their module, each kept on purpose: bench/tracing.py
+# rebinds these names on harness to time the tape reference through them.
+UNUSED_IMPORTS = {
+    "src/skewtrain/harness.py": {"backward", "forward_stack", "named_to_mlp", "vicreg_loss"},
+}
+
+
+def _unused_imports(tree) -> set:
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_top_level_import_is_used_in_its_module():
+    # The allowlist must match exactly, so a listed name that becomes used or
+    # disappears fails here too.
+    unused = {}
+    for folder in ("src/skewtrain", "tests", "tools"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            names = _unused_imports(ast.parse(path.read_text()))
+            if names:
+                unused[f"{folder}/{path.name}"] = names
+    assert unused == UNUSED_IMPORTS
+
+
+# train_model's roots and the data steps that build a training split. A trial's
+# training must not depend on how it is evaluated, so one trained model can be
+# scored under every config that differs only in these fields.
+TRAINING_ROOTS = ("train_model", "_train_trials", "_stackable", "build_pools", "curate_train_split")
+EVALUATION_ONLY_FIELDS = {"use_ema_eval", "r_test"}
+
+
+def test_training_reads_no_evaluation_only_field():
+    tree = ast.parse((SRC / "harness.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo, walked = list(TRAINING_ROOTS), set()
+    while todo:
+        name = todo.pop()
+        if name in walked:
+            continue
+        walked.add(name)
+        # the harness helpers it calls or builds are walked too
+        todo += [node.id for node in ast.walk(defs[name])
+                 if isinstance(node, ast.Name) and node.id in defs]
+    assert {"batch_loss_and_grads", "_accuracy", "_seed_children", "StepPlan"} <= walked
+    read = {(name, node.attr) for name in walked for node in ast.walk(defs[name])
+            if isinstance(node, ast.Attribute) and node.attr in EVALUATION_ONLY_FIELDS}
+    assert sorted(read) == []
